@@ -21,12 +21,12 @@ gradient that would move it away from uniform is a product of small factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .ops import Conv3dParams, LinearParams, conv3d, depthwise_conv3d, linear
+from .ops import Conv3dParams, LinearParams, conv3d, linear
 from .params import ParamBag, truncated_normal
 from .tensor import Tensor
 
@@ -57,7 +57,6 @@ class CemsaConfig:
     spatial_shape: tuple
     groups: int = 0  # 0 means groups == dim
     ffn_expansion: int = 4
-    kv_stride: int = 1
 
     def __post_init__(self):
         self.spatial_shape = tuple(int(e) for e in self.spatial_shape)
@@ -148,7 +147,7 @@ def bind_cemsa_params(cfg: CemsaConfig, prefix: str, tensors) -> CemsaParams:
         dw=Conv3dParams(t("dw.weight"), t("dw.bias"), stride=1,
                         padding=cfg.kernel // 2, groups=cfg.dim),
         g_kv=Conv3dParams(t("g_kv.weight"), t("g_kv.bias"),
-                          stride=cfg.kv_stride, padding=0, groups=cfg.groups),
+                          stride=1, padding=0, groups=cfg.groups),
         ln_kv=ln("ln_kv"), proj_k=lin("proj_k"), proj_v=lin("proj_v"),
         proj_out=lin("proj_out"), ln1=ln("ln1"), ln2=ln("ln2"),
         ffn1=lin("ffn1"), ffn2=lin("ffn2"),
@@ -162,13 +161,15 @@ def init_cemsa_params(cfg: CemsaConfig, bag: ParamBag, prefix: str,
     return bind_cemsa_params(cfg, prefix, bag.tensors)
 
 
-def tokens_to_volume(x: Tensor, cfg: CemsaConfig) -> Tensor:
-    n, d = x.shape
-    if n != cfg.tokens:
+def tokens_to_volume(x: Tensor, spatial_shape) -> Tensor:
+    """(N, C) tokens back to a (C, D, H, W) volume; N must be D * H * W."""
+    n, c = x.shape
+    spatial_shape = tuple(spatial_shape)
+    if n != int(np.prod(spatial_shape)):
         raise ValueError(
-            f"token count {n} does not match spatial shape {cfg.spatial_shape}"
+            f"token count {n} does not match spatial shape {spatial_shape}"
         )
-    return T.reshape(T.transpose2d(x), (d,) + cfg.spatial_shape)
+    return T.reshape(T.transpose2d(x), (c,) + spatial_shape)
 
 
 def volume_to_tokens(vol: Tensor) -> Tensor:
@@ -184,8 +185,7 @@ def cemsa_qkv(x: Tensor, cfg: CemsaConfig, p: CemsaParams):
     same depthwise trunk through the grouped conv, layer norm, and one linear
     projection each.
     """
-    vol = tokens_to_volume(x, cfg)
-    trunk = depthwise_conv3d(vol, p.dw.weight, p.dw.bias, kernel=cfg.kernel)
+    trunk = conv3d(tokens_to_volume(x, cfg.spatial_shape), p.dw)
     q = volume_to_tokens(trunk)
     kv = volume_to_tokens(conv3d(trunk, p.g_kv))
     kv = T.layer_norm(kv, p.ln_kv.gamma, p.ln_kv.beta)
@@ -244,12 +244,11 @@ def count_flops(cfg: CemsaConfig, breakdown: bool = False):
     """Multiply-accumulate count of one CEMSA block forward pass."""
     d, s, g, e = cfg.dim, cfg.kernel, cfg.groups, cfg.ffn_expansion
     n = cfg.tokens
-    m = n // cfg.kv_stride ** 3 if cfg.kv_stride > 1 else n
     parts = {
         "dw": n * d * s ** 3,
-        "gconv": m * d * (d // g),
-        "proj_kv": 2 * m * d * d,
-        "attention": 2 * n * m * d,
+        "gconv": n * d * (d // g),
+        "proj_kv": 2 * n * d * d,
+        "attention": 2 * n * n * d,
         "proj_out": n * d * d,
         "ffn": 2 * n * d * e * d,
     }
@@ -274,7 +273,3 @@ def msa_count_parameters(dim: int, ffn_expansion: int = 4,
     total = sum(parts.values())
     return (total, parts) if breakdown else total
 
-
-def msa_count_flops(tokens: int, dim: int, ffn_expansion: int = 4) -> int:
-    n, d, e = tokens, dim, ffn_expansion
-    return 3 * n * d * d + n * d * d + 2 * n * n * d + 2 * n * d * e * d

@@ -20,11 +20,10 @@ import numpy as np
 from . import __version__
 from .configio import ConfigError, from_dict, to_canonical_json
 from .deformation import IntegrationConfig, integrate, jacobian_determinant
-from .losses import LossConfig, dice, metrics_report
+from .losses import LossConfig, metrics_report
 from .model import (
     CheckpointError,
     ModelConfig,
-    bind_model_params,
     load_checkpoint,
     make_ablation,
     model_count_flops,

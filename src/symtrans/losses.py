@@ -21,14 +21,11 @@ from .tensor import Tensor
 @dataclass
 class LossConfig:
     lambda_reg: float = 0.02
-    similarity: str = "mse"
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
 
     def __post_init__(self):
         if self.lambda_reg < 0:
             raise ValueError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
-        if self.similarity != "mse":
-            raise ValueError(f"unsupported similarity {self.similarity!r}")
 
 
 def similarity_loss(warped: Tensor, fixed: Tensor) -> Tensor:
@@ -56,9 +53,10 @@ def smoothness_loss(u: Tensor) -> Tensor:
 
 def total_loss(moving: Tensor, fixed: Tensor, raw_field: Tensor,
                cfg: LossConfig, mode: str):
-    """Full registration objective; returns (loss, components dict).
+    """Full registration objective.
 
-    In displacement mode the raw network output is the displacement; in
+    Returns (loss, components dict, displacement, warped moving image). In
+    displacement mode the raw network output is the displacement; in
     diffeomorphic mode it is a stationary velocity that gets integrated first.
     The smoothness penalty applies to the displacement actually used to warp.
     """
@@ -77,7 +75,7 @@ def total_loss(moving: Tensor, fixed: Tensor, raw_field: Tensor,
         "loss_sim": float(sim.data),
         "loss_reg": float(reg.data),
     }
-    return loss, components
+    return loss, components, u, warped
 
 
 def dice(a: np.ndarray, b: np.ndarray, labels=None):

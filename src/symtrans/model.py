@@ -33,7 +33,6 @@ import numpy as np
 from . import tensor as T
 from .cemsa import (
     CemsaConfig,
-    CemsaParams,
     LayerNormParams,
     bind_cemsa_params,
     cemsa_block,
@@ -42,7 +41,7 @@ from .cemsa import (
     tokens_to_volume,
     volume_to_tokens,
 )
-from .configio import ConfigError, from_dict, to_canonical_json
+from .configio import from_dict, to_canonical_json
 from .ops import Conv3dParams, LinearParams, conv3d, conv_transpose3d, linear
 from .params import ParamBag
 from .tensor import Tensor
@@ -51,7 +50,7 @@ PLACEMENTS = ("symmetric", "encoder_only", "decoder_only", "bottom_only")
 MODES = ("displacement", "diffeomorphic")
 
 CHECKPOINT_MAGIC = b"SYMT"
-CHECKPOINT_VERSION = 2  # 2: layer norms after patch embedding and expanding
+CHECKPOINT_VERSION = 3  # 2: layer norms after embedding/expanding; 3: no kv_stride
 
 
 @dataclass
@@ -67,7 +66,6 @@ class ModelConfig:
     placement: str = "symmetric"
     mode: str = "displacement"
     leaky_slope: float = 0.2
-    kv_stride: int = 1
 
     def __post_init__(self):
         self.input_shape = tuple(int(e) for e in self.input_shape)
@@ -118,7 +116,6 @@ class ModelConfig:
             dw_kernel=self.stage_kernels[stage],
             spatial_shape=self.stage_shapes()[stage],
             ffn_expansion=self.ffn_expansion,
-            kv_stride=self.kv_stride,
         )
 
 
@@ -420,17 +417,6 @@ def model_count_flops(cfg: ModelConfig, by_module: bool = False):
     return sum(groups.values())
 
 
-def patch_embed(vol: Tensor, p: Conv3dParams) -> Tensor:
-    """Strided conv then flatten: overlapping patch tokens at half the extent.
-
-    ``forward`` follows this conv with the stage's ``embed_norm``.
-    """
-    for e in vol.shape[1:]:
-        if e % 2:
-            raise ValueError(f"patch_embed needs even extents, got {vol.shape[1:]}")
-    return volume_to_tokens(conv3d(vol, p))
-
-
 def patch_expand(x: Tensor, spatial_shape, p: ExpandParams) -> Tensor:
     """Token upsampling: 8x the tokens, half the channels.
 
@@ -461,33 +447,13 @@ def _expand_volume(vol: Tensor, p, slope: float) -> Tensor:
     c, d, h, w = vol.shape
     tokens = patch_expand(volume_to_tokens(vol), (d, h, w), p)
     tokens = T.layer_norm(tokens, p.norm.gamma, p.norm.beta)
-    return _tokens_to_volume_shape(tokens, (2 * d, 2 * h, 2 * w))
+    return tokens_to_volume(tokens, (2 * d, 2 * h, 2 * w))
 
 
 def _norm_volume(vol: Tensor, p: LayerNormParams) -> Tensor:
     """Layer norm over the channels of every voxel."""
     tokens = T.layer_norm(volume_to_tokens(vol), p.gamma, p.beta)
-    return _tokens_to_volume_shape(tokens, vol.shape[1:])
-
-
-def fuse_skip(dec_tokens: Tensor, enc_tokens: Tensor, spatial_shape,
-              p: Conv3dParams, slope: float = 0.2) -> Tensor:
-    """Reshape both token maps to image form, concat channels, conv, LeakyReLU."""
-    n = int(np.prod(spatial_shape))
-    if dec_tokens.shape[0] != n or enc_tokens.shape[0] != n:
-        raise ValueError(
-            f"fuse_skip: token counts {dec_tokens.shape[0]}/{enc_tokens.shape[0]} "
-            f"do not match spatial {tuple(spatial_shape)}"
-        )
-    dvol = _tokens_to_volume_shape(dec_tokens, spatial_shape)
-    evol = _tokens_to_volume_shape(enc_tokens, spatial_shape)
-    fused = T.leaky_relu(conv3d(T.concat([dvol, evol], axis=0), p), slope)
-    return volume_to_tokens(fused)
-
-
-def _tokens_to_volume_shape(x: Tensor, spatial_shape) -> Tensor:
-    c = x.shape[1]
-    return T.reshape(T.transpose2d(x), (c,) + tuple(spatial_shape))
+    return tokens_to_volume(tokens, vol.shape[1:])
 
 
 def _fuse_volumes(dec_vol: Tensor, enc_vol: Tensor, p: Conv3dParams,
@@ -505,7 +471,7 @@ def _run_stage_blocks(vol: Tensor, stage, slope: float) -> Tensor:
         tokens = volume_to_tokens(vol)
         for bp in stage.blocks:
             tokens = cemsa_block(tokens, stage.cemsa, bp)
-        vol = _tokens_to_volume_shape(tokens, stage.cemsa.spatial_shape)
+        vol = tokens_to_volume(tokens, stage.cemsa.spatial_shape)
     for cp in stage.convs:
         vol = T.leaky_relu(conv3d(vol, cp), slope)
     return vol

@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .configio import from_dict, to_canonical_json
-from .deformation import IntegrationConfig, integrate, jacobian_determinant, warp
-from .losses import LossConfig, dice, metrics_report, total_loss, warp_labels
+from .deformation import jacobian_determinant, warp
+from .losses import LossConfig, metrics_report, total_loss, warp_labels
 from .model import ModelConfig, forward, init_model_params, load_checkpoint, save_checkpoint
 from .params import ParamBag
 from .tensor import Tensor
@@ -335,8 +334,8 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
         moving, fixed, _, _, _ = generate_pair(cfg.data, rng)
         bag.zero_grads()
         raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
-        loss, comp = total_loss(Tensor(moving), Tensor(fixed), raw,
-                                cfg.loss, cfg.model.mode)
+        loss, comp, _, _ = total_loss(Tensor(moving), Tensor(fixed), raw,
+                                      cfg.loss, cfg.model.mode)
         if not np.isfinite(comp["loss"]):
             raise TrainingDiverged(it, comp)
         loss.backward()
@@ -377,26 +376,16 @@ def write_curve(path, curve):
 def register(moving: np.ndarray, fixed: np.ndarray, params, cfg: ModelConfig,
              mode: str | None = None, loss_cfg: LossConfig | None = None,
              moving_labels=None, fixed_labels=None):
-    """Single registration pass: field, warped volume, and a metrics bundle."""
+    """Single registration pass: field, warped volume, and a metrics bundle.
+
+    The loss components are training's objective on this pair.
+    """
     mode = mode or cfg.mode
     loss_cfg = loss_cfg or LossConfig()
-    raw = forward(Tensor(moving), Tensor(fixed), params, cfg)
-    if mode == "diffeomorphic":
-        u = integrate(raw, loss_cfg.integration)
-    elif mode == "displacement":
-        u = raw
-    else:
-        raise ValueError(f"unknown registration mode {mode!r}")
-    warped = warp(Tensor(moving), u)
-    from .losses import similarity_loss, smoothness_loss
-
-    sim = float(similarity_loss(warped, Tensor(fixed.astype(warped.data.dtype))).data)
-    reg = float(smoothness_loss(u).data)
-    components = {
-        "loss": sim + loss_cfg.lambda_reg * reg,
-        "loss_sim": sim,
-        "loss_reg": reg,
-    }
+    moving_t, fixed_t = Tensor(moving), Tensor(fixed)
+    raw = forward(moving_t, fixed_t, params, cfg)
+    # the loss tensor is not kept: its graph would stay alive through the metrics
+    components, u, warped = total_loss(moving_t, fixed_t, raw, loss_cfg, mode)[1:]
     metrics = metrics_report(u.data, components,
                              moving_labels=moving_labels,
                              fixed_labels=fixed_labels)

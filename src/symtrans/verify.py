@@ -13,7 +13,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
-from .cemsa import CemsaConfig, bind_cemsa_params, cemsa_block, cemsa_param_shapes, init_array
+from .cemsa import CemsaConfig, bind_cemsa_params, cemsa_block, cemsa_param_shapes
 from .deformation import IntegrationConfig, compose, integrate, jacobian_determinant, warp
 from .losses import LossConfig, total_loss
 from .model import ModelConfig, bind_model_params, forward, model_param_shapes
@@ -250,8 +250,8 @@ def _total_loss_check():
 
     def build(lv):
         dtype = lv["raw"].dtype
-        loss, _ = total_loss(Tensor(m.astype(dtype)), Tensor(f.astype(dtype)),
-                             lv["raw"], LossConfig(), "diffeomorphic")
+        loss, *_ = total_loss(Tensor(m.astype(dtype)), Tensor(f.astype(dtype)),
+                              lv["raw"], LossConfig(), "diffeomorphic")
         return loss
 
     worst = 0.0

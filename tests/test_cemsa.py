@@ -292,5 +292,5 @@ def test_tokens_volume_round_trip():
     cfg = toy_cfg(shape=(2, 3, 4), dim=8, heads=2)
     rng = np.random.default_rng(16)
     x = Tensor(rng.normal(size=(24, 8)).astype(np.float32))
-    back = volume_to_tokens(tokens_to_volume(x, cfg))
+    back = volume_to_tokens(tokens_to_volume(x, cfg.spatial_shape))
     np.testing.assert_array_equal(back.data, x.data)

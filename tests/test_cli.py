@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -218,6 +219,29 @@ def test_register_shape_mismatch_exit_2(trained, tmp_path, capsys):
     ], capsys)
     assert code == 2
     assert "shape" in err
+
+
+@pytest.mark.parametrize("kv_stride", [None, 1])
+def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_stride):
+    # version 2 predates the removal of ModelConfig.kv_stride; its config
+    # blob may still carry the field
+    tmp, cfg, out = trained
+    blob = (out / "checkpoint_000002.symt").read_bytes()
+    (blob_len,) = struct.unpack("<I", blob[8:12])
+    config = json.loads(blob[12:12 + blob_len])
+    if kv_stride is not None:
+        config["kv_stride"] = kv_stride
+    config_blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    old = tmp_path / "v2.symt"
+    old.write_bytes(blob[:4] + struct.pack("<II", 2, len(config_blob))
+                    + config_blob + blob[12 + blob_len:])
+    vol = tmp_path / "vol.svol"
+    write_svol(vol, np.zeros((1, 16, 16, 16), np.float32), KIND_IMAGE)
+    code, _, err = run(["register", "--moving", str(vol), "--fixed", str(vol),
+                        "--checkpoint", str(old)], capsys)
+    assert code == 2
+    assert "checkpoint version 2" in err
+    assert "Traceback" not in err
 
 
 def test_eval_identity_field(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from symtrans import tensor as T
+from symtrans.deformation import IntegrationConfig, integrate
 from symtrans.losses import (
     LossConfig,
     dice,
@@ -21,8 +22,6 @@ from symtrans.tensor import Tensor
 def test_loss_config_validation():
     with pytest.raises(ValueError, match="lambda"):
         LossConfig(lambda_reg=-0.1)
-    with pytest.raises(ValueError, match="similarity"):
-        LossConfig(similarity="ncc")
 
 
 def test_similarity_identical_is_zero():
@@ -86,9 +85,12 @@ def test_smoothness_degenerate_extent_rejected():
 def test_total_loss_zero_field_identical_volumes():
     img = np.random.default_rng(4).normal(size=(1, 4, 4, 4)).astype(np.float32)
     zero = np.zeros((3, 4, 4, 4), np.float32)
-    loss, comp = total_loss(Tensor(img), Tensor(img.copy()), Tensor(zero),
-                            LossConfig(), mode="displacement")
+    loss, comp, u, warped = total_loss(Tensor(img), Tensor(img.copy()),
+                                       Tensor(zero), LossConfig(),
+                                       mode="displacement")
     assert loss.item() == 0.0
+    np.testing.assert_array_equal(u.data, zero)
+    np.testing.assert_array_equal(warped.data, img)
     assert comp["loss_sim"] == 0.0 and comp["loss_reg"] == 0.0
 
 
@@ -97,8 +99,8 @@ def test_total_loss_lambda_zero_is_similarity_only():
     m = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
     f = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
     u = (0.2 * rng.normal(size=(3, 4, 4, 4))).astype(np.float32)
-    loss, comp = total_loss(Tensor(m), Tensor(f), Tensor(u),
-                            LossConfig(lambda_reg=0.0), mode="displacement")
+    _, comp, _, _ = total_loss(Tensor(m), Tensor(f), Tensor(u),
+                               LossConfig(lambda_reg=0.0), mode="displacement")
     assert comp["loss"] == comp["loss_sim"]
     assert comp["loss_reg"] > 0.0
 
@@ -108,11 +110,14 @@ def test_total_loss_modes_differ_only_by_integration():
     m = gaussian_filter(rng.normal(size=(1, 6, 6, 6)), (0, 1.5, 1.5, 1.5))
     f = gaussian_filter(rng.normal(size=(1, 6, 6, 6)), (0, 1.5, 1.5, 1.5))
     raw = gaussian_filter(rng.normal(size=(3, 6, 6, 6)), (0, 2, 2, 2))
-    _, comp_disp = total_loss(Tensor(m), Tensor(f), Tensor(raw),
-                              LossConfig(), mode="displacement")
-    _, comp_diff = total_loss(Tensor(m), Tensor(f), Tensor(raw),
-                              LossConfig(), mode="diffeomorphic")
+    _, comp_disp, u_disp, _ = total_loss(Tensor(m), Tensor(f), Tensor(raw),
+                                         LossConfig(), mode="displacement")
+    _, comp_diff, u_diff, _ = total_loss(Tensor(m), Tensor(f), Tensor(raw),
+                                         LossConfig(), mode="diffeomorphic")
     assert comp_disp["loss"] != comp_diff["loss"]
+    np.testing.assert_array_equal(u_disp.data, raw)
+    np.testing.assert_array_equal(
+        u_diff.data, integrate(Tensor(raw), IntegrationConfig()).data)
     with pytest.raises(ValueError, match="mode"):
         total_loss(Tensor(m), Tensor(f), Tensor(raw), LossConfig(), mode="affine")
 
@@ -124,9 +129,9 @@ def test_total_loss_gradcheck_through_warp():
     raw = gaussian_filter(rng.normal(size=(3, 5, 5, 5)), (0, 1.5, 1.5, 1.5)) + 0.2
 
     def build(lv):
-        loss, _ = total_loss(Tensor(m.astype(lv["raw"].dtype)),
-                             Tensor(f.astype(lv["raw"].dtype)),
-                             lv["raw"], LossConfig(), mode="displacement")
+        loss, *_ = total_loss(Tensor(m.astype(lv["raw"].dtype)),
+                              Tensor(f.astype(lv["raw"].dtype)),
+                              lv["raw"], LossConfig(), mode="displacement")
         return loss
 
     rep = T.grad_check(build, {"raw": raw}, wide=True, coords_per_leaf=10,

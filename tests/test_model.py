@@ -8,23 +8,22 @@ from symtrans.model import (
     CheckpointError,
     ExpandParams,
     ModelConfig,
+    _fuse_volumes,
     bind_model_params,
     conv_depths,
     forward,
-    fuse_skip,
     init_model_params,
     load_checkpoint,
     make_ablation,
     model_count_flops,
     model_count_parameters,
     model_param_shapes,
-    patch_embed,
     patch_expand,
     save_checkpoint,
     transformer_depths,
 )
 from symtrans.oracles import conv3d_reference
-from symtrans.ops import Conv3dParams, LinearParams
+from symtrans.ops import Conv3dParams, LinearParams, conv3d
 from symtrans.params import ParamBag
 from symtrans.tensor import Tensor
 
@@ -61,13 +60,17 @@ def test_stage_geometry():
     assert cfg.half_shape() == (16, 16, 16)
 
 
+# Patch embedding is the stride-2 embed conv, read as tokens; odd extents
+# never reach it, since ModelConfig requires extents divisible by 16
+# (test_config_validation).
+
 def test_patch_embed_token_count():
     # 8^3 volume, stride-2 kernel-3 conv: N = (D/2)(H/2)(W/2) = 64 tokens
     rng = np.random.default_rng(0)
     vol = Tensor(rng.normal(size=(4, 8, 8, 8)).astype(np.float32))
     w = Tensor(rng.normal(size=(6, 4, 3, 3, 3)).astype(np.float32) * 0.1)
     b = Tensor(np.zeros(6, np.float32))
-    tokens = patch_embed(vol, Conv3dParams(w, b, stride=2, padding=1))
+    tokens = volume_to_tokens(conv3d(vol, Conv3dParams(w, b, stride=2, padding=1)))
     assert tokens.shape == (64, 6)
 
 
@@ -76,20 +79,11 @@ def test_patch_embed_values_vs_conv_oracle():
     vol = rng.normal(size=(2, 4, 4, 4))
     w = rng.normal(size=(3, 2, 3, 3, 3))
     b = rng.normal(size=3)
-    tokens = patch_embed(Tensor(vol, dtype=np.float64),
-                         Conv3dParams(Tensor(w, dtype=np.float64),
-                                      Tensor(b, dtype=np.float64),
-                                      stride=2, padding=1))
+    p = Conv3dParams(Tensor(w, dtype=np.float64), Tensor(b, dtype=np.float64),
+                     stride=2, padding=1)
+    tokens = volume_to_tokens(conv3d(Tensor(vol, dtype=np.float64), p))
     ref = conv3d_reference(vol, w, b, stride=2, padding=1)
     np.testing.assert_allclose(tokens.data, ref.reshape(3, 8).T, atol=1e-9)
-
-
-def test_patch_embed_odd_extent_rejected():
-    vol = Tensor(np.zeros((1, 5, 4, 4), np.float32))
-    p = Conv3dParams(Tensor(np.zeros((1, 1, 3, 3, 3), np.float32)),
-                     Tensor(np.zeros(1, np.float32)), stride=2, padding=1)
-    with pytest.raises(ValueError, match="even"):
-        patch_embed(vol, p)
 
 
 def _identity_expand(c_in):
@@ -166,21 +160,23 @@ def test_fuse_skip_concat_dims_and_composition():
     w = rng.normal(size=(4, 8, 3, 3, 3)).astype(np.float32) * 0.2
     b = rng.normal(size=4).astype(np.float32) * 0.1
     p = Conv3dParams(Tensor(w), Tensor(b), stride=1, padding=1)
-    out = fuse_skip(Tensor(dec), Tensor(enc), (2, 2, 2), p, slope=0.2)
-    assert out.shape == (8, 4)
+    dec_vol = dec.T.reshape(3, 2, 2, 2)
+    enc_vol = enc.T.reshape(5, 2, 2, 2)
+    out = _fuse_volumes(Tensor(dec_vol), Tensor(enc_vol), p, slope=0.2)
+    assert out.shape == (4, 2, 2, 2)
     # manual composition oracle
-    both = np.concatenate([dec.T.reshape(3, 2, 2, 2), enc.T.reshape(5, 2, 2, 2)])
-    ref = conv3d_reference(both, w, b, stride=1, padding=1)
+    ref = conv3d_reference(np.concatenate([dec_vol, enc_vol]), w, b, stride=1,
+                           padding=1)
     ref = np.where(ref >= 0, ref, 0.2 * ref)
-    np.testing.assert_allclose(out.data, ref.reshape(4, 8).T, atol=1e-5)
+    np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
 
-def test_fuse_skip_token_count_mismatch():
+def test_fuse_skip_spatial_mismatch():
     p = Conv3dParams(Tensor(np.zeros((2, 4, 3, 3, 3), np.float32)),
                      Tensor(np.zeros(2, np.float32)), stride=1, padding=1)
-    with pytest.raises(ValueError, match="token counts"):
-        fuse_skip(Tensor(np.zeros((8, 2), np.float32)),
-                  Tensor(np.zeros((7, 2), np.float32)), (2, 2, 2), p)
+    with pytest.raises(ValueError, match="spatial mismatch"):
+        _fuse_volumes(Tensor(np.zeros((2, 2, 2, 2), np.float32)),
+                      Tensor(np.zeros((2, 2, 2, 3), np.float32)), p, slope=0.2)
 
 
 def test_zero_encoder_tokens_fuse_depends_on_decoder_only():
@@ -190,9 +186,10 @@ def test_zero_encoder_tokens_fuse_depends_on_decoder_only():
     w[:, :2, 1, 1, 1] = np.eye(2)  # identity on the decoder half of channels
     p = Conv3dParams(Tensor(w), Tensor(np.zeros(2, np.float32)),
                      stride=1, padding=1)
-    out = fuse_skip(Tensor(dec), Tensor(np.zeros((8, 2), np.float32)),
-                    (2, 2, 2), p, slope=1.0)
-    np.testing.assert_allclose(out.data, dec, atol=1e-6)
+    dec_vol = dec.T.reshape(2, 2, 2, 2)
+    out = _fuse_volumes(Tensor(dec_vol), Tensor(np.zeros((2, 2, 2, 2), np.float32)),
+                        p, slope=1.0)
+    np.testing.assert_allclose(out.data, dec_vol, atol=1e-6)
 
 
 def test_forward_output_shape_32():

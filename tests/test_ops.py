@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from symtrans import tensor as T
+from symtrans.cemsa import CemsaConfig, count_parameters
 from symtrans.ops import (
     Conv3dParams,
     LinearParams,
     conv3d,
     conv3d_output_extent,
-    conv3d_param_count,
     conv_transpose3d,
-    depthwise_conv3d,
-    grouped_conv3d,
     linear,
 )
 from symtrans.oracles import conv3d_reference
@@ -81,26 +79,55 @@ def test_depthwise_delta_kernel_is_identity():
     x = rng.normal(size=(4, 5, 5, 5)).astype(np.float32)
     w = np.zeros((4, 1, 3, 3, 3), np.float32)
     w[:, 0, 1, 1, 1] = 1.0
-    out = depthwise_conv3d(t(x), t(w), t(np.zeros(4, np.float32)), kernel=3)
+    out = conv3d(t(x), Conv3dParams(t(w), t(np.zeros(4, np.float32)),
+                                    stride=1, padding=1, groups=4))
     np.testing.assert_allclose(out.data, x, atol=1e-6)
 
 
 def test_depthwise_equals_grouped_conv3d_exactly():
+    # groups=4 on 4 channels against groups=2 with the same taps on the
+    # diagonal of each 2x2 group block: the extra products are exact zeros
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 5, 5, 5)).astype(np.float32)
     w = rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    a = depthwise_conv3d(t(x), t(w), t(b), kernel=3)
-    g = conv3d(t(x), Conv3dParams(t(w), t(b), stride=1, padding=1, groups=4))
+    block = np.zeros((4, 2, 3, 3, 3), np.float32)
+    for o in range(4):
+        block[o, o % 2] = w[o, 0]
+    a = conv3d(t(x), Conv3dParams(t(w), t(b), stride=1, padding=1, groups=4))
+    g = conv3d(t(x), Conv3dParams(t(block), t(b), stride=1, padding=1, groups=2))
     np.testing.assert_array_equal(a.data, g.data)
+
+
+def test_depthwise_weight_grad_is_the_pairwise_voxel_sum():
+    # The depthwise weight gradient must stay numpy's pairwise sum over the
+    # voxels. einsum's sequential sum moves float32 dw by up to 2e-5, and that
+    # alone takes the A3 desk run from DSC 0.839 to 0.793 (a FAIL).
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(4, 9, 9, 9)).astype(np.float32)
+    w = rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32)
+    gy = rng.normal(size=x.shape).astype(np.float32)
+    weight = t(w, grad=True)
+    out = conv3d(t(x), Conv3dParams(weight, t(np.zeros(4, np.float32)),
+                                    stride=1, padding=1, groups=4))
+    T.sum_all(T.mul(out, t(gy))).backward()  # hands the rule exactly gy
+    dw = weight.grad
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    for a in range(3):
+        for bb in range(3):
+            for c in range(3):
+                window = xp[:, a:a + 9, bb:bb + 9, c:c + 9]
+                expect = (gy * window).sum(axis=(1, 2, 3))
+                assert dw[:, 0, a, bb, c].tobytes() == expect.tobytes()
 
 
 def test_depthwise_box_kernel_on_constant_volume():
     c = 2.5
     x = np.full((1, 5, 5, 5), c)
     w = np.full((1, 1, 3, 3, 3), 0.75)
-    out = depthwise_conv3d(t(x, wide=True), t(w, wide=True),
-                           t(np.zeros(1), wide=True), kernel=3)
+    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True),
+                                               t(np.zeros(1), wide=True),
+                                               stride=1, padding=1, groups=1))
     # interior voxels see the full 27-tap box
     np.testing.assert_allclose(out.data[0, 1:-1, 1:-1, 1:-1], c * 27 * 0.75,
                                atol=1e-9)
@@ -111,16 +138,19 @@ def test_grouped_k1_full_groups_is_per_channel_scale():
     x = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     w = rng.normal(size=(4, 1, 1, 1, 1)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out = grouped_conv3d(t(x), t(w), t(b), groups=4, kernel=1)
+    out = conv3d(t(x), Conv3dParams(t(w), t(b), stride=1, padding=0, groups=4))
     expect = x * w[:, 0, 0, 0, 0][:, None, None, None] + b[:, None, None, None]
     np.testing.assert_allclose(out.data, expect, rtol=1e-6)
 
 
 def test_grouped_param_count_ratio_is_one_over_g():
-    dense = conv3d_param_count(16, 16, 3, groups=1)
-    grouped = conv3d_param_count(16, 16, 3, groups=4)
-    # bias excluded from the ratio claim
-    assert (dense - 16) == 4 * (grouped - 16)
+    # the CEMSA block's grouped 1x1x1 conv, counted without its bias
+    def gconv_weight(groups):
+        cfg = CemsaConfig(dim=16, heads=2, dw_kernel=3, spatial_shape=(4, 4, 4),
+                          groups=groups)
+        return count_parameters(cfg, breakdown=True)[1]["gconv_weight"]
+
+    assert gconv_weight(1) == 4 * gconv_weight(4)
 
 
 def test_grouped_conv3d_vs_oracle_g4():
@@ -128,8 +158,8 @@ def test_grouped_conv3d_vs_oracle_g4():
     x = rng.normal(size=(4, 4, 4, 4))
     w = rng.normal(size=(4, 1, 3, 3, 3))
     b = rng.normal(size=4)
-    out = grouped_conv3d(t(x, wide=True), t(w, wide=True), t(b, wide=True),
-                         groups=4, kernel=3)
+    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True), t(b, wide=True),
+                                               stride=1, padding=1, groups=4))
     expect = conv3d_reference(x, w, b, stride=1, padding=1, groups=4)
     assert np.max(np.abs(out.data - expect)) < 1e-5
 

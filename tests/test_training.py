@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symtrans.deformation import jacobian_determinant
-from symtrans.losses import LossConfig, dice, warp_labels
+from symtrans.losses import LossConfig, dice, total_loss, warp_labels
 from symtrans.model import ModelConfig
 from symtrans.oracles import adam_reference
 from symtrans.tensor import Tensor
@@ -206,6 +206,24 @@ def test_register_modes_share_raw_field():
     assert "dsc_mean" in met_disp and "folding_count" in met_diff
     with pytest.raises(ValueError, match="mode"):
         register(moving, fixed, params, cfg.model, mode="affine")
+
+
+def test_register_reports_the_training_objective():
+    cfg = tiny_train_cfg(iterations=0)
+    result = train(cfg)
+    from symtrans.model import bind_model_params, forward
+
+    params = bind_model_params(cfg.model, result.bag.tensors)
+    moving, fixed, _, _, _ = generate_pair(cfg.data, pair_rng(1, 0))
+    for mode in ("displacement", "diffeomorphic"):
+        u, warped, met = register(moving, fixed, params, cfg.model, mode=mode)
+        raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
+        loss, comp, u_loss, warped_loss = total_loss(
+            Tensor(moving), Tensor(fixed), raw, cfg.loss, mode)
+        assert met["loss"] == float(loss.data)
+        assert {k: met[k] for k in comp} == comp
+        np.testing.assert_array_equal(u, u_loss.data)
+        np.testing.assert_array_equal(warped, warped_loss.data)
 
 
 def test_train_config_validation():
