@@ -8,15 +8,19 @@ and the same trunk feeds a grouped 1x1x1 conv + layer norm + two linears for
 K and V.
 """
 
+import math
+
 import numpy as np
 
 from symtrans.cemsa import (
     CemsaConfig,
+    bind_cemsa_params,
     cemsa_block,
+    cemsa_param_shapes,
     cemsa_qkv,
     count_flops,
     count_parameters,
-    init_cemsa_params,
+    init_array,
     msa_count_parameters,
 )
 from symtrans.params import ParamBag
@@ -24,8 +28,12 @@ from symtrans.tensor import Tensor
 
 # a stage working on a 6x6x6 token volume with 16 channels, 4 heads
 cfg = CemsaConfig(dim=16, heads=4, dw_kernel=5, spatial_shape=(6, 6, 6))
+# every parameter is declared once, as (shape, init kind), in a fixed order
 bag = ParamBag()
-params = init_cemsa_params(cfg, bag, "demo", np.random.default_rng(0))
+rng = np.random.default_rng(0)
+for name, (shape, kind) in cemsa_param_shapes(cfg).items():
+    bag.add(f"demo.{name}", init_array(shape, kind, rng))
+params = bind_cemsa_params(cfg, "demo", bag.tensors)
 
 x = Tensor(np.random.default_rng(1).normal(size=(216, 16)).astype(np.float32))
 q, k, v = cemsa_qkv(x, cfg, params)
@@ -52,10 +60,14 @@ for dim, heads, s, shape in ((48, 2, 24, (4, 4, 4)), (96, 4, 16, (2, 2, 2)),
     msa = msa_count_parameters(dim)
     print(f"{dim:>5} {c.kernel:>6} {cemsa:>9} {msa:>9} {1 - cemsa / msa:>7.1%}")
 
-_, parts = count_parameters(CemsaConfig(dim=64, heads=4, dw_kernel=3,
-                                        spatial_shape=(4, 4, 4)), breakdown=True)
-print("\nper-term parameter breakdown at dim 64:", parts)
+# Both counts read that declaration: parameters are the sum of its sizes,
+# and every weight runs once per token, plus the n^2 d of Q K^T and of its
+# product with V.
+sizes = {name: math.prod(shape) for name, (shape, _)
+         in cemsa_param_shapes(CemsaConfig(dim=64, heads=4, dw_kernel=3,
+                                           spatial_shape=(4, 4, 4))).items()}
+print("\nper-tensor parameter sizes at dim 64:", sizes)
 
-total, fparts = count_flops(CemsaConfig(dim=64, heads=4, dw_kernel=3,
-                                        spatial_shape=(8, 8, 8)), breakdown=True)
-print(f"forward MACs at dim 64 on an 8^3 stage: {total:,} {fparts}")
+c = CemsaConfig(dim=64, heads=4, dw_kernel=3, spatial_shape=(8, 8, 8))
+print(f"forward MACs at dim 64 on an 8^3 stage: {count_flops(c):,} "
+      f"(attention {2 * c.tokens ** 2 * c.dim:,})")

@@ -1,0 +1,84 @@
+"""Binary records of the SVOL, SYMT and SYMO formats.
+
+Every read is checked against the bytes left in the file before it is made,
+so no length, rank or extent read from a file can drive a read or allocation
+past its end. Errors name the file and the field, in the format's own
+``ValueError`` subclass.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import struct
+
+import numpy as np
+
+
+class Reader:
+    """Reads one open file front to back, field by field."""
+
+    def __init__(self, f, path, error):
+        self.f = f
+        self.path = path
+        self.error = error
+        self.left = os.fstat(f.fileno()).st_size
+
+    def fail(self, message) -> ValueError:
+        return self.error(f"{self.path}: {message}")
+
+    def bytes(self, n: int, field: str) -> bytes:
+        if n > self.left:
+            raise self.fail(f"truncated: {field} length {n} runs past the end "
+                            f"({self.left} bytes left)")
+        self.left -= n
+        return self.f.read(n)
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.bytes(struct.calcsize(fmt), field))
+
+    def u32(self, field: str) -> int:
+        return self.unpack("I", field)[0]
+
+    def magic(self, expected: bytes, what: str):
+        found = self.bytes(len(expected), "magic")
+        if found != expected:
+            raise self.fail(f"bad {what} magic {found!r}, expected {expected!r}")
+
+    def version(self, supported: int, what: str):
+        found = self.u32("version")
+        if found != supported:
+            raise self.fail(f"unsupported {what} version {found}; "
+                            f"this build reads version {supported}")
+
+    def name(self, field: str) -> str:
+        raw = self.bytes(self.u32(f"{field} length"), field)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise self.fail(f"{field} is not UTF-8: {e}") from None
+
+    def shape(self, field: str) -> tuple:
+        return self.unpack(f"{self.u32(f'{field} rank')}I", f"{field} extents")
+
+    def float32(self, shape, field: str) -> np.ndarray:
+        data = np.frombuffer(self.bytes(4 * math.prod(shape), field), dtype="<f4")
+        try:  # over 64 axes, or zero-size extents whose product overflows
+            return data.reshape(shape).copy()
+        except ValueError:
+            raise self.fail(f"{field}: numpy cannot hold {len(shape)} axes of "
+                            f"extents up to {max(shape)}") from None
+
+    def end(self, after: str):
+        if self.left:
+            raise self.fail(f"{self.left} trailing bytes after {after}")
+
+
+def write_record(f, name: str, *arrays):
+    """Write a name, then each array as (rank, extents, float32-LE data)."""
+    nb = name.encode("utf-8")
+    f.write(struct.pack("<I", len(nb)) + nb)
+    for a in arrays:
+        f.write(struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape))
+        f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())

@@ -15,19 +15,21 @@ a fresh block is close to the identity. The score path starts at unit gain:
 the depthwise trunk and the grouped conv are fan-in scaled like every other
 conv, and the K projection has std 1/sqrt(dim). With std 0.02 there, the
 logits of the dim-8..32 blocks of a 32-cubed model start between 1e-4 and
-5e-2, and the layer norm on the K/V path sits in its eps-dominated corner. Attention is then uniform, and the
-gradient that would move it away from uniform is a product of small factors.
+5e-2, and the layer norm on the K/V path sits in its eps-dominated corner.
+Attention is then uniform, and the gradient that would move it away from
+uniform is a product of small factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .ops import Conv3dParams, LinearParams, conv3d, linear
-from .params import ParamBag, truncated_normal
+from .params import truncated_normal
 from .tensor import Tensor
 
 
@@ -66,10 +68,6 @@ class CemsaConfig:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.dim % self.groups:
             raise ValueError(f"dim {self.dim} not divisible by groups {self.groups}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
 
     @property
     def tokens(self) -> int:
@@ -154,13 +152,6 @@ def bind_cemsa_params(cfg: CemsaConfig, prefix: str, tensors) -> CemsaParams:
     )
 
 
-def init_cemsa_params(cfg: CemsaConfig, bag: ParamBag, prefix: str,
-                      rng: np.random.Generator) -> CemsaParams:
-    for name, (shape, kind) in cemsa_param_shapes(cfg).items():
-        bag.add(f"{prefix}.{name}", init_array(shape, kind, rng))
-    return bind_cemsa_params(cfg, prefix, bag.tensors)
-
-
 def tokens_to_volume(x: Tensor, spatial_shape) -> Tensor:
     """(N, C) tokens back to a (C, D, H, W) volume; N must be D * H * W."""
     n, c = x.shape
@@ -223,37 +214,22 @@ def cemsa_block(x: Tensor, cfg: CemsaConfig, p: CemsaParams) -> Tensor:
     return T.add(y, h)
 
 
-def count_parameters(cfg: CemsaConfig, breakdown: bool = False):
+def count_parameters(cfg: CemsaConfig) -> int:
     """Exact learnable-scalar count of one CEMSA block (layer norms included)."""
-    d, s, g, e = cfg.dim, cfg.kernel, cfg.groups, cfg.ffn_expansion
-    parts = {
-        "dw": d * s ** 3 + d,
-        "gconv_weight": d * (d // g),
-        "gconv_bias": d,
-        "ln": 6 * d,  # ln_kv + ln1 + ln2
-        "proj_k": d * d + d,
-        "proj_v": d * d + d,
-        "proj_out": d * d + d,
-        "ffn": (e * d * d + e * d) + (d * e * d + d),
-    }
-    total = sum(parts.values())
-    return (total, parts) if breakdown else total
+    return sum(math.prod(shape) for shape, _ in cemsa_param_shapes(cfg).values())
 
 
-def count_flops(cfg: CemsaConfig, breakdown: bool = False):
-    """Multiply-accumulate count of one CEMSA block forward pass."""
-    d, s, g, e = cfg.dim, cfg.kernel, cfg.groups, cfg.ffn_expansion
+def count_flops(cfg: CemsaConfig) -> int:
+    """Multiply-accumulate count of one CEMSA block forward pass.
+
+    Each weight is applied once per token, so the block costs tokens times the
+    sum of its weight sizes, plus n^2 d each for Q K^T and for the product
+    with V. Biases and layer norms are not counted.
+    """
     n = cfg.tokens
-    parts = {
-        "dw": n * d * s ** 3,
-        "gconv": n * d * (d // g),
-        "proj_kv": 2 * n * d * d,
-        "attention": 2 * n * n * d,
-        "proj_out": n * d * d,
-        "ffn": 2 * n * d * e * d,
-    }
-    total = sum(parts.values())
-    return (total, parts) if breakdown else total
+    weights = sum(math.prod(shape) for name, (shape, _)
+                  in cemsa_param_shapes(cfg).items() if name.endswith(".weight"))
+    return n * weights + 2 * n * n * cfg.dim
 
 
 def msa_count_parameters(dim: int, ffn_expansion: int = 4,

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -248,12 +249,13 @@ def cmd_count(args) -> int:
         "total_flops": sum(flops.values()),
     }
     if args.compare_msa:
-        from .cemsa import count_parameters, msa_count_parameters
+        from .cemsa import cemsa_param_shapes, count_parameters, msa_count_parameters
 
         stages = []
         for i in range(3):
             blk = cfg.cemsa_config(i)
-            cemsa_total, parts = count_parameters(blk, breakdown=True)
+            cemsa_total = count_parameters(blk)
+            gconv_shape, _ = cemsa_param_shapes(blk)["g_kv.weight"]
             msa_total = msa_count_parameters(blk.dim)
             stages.append({
                 "stage": i + 1,
@@ -263,7 +265,7 @@ def cmd_count(args) -> int:
                 "cemsa_params": cemsa_total,
                 "msa_params": msa_total,
                 "reduction": 1.0 - cemsa_total / msa_total,
-                "gconv_weight_params": parts["gconv_weight"],
+                "gconv_weight_params": math.prod(gconv_shape),
                 "gconv_weight_params_dense": blk.dim * blk.dim,
             })
         report["msa_comparison"] = stages

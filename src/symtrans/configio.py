@@ -40,7 +40,7 @@ def from_dict(cls, data: dict, path: str = ""):
         kwargs[name] = val
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ArithmeticError) as e:
         raise ConfigError(f"{path or cls.__name__}: {e}") from e
 
 

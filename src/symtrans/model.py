@@ -24,19 +24,23 @@ on top of it, which is also how checkpoints are read back.
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 import struct
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .binio import Reader, write_record
 from .cemsa import (
     CemsaConfig,
     LayerNormParams,
     bind_cemsa_params,
     cemsa_block,
     cemsa_param_shapes,
+    count_flops,
     init_array,
     tokens_to_volume,
     volume_to_tokens,
@@ -76,18 +80,18 @@ class ModelConfig:
         if len(self.input_shape) != 3:
             raise ValueError(f"input_shape must have 3 extents, got {self.input_shape}")
         for e in self.input_shape:
-            if e % 16:
-                raise ValueError(
-                    f"input extents must be divisible by 16, got {self.input_shape}"
-                )
-        if self.base_dim % 4:
-            raise ValueError(f"base_dim must be divisible by 4, got {self.base_dim}")
+            if e <= 0 or e % 16:
+                raise ValueError(f"input extents must be positive and divisible "
+                                 f"by 16, got {self.input_shape}")
+        if self.base_dim <= 0 or self.base_dim % 4:
+            raise ValueError(f"base_dim must be a positive multiple of 4, got "
+                             f"{self.base_dim}")
         if not (len(self.encoder_depths) == len(self.decoder_depths) == 3):
             raise ValueError("encoder_depths and decoder_depths must have 3 entries")
         if len(self.stage_kernels) != 3 or len(self.stage_heads) != 3:
             raise ValueError("stage_kernels and stage_heads must have 3 entries")
         for i, h in enumerate(self.stage_heads):
-            if (self.base_dim * 2 ** i) % h:
+            if h <= 0 or (self.base_dim * 2 ** i) % h:
                 raise ValueError(
                     f"stage {i} dim {self.base_dim * 2 ** i} not divisible by "
                     f"heads {h}"
@@ -200,71 +204,99 @@ class SymTransParams:
     flow: Conv3dParams
 
 
-def model_param_shapes(cfg: ModelConfig) -> "OrderedDict[str, tuple]":
-    """Flat name -> (shape, init kind) map, in declaration order."""
+# the network walked once: name -> (shape, init kind) in declaration order,
+# and learnable scalars and forward multiply-accumulates per top-level module
+_Layout = namedtuple("_Layout", "shapes params macs")
+
+
+def _model_layout(cfg: ModelConfig) -> _Layout:
+    """Declare every parameter in order, with the positions its weight runs at.
+
+    A weight applied at n positions costs n times its size in MACs: a conv
+    runs at its output voxels, a transposed conv and the first patch-expanding
+    linear at their input voxels, and the second expanding linear at 8x those.
+    Each CEMSA block costs ``cemsa.count_flops``. Biases and norms cost none.
+    """
     c = cfg.base_dim
-    k = cfg.patch_kernel
     dims = cfg.stage_dims
+    full = math.prod(cfg.input_shape)
+    half = math.prod(cfg.half_shape())
+    stages = [math.prod(shape) for shape in cfg.stage_shapes()]
     enc_tf, dec_tf = transformer_depths(cfg)
     enc_cv, dec_cv = conv_depths(cfg)
     deconv_dec = _decoder_uses_deconv(cfg)
-    shapes: "OrderedDict[str, tuple]" = OrderedDict()
+    out = _Layout(OrderedDict(), OrderedDict(), OrderedDict())
 
-    def conv(name, cout, cin, kk, kind="conv"):
-        shapes[f"{name}.weight"] = ((cout, cin, kk, kk, kk), kind)
-        shapes[f"{name}.bias"] = ((cout,), "zeros")
+    def tally(name, params, macs):
+        top = name.split(".")[0]
+        out.params[top] = out.params.get(top, 0) + params
+        out.macs[top] = out.macs.get(top, 0) + macs
+
+    def param(name, shape, kind, at=0):
+        out.shapes[name] = (shape, kind)
+        tally(name, math.prod(shape), at * math.prod(shape))
+
+    def layer(name, shape, kind, at, out_axis=0):  # a weight and its bias
+        param(f"{name}.weight", shape, kind, at)
+        param(f"{name}.bias", (shape[out_axis],), "zeros")
+
+    def conv(name, cout, cin, kk, at, kind="conv"):
+        layer(name, (cout, cin, kk, kk, kk), kind, at)
 
     def norm(name, dim):
-        shapes[f"{name}.gamma"] = ((dim,), "ones")
-        shapes[f"{name}.beta"] = ((dim,), "zeros")
+        param(f"{name}.gamma", (dim,), "ones")
+        param(f"{name}.beta", (dim,), "zeros")
 
-    def expand(name, cin):
+    def expand(name, cin, at):
         if deconv_dec:
-            shapes[f"{name}.deconv.weight"] = ((cin, cin // 2, 2, 2, 2), "conv")
-            shapes[f"{name}.deconv.bias"] = ((cin // 2,), "zeros")
+            layer(f"{name}.deconv", (cin, cin // 2, 2, 2, 2), "conv", at, out_axis=1)
         else:
             # trunk upsamplers, not in-block projections: fan-in scaled so the
             # decoder path carries signal from the first iteration
-            shapes[f"{name}.lin1.weight"] = ((2 * cin, cin), "conv")
-            shapes[f"{name}.lin1.bias"] = ((2 * cin,), "zeros")
-            shapes[f"{name}.lin2.weight"] = ((cin // 2, cin // 4), "conv")
-            shapes[f"{name}.lin2.bias"] = ((cin // 2,), "zeros")
+            layer(f"{name}.lin1", (2 * cin, cin), "conv", at)
+            layer(f"{name}.lin2", (cin // 2, cin // 4), "conv", 8 * at)
             norm(f"{name}.norm", cin // 2)
 
     def stage_blocks(prefix, stage, tf_depth, cv_depth):
         blk_cfg = cfg.cemsa_config(stage)
         for b in range(tf_depth):
             for rel, (shape, kind) in cemsa_param_shapes(blk_cfg).items():
-                shapes[f"{prefix}.block{b}.{rel}"] = (shape, kind)
+                param(f"{prefix}.block{b}.{rel}", shape, kind)
+            tally(prefix, 0, count_flops(blk_cfg))
         for b in range(cv_depth):
-            conv(f"{prefix}.conv{b}", dims[stage], dims[stage], 3)
+            conv(f"{prefix}.conv{b}", dims[stage], dims[stage], 3, stages[stage])
 
-    conv("stem.conv0", c // 2, 2, 3)
-    conv("stem.down1", c, c // 2, 3)
-    conv("stem.conv1", c, c, 3)
+    conv("stem.conv0", c // 2, 2, 3, full)
+    conv("stem.down1", c, c // 2, 3, half)
+    conv("stem.conv1", c, c, 3, half)
 
     embed_in = (c, dims[0], dims[1])
     for i in range(3):
-        conv(f"enc{i + 1}.embed", dims[i], embed_in[i], k, kind="weight")
+        conv(f"enc{i + 1}.embed", dims[i], embed_in[i], cfg.patch_kernel, stages[i],
+             kind="weight")
         norm(f"enc{i + 1}.embed_norm", dims[i])
         stage_blocks(f"enc{i + 1}", i, enc_tf[i], enc_cv[i])
 
     # decoder transformer-level stages, bottom (1/16) upward
     stage_blocks("dec3", 2, dec_tf[0], dec_cv[0])
-    expand("dec3.expand", dims[2])
-    conv("dec2.fuse", dims[1], dims[2], 3)  # 2C + 2C concatenated
+    expand("dec3.expand", dims[2], stages[2])
+    conv("dec2.fuse", dims[1], dims[2], 3, stages[1])  # 2C + 2C concatenated
     stage_blocks("dec2", 1, dec_tf[1], dec_cv[1])
-    expand("dec2.expand", dims[1])
-    conv("dec1.fuse", dims[0], dims[1], 3)
+    expand("dec2.expand", dims[1], stages[1])
+    conv("dec1.fuse", dims[0], dims[1], 3, stages[0])
     stage_blocks("dec1", 0, dec_tf[2], dec_cv[2])
-    expand("dec1.expand", dims[0])
+    expand("dec1.expand", dims[0], stages[0])
 
-    conv("dec0.fuse", c, c // 2 + c, 3)  # half-res conv decode level
-    expand("dec0.expand", c)
-    conv("out.fuse", c // 2, c, 3)  # full-res conv decode level
-    shapes["out.flow.weight"] = ((3, c // 2, 3, 3, 3), "flow")
-    shapes["out.flow.bias"] = ((3,), "zeros")
-    return shapes
+    conv("dec0.fuse", c, c // 2 + c, 3, half)  # half-res conv decode level
+    expand("dec0.expand", c, half)
+    conv("out.fuse", c // 2, c, 3, full)  # full-res conv decode level
+    conv("out.flow", 3, c // 2, 3, full, kind="flow")
+    return out
+
+
+def model_param_shapes(cfg: ModelConfig) -> "OrderedDict[str, tuple]":
+    """Flat name -> (shape, init kind) map, in declaration order."""
+    return _model_layout(cfg).shapes
 
 
 def bind_model_params(cfg: ModelConfig, tensors) -> SymTransParams:
@@ -344,77 +376,14 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator):
 
 def model_count_parameters(cfg: ModelConfig, by_module: bool = False):
     """Exact learnable-scalar total (optionally grouped by top-level module)."""
-    shapes = model_param_shapes(cfg)
-    if not by_module:
-        return sum(int(np.prod(s)) for s, _ in shapes.values())
-    groups: "OrderedDict[str, int]" = OrderedDict()
-    for name, (shape, _) in shapes.items():
-        top = name.split(".")[0]
-        groups[top] = groups.get(top, 0) + int(np.prod(shape))
-    return groups
+    params = _model_layout(cfg).params
+    return params if by_module else sum(params.values())
 
 
 def model_count_flops(cfg: ModelConfig, by_module: bool = False):
-    """Forward-pass multiply-accumulate count, grouped by top-level module."""
-    from .cemsa import count_flops as cemsa_flops
-
-    c = cfg.base_dim
-    k3 = cfg.patch_kernel ** 3
-    dims = cfg.stage_dims
-    full = cfg.input_shape
-    half = cfg.half_shape()
-    stages = cfg.stage_shapes()
-    enc_tf, dec_tf = transformer_depths(cfg)
-    enc_cv, dec_cv = conv_depths(cfg)
-    deconv_dec = _decoder_uses_deconv(cfg)
-    groups: "OrderedDict[str, int]" = OrderedDict()
-
-    def vox(shape):
-        return int(np.prod(shape))
-
-    def add(name, macs):
-        top = name.split(".")[0]
-        groups[top] = groups.get(top, 0) + int(macs)
-
-    def conv_macs(out_shape, cout, cin, kk3):
-        return vox(out_shape) * cout * cin * kk3
-
-    def stage_macs(prefix, stage, tf_depth, cv_depth):
-        blk_cfg = cfg.cemsa_config(stage)
-        for _ in range(tf_depth):
-            add(prefix, cemsa_flops(blk_cfg))
-        for _ in range(cv_depth):
-            add(prefix, conv_macs(stages[stage], dims[stage], dims[stage], 27))
-
-    def expand_macs(prefix, cin, in_shape):
-        n = vox(in_shape)
-        if deconv_dec:
-            add(prefix, 8 * n * (cin // 2) * cin * 1)  # k=2 s=2: 8 output voxels each
-        else:
-            add(prefix, n * 2 * cin * cin + 8 * n * (cin // 2) * (cin // 4))
-
-    add("stem", conv_macs(full, c // 2, 2, 27))
-    add("stem", conv_macs(half, c, c // 2, 27))
-    add("stem", conv_macs(half, c, c, 27))
-    embed_in = (c, dims[0], dims[1])
-    for i in range(3):
-        add(f"enc{i + 1}", conv_macs(stages[i], dims[i], embed_in[i], k3))
-        stage_macs(f"enc{i + 1}", i, enc_tf[i], enc_cv[i])
-    stage_macs("dec3", 2, dec_tf[0], dec_cv[0])
-    expand_macs("dec3", dims[2], stages[2])
-    add("dec2", conv_macs(stages[1], dims[1], dims[2], 27))
-    stage_macs("dec2", 1, dec_tf[1], dec_cv[1])
-    expand_macs("dec2", dims[1], stages[1])
-    add("dec1", conv_macs(stages[0], dims[0], dims[1], 27))
-    stage_macs("dec1", 0, dec_tf[2], dec_cv[2])
-    expand_macs("dec1", dims[0], stages[0])
-    add("dec0", conv_macs(half, c, c // 2 + c, 27))
-    expand_macs("dec0", c, half)
-    add("out", conv_macs(full, c // 2, c, 27))
-    add("out", conv_macs(full, 3, c // 2, 27))
-    if by_module:
-        return groups
-    return sum(groups.values())
+    """Forward-pass MAC count (optionally grouped by top-level module)."""
+    macs = _model_layout(cfg).macs
+    return macs if by_module else sum(macs.values())
 
 
 def patch_expand(x: Tensor, spatial_shape, p: ExpandParams) -> Tensor:
@@ -525,17 +494,10 @@ def save_checkpoint(path, cfg: ModelConfig, bag: ParamBag):
     tensors in declaration order as (name, rank, extents, float32 LE data)."""
     blob = to_canonical_json(cfg).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
+        header = struct.pack("<II", CHECKPOINT_VERSION, len(blob))
+        f.write(CHECKPOINT_MAGIC + header + blob)
         for name, tns in bag.items():
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", tns.ndim))
-            f.write(struct.pack(f"<{tns.ndim}I", *tns.shape))
-            f.write(np.ascontiguousarray(tns.data, dtype="<f4").tobytes())
+            write_record(f, name, tns.data)
 
 
 class CheckpointError(ValueError):
@@ -545,34 +507,20 @@ class CheckpointError(ValueError):
 def load_checkpoint(path):
     """Read a checkpoint back into (config, bag, structured params)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<I", f.read(4))
-        import json
-
-        cfg = from_dict(ModelConfig, json.loads(f.read(blob_len).decode("utf-8")))
+        r = Reader(f, path, CheckpointError)
+        r.magic(CHECKPOINT_MAGIC, "checkpoint")
+        r.version(CHECKPOINT_VERSION, "checkpoint")
+        blob = r.bytes(r.u32("config length"), "config")
+        try:
+            cfg = from_dict(ModelConfig, json.loads(blob.decode("utf-8")))
+        except ValueError as e:
+            raise r.fail(f"bad model config: {e}") from None
         bag = ParamBag()
         for name, (shape, _) in model_param_shapes(cfg).items():
-            (name_len,) = struct.unpack("<I", f.read(4))
-            stored = f.read(name_len).decode("utf-8")
-            if stored != name:
-                raise CheckpointError(
-                    f"parameter order mismatch: expected {name!r}, found {stored!r}"
-                )
-            (rank,) = struct.unpack("<I", f.read(4))
-            extents = struct.unpack(f"<{rank}I", f.read(4 * rank))
-            if extents != tuple(shape):
-                raise CheckpointError(
-                    f"parameter {name!r} shape {extents} != expected {tuple(shape)}"
-                )
-            count = int(np.prod(shape))
-            data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
-            bag.add(name, data.copy())
-        trailing = f.read(1)
-        if trailing:
-            raise CheckpointError("trailing bytes after final parameter")
+            found = r.name("parameter name"), r.shape(f"parameter {name!r}")
+            if found != (name, tuple(shape)):
+                raise r.fail(f"expected parameter {name!r} of shape {tuple(shape)}, "
+                             f"found {found[0]!r} of shape {found[1]}")
+            bag.add(name, r.float32(shape, f"parameter {name!r} data"))
+        r.end("the final parameter")
     return cfg, bag, bind_model_params(cfg, bag.tensors)

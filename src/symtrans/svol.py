@@ -11,6 +11,8 @@ import struct
 
 import numpy as np
 
+from .binio import Reader
+
 MAGIC = b"SVOL"
 VERSION = 1
 
@@ -40,51 +42,39 @@ def write_svol(path, data: np.ndarray, kind: int):
         raise SvolError(f"SVOL payload must be (C, D, H, W), got {data.shape}")
     c, d, h, w = data.shape
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<B", kind))
-        f.write(struct.pack("<I", c))
-        f.write(struct.pack("<3I", d, h, w))
+        f.write(MAGIC + struct.pack("<IBI3I", VERSION, kind, c, d, h, w))
         f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
 def read_svol(path):
-    """Read a volume back as (array (C,D,H,W) float32, kind)."""
+    """Read a volume back as (array (C,D,H,W) float32, kind); a payload
+    holding NaN or Inf is refused here rather than failing a later warp."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 25:
-        raise SvolError(f"file too short to hold an SVOL header ({len(blob)} bytes)")
-    if blob[:4] != MAGIC:
-        raise SvolError(f"bad SVOL magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise SvolError(f"unsupported SVOL version {version}")
-    (kind,) = struct.unpack_from("<B", blob, 8)
-    if kind not in KIND_NAMES:
-        raise SvolError(f"unknown SVOL kind {kind}")
-    (c,) = struct.unpack_from("<I", blob, 9)
-    d, h, w = struct.unpack_from("<3I", blob, 13)
-    expected = 25 + 4 * c * d * h * w
-    if len(blob) != expected:
-        raise SvolError(
-            f"payload length mismatch: header implies {expected} bytes, "
-            f"file has {len(blob)}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=25).reshape(c, d, h, w)
-    return data.copy(), kind
+        r = Reader(f, path, SvolError)
+        r.magic(MAGIC, "SVOL")
+        r.version(VERSION, "SVOL")
+        (kind,) = r.unpack("B", "kind")
+        if kind not in KIND_NAMES:
+            raise r.fail(f"unknown SVOL kind {kind}")
+        data = r.float32(r.unpack("4I", "channels and extents"), "payload")
+        r.end("the payload")
+    if not np.isfinite(data).all():
+        raise SvolError(f"{path}: payload holds non-finite values "
+                        f"({np.count_nonzero(~np.isfinite(data))} of {data.size})")
+    return data, kind
 
 
 def read_labels(path) -> np.ndarray:
     data, kind = read_svol(path)
     if kind != KIND_LABELS:
-        raise SvolError(f"expected a labels volume, found kind {KIND_NAMES[kind]!r}")
+        raise SvolError(f"{path}: expected labels, found {KIND_NAMES[kind]!r}")
     return np.rint(data[0]).astype(np.int64)
 
 
 def read_field(path):
     data, kind = read_svol(path)
     if kind not in (KIND_DISPLACEMENT, KIND_VELOCITY):
-        raise SvolError(f"expected a field volume, found kind {KIND_NAMES[kind]!r}")
+        raise SvolError(f"{path}: expected a field, found {KIND_NAMES[kind]!r}")
     if data.shape[0] != 3:
-        raise SvolError(f"field volumes need 3 channels, found {data.shape[0]}")
+        raise SvolError(f"{path}: field volumes need 3 channels, found {data.shape[0]}")
     return data, kind

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .binio import Reader, write_record
 from .deformation import jacobian_determinant, warp
 from .losses import LossConfig, metrics_report, total_loss, warp_labels
 from .model import ModelConfig, forward, init_model_params, load_checkpoint, save_checkpoint
@@ -208,6 +209,7 @@ def generate_pair(spec: SyntheticSpec, rng: np.random.Generator):
 
     The ground-truth field is regenerated at reduced amplitude until it is
     fold-free, so emitted pairs always have a diffeomorphic correspondence.
+    Raises ``ValueError`` when ``spec.max_retries`` draws all fold.
     """
     image, labels = _render_base(spec, rng)
     # zero amplitude means an identical pair, so it disables the affine part too
@@ -225,9 +227,9 @@ def generate_pair(spec: SyntheticSpec, rng: np.random.Generator):
             break
         amplitude *= 0.7
     if u_true is None:
-        raise RuntimeError(
-            f"could not draw a fold-free field after {spec.max_retries} tries"
-        )
+        raise ValueError(f"no fold-free field in max_retries={spec.max_retries} draws "
+                         f"from warp_amplitude={spec.warp_amplitude} (x0.7 per retry); "
+                         f"lower warp_amplitude or raise max_retries")
     moving = image[None]
     fixed = warp(Tensor(moving), Tensor(u_true)).data
     fixed_labels = warp_labels(labels, u_true)
@@ -248,46 +250,33 @@ class TrainResult:
 
 
 OPT_MAGIC = b"SYMO"
+OPT_VERSION = 1
 
 
 def save_opt_state(path, adam: AdamState):
     with open(path, "wb") as f:
-        f.write(OPT_MAGIC)
-        f.write(struct.pack("<I", 1))
-        f.write(struct.pack("<Q", adam.t))
-        f.write(struct.pack("<I", len(adam.m)))
+        f.write(OPT_MAGIC + struct.pack("<IQI", OPT_VERSION, adam.t, len(adam.m)))
         for name in adam.m:
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            for arr in (adam.m[name], adam.v[name]):
-                f.write(struct.pack("<I", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            write_record(f, name, adam.m[name], adam.v[name])
+
+
+class OptStateError(ValueError):
+    """Malformed SYMO optimizer-state content."""
 
 
 def load_opt_state(path) -> AdamState:
     with open(path, "rb") as f:
-        if f.read(4) != OPT_MAGIC:
-            raise ValueError(f"bad optimizer-state magic in {path}")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != 1:
-            raise ValueError(f"unsupported optimizer-state version {version}")
-        (t,) = struct.unpack("<Q", f.read(8))
-        (count,) = struct.unpack("<I", f.read(4))
+        r = Reader(f, path, OptStateError)
+        r.magic(OPT_MAGIC, "optimizer-state")
+        r.version(OPT_VERSION, "optimizer-state")
+        (t,) = r.unpack("Q", "step counter")
         m, v = {}, {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            arrays = []
-            for _ in range(2):
-                (rank,) = struct.unpack("<I", f.read(4))
-                shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
-                n = int(np.prod(shape))
-                arrays.append(
-                    np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape).copy()
-                )
-            m[name], v[name] = arrays
+        for _ in range(r.u32("record count")):
+            name = r.name("parameter name")
+            for moment, store in (("m", m), ("v", v)):
+                shape = r.shape(f"{name!r} {moment}")
+                store[name] = r.float32(shape, f"{name!r} {moment} data")
+        r.end("the final record")
     return AdamState(m=m, v=v, t=t)
 
 
@@ -307,7 +296,11 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
         ckpt_cfg, bag, params = load_checkpoint(str(resume) + ".symt")
         if ckpt_cfg != cfg.model:
             raise ValueError("resume checkpoint config differs from cfg.model")
-        adam = load_opt_state(str(resume) + ".opt")
+        adam = load_opt_state(f"{resume}.opt")
+        shapes = [(n, t.shape) for n, t in bag.items()]
+        if any([(n, a.shape) for n, a in moments.items()] != shapes
+               for moments in (adam.m, adam.v)):
+            raise OptStateError(f"{resume}.opt: moments do not match the checkpoint")
     else:
         bag, params = init_model_params(cfg.model, np.random.default_rng(cfg.seed))
         adam = init_adam(bag.tensors)

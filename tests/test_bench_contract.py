@@ -16,6 +16,7 @@ import pytest
 from symtrans import losses, model
 from symtrans.losses import LossConfig
 from symtrans.model import ModelConfig, init_model_params, model_count_flops
+from symtrans.ops import conv_transpose3d
 from symtrans.tensor import Tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -29,13 +30,24 @@ def tracing():
     return module
 
 
-def test_traced_step_matches_flop_count_and_times_conv_backward(tracing):
-    cfg = ModelConfig(input_shape=(16, 16, 16), base_dim=8,
+@pytest.mark.parametrize("placement", model.PLACEMENTS)
+def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placement,
+                                                                 monkeypatch):
+    cfg = ModelConfig(input_shape=(16, 16, 16), base_dim=8, placement=placement,
                       encoder_depths=(1, 1, 1), decoder_depths=(1, 1, 1))
     _, params = init_model_params(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     moving, fixed = (Tensor(rng.random((1,) + cfg.input_shape).astype(np.float32))
                      for _ in range(2))
+    # the tracer does not wrap the transposed conv of the conv-variant
+    # decoders; every input voxel runs the whole (in, out, 2, 2, 2) weight
+    deconv_macs = []
+
+    def counted(x, weight, bias):
+        deconv_macs.append(x.data[0].size * weight.data.size)
+        return conv_transpose3d(x, weight, bias)
+
+    monkeypatch.setattr(model, "conv_transpose3d", counted)
     untraced = model.forward
     tracer = tracing.Tracer()
     tracer.install()
@@ -49,10 +61,15 @@ def test_traced_step_matches_flop_count_and_times_conv_backward(tracing):
     finally:
         tracer.uninstall()
 
-    traced = (counts["ops.conv3d.dw.macs"] + counts["ops.conv3d.other.macs"]
-              + counts["tensor.matmul.macs"])
+    assert bool(deconv_macs) == (placement in ("encoder_only", "bottom_only"))
+    traced = (counts.get("ops.conv3d.dw.macs", 0) + counts["ops.conv3d.other.macs"]
+              + counts["tensor.matmul.macs"] + sum(deconv_macs))
     assert traced == model_count_flops(cfg)
-    assert counts["model.forward.macs"] == model_count_flops(cfg)
+    assert counts["model.forward.macs"] + sum(deconv_macs) == model_count_flops(cfg)
+    # bottom_only runs its blocks at 1/16 = 1^3, where the depthwise trunk
+    # clamps to a 1x1x1 kernel and is traced as an ordinary conv
+    kinds = {"other"} if placement == "bottom_only" else {"dw", "other"}
+    assert {k for k in ("dw", "other") if f"ops.conv3d.{k}.macs" in counts} == kinds
     spans = {span[0] for span in tracer.spans}
-    assert {"ops.conv3d.dw.bwd_s", "ops.conv3d.other.bwd_s"} <= spans
+    assert {f"ops.conv3d.{k}.bwd_s" for k in kinds} <= spans
     assert model.forward is untraced

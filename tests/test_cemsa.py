@@ -4,12 +4,14 @@ import pytest
 from symtrans import tensor as T
 from symtrans.cemsa import (
     CemsaConfig,
+    bind_cemsa_params,
     cemsa_block,
+    cemsa_param_shapes,
     cemsa_qkv,
     clamp_kernel,
     count_flops,
     count_parameters,
-    init_cemsa_params,
+    init_array,
     msa_count_parameters,
     multi_head_attention,
     tokens_to_volume,
@@ -28,8 +30,10 @@ def toy_cfg(shape=(3, 3, 3), dim=8, heads=2, s=3):
 
 def build_block(cfg, seed=0):
     bag = ParamBag()
-    p = init_cemsa_params(cfg, bag, "blk", np.random.default_rng(seed))
-    return bag, p
+    rng = np.random.default_rng(seed)
+    for name, (shape, kind) in cemsa_param_shapes(cfg).items():
+        bag.add(f"blk.{name}", init_array(shape, kind, rng))
+    return bag, bind_cemsa_params(cfg, "blk", bag.tensors)
 
 
 def randomize(bag, seed, std=0.3):
@@ -143,7 +147,7 @@ def test_attention_logits_start_at_unit_scale():
         # block inputs are layer-normed tokens: unit scale per token
         x = Tensor(rng.normal(size=(cfg.tokens, cfg.dim)).astype(np.float32))
         q, k, _ = cemsa_qkv(x, cfg, p)
-        dk = cfg.head_dim
+        dk = cfg.dim // cfg.heads
         for h in range(cfg.heads):
             qh = q.data[:, h * dk:(h + 1) * dk]
             kh = k.data[:, h * dk:(h + 1) * dk]
@@ -277,15 +281,31 @@ def test_grouped_term_reduction_is_exactly_one_over_g():
     cfg_full = CemsaConfig(dim=16, heads=2, dw_kernel=3, spatial_shape=(2, 2, 2))
     cfg_g1 = CemsaConfig(dim=16, heads=2, dw_kernel=3, spatial_shape=(2, 2, 2),
                          groups=1)
-    _, parts_full = count_parameters(cfg_full, breakdown=True)
-    _, parts_g1 = count_parameters(cfg_g1, breakdown=True)
-    assert parts_full["gconv_weight"] * 16 == parts_g1["gconv_weight"]
+    full = np.prod(cemsa_param_shapes(cfg_full)["g_kv.weight"][0])
+    g1 = np.prod(cemsa_param_shapes(cfg_g1)["g_kv.weight"][0])
+    assert full * 16 == g1
+    assert count_parameters(cfg_g1) - count_parameters(cfg_full) == g1 - full
 
 
 def test_count_flops_positive_and_scales_with_tokens():
     small = CemsaConfig(dim=8, heads=2, dw_kernel=3, spatial_shape=(2, 2, 2))
     big = CemsaConfig(dim=8, heads=2, dw_kernel=3, spatial_shape=(4, 4, 4))
     assert 0 < count_flops(small) < count_flops(big)
+
+
+@pytest.mark.parametrize("groups", [0, 1, 4])
+def test_counts_match_the_closed_forms(groups):
+    # the per-term sums the counts replaced: depthwise trunk, grouped conv,
+    # three layer norms, the K/V/output projections and the feed-forward pair
+    cfg = CemsaConfig(dim=16, heads=4, dw_kernel=5, spatial_shape=(6, 5, 4),
+                      groups=groups, ffn_expansion=3)
+    d, s, g, e, n = cfg.dim, cfg.kernel, cfg.groups, cfg.ffn_expansion, cfg.tokens
+    params = ((d * s ** 3 + d) + (d * (d // g) + d) + 6 * d + 3 * (d * d + d)
+              + (e * d * d + e * d) + (d * e * d + d))
+    macs = (n * d * s ** 3 + n * d * (d // g) + 2 * n * d * d + 2 * n * n * d
+            + n * d * d + 2 * n * d * e * d)
+    assert count_parameters(cfg) == params
+    assert count_flops(cfg) == macs
 
 
 def test_tokens_volume_round_trip():

@@ -65,6 +65,20 @@ def test_svol_distinct_malformed_errors(tmp_path):
         read_svol(truncated)
 
 
+def test_svol_non_finite_payload_refused_at_read(tmp_path, capsys):
+    vol = np.zeros((1, 16, 16, 16), np.float32)
+    vol[0, 3, 4, 5] = np.nan
+    bad = tmp_path / "nan.svol"
+    write_svol(bad, vol, KIND_IMAGE)
+    with pytest.raises(SvolError, match="non-finite"):
+        read_svol(bad)
+    vol[0, 3, 4, 5] = np.inf
+    write_svol(bad, vol, KIND_DISPLACEMENT)
+    code, _, err = run(["eval", "--field", str(bad)], capsys)
+    assert code == 2
+    assert str(bad) in err and "non-finite" in err
+
+
 # --- gen-data ------------------------------------------------------------------
 
 def test_gen_data_zero_pairs_manifest_only(tmp_path, capsys):
@@ -106,6 +120,35 @@ def test_gen_data_bad_spec_exit_2(tmp_path, capsys):
                         "--out", str(tmp_path / "x")], capsys)
     assert code == 2
     assert "num_labelz" in err
+
+
+# a spec whose warp folds on every allowed draw
+FOLDING_SPEC = {"extents": [16, 16, 16], "warp_amplitude": 40.0, "max_retries": 1,
+                "radius_range": [2.5, 4.0]}
+
+
+def test_gen_data_unsatisfiable_warp_exit_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FOLDING_SPEC))
+    code, _, err = run(["gen-data", "--spec", str(spec_path), "--pairs", "1",
+                        "--out", str(tmp_path / "x")], capsys)
+    assert code == 2
+    assert "warp_amplitude" in err and "max_retries" in err
+    assert "Traceback" not in err
+
+
+def test_train_unsatisfiable_warp_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({
+        "iterations": 1,
+        "model": {"input_shape": [16, 16, 16], "base_dim": 8,
+                  "encoder_depths": [1, 1, 1], "decoder_depths": [1, 1, 1]},
+        "data": FOLDING_SPEC,
+    }))
+    code, _, err = run(["train", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "run")], capsys)
+    assert code == 2
+    assert "warp_amplitude" in err and "max_retries" in err
 
 
 # --- train / register / eval ---------------------------------------------------
@@ -241,6 +284,8 @@ def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_str
                         "--checkpoint", str(old)], capsys)
     assert code == 2
     assert "checkpoint version 2" in err
+    assert "reads version 3" in err
+    assert str(old) in err
     assert "Traceback" not in err
 
 

@@ -46,6 +46,13 @@ def test_config_validation():
         ModelConfig(placement="everywhere")
     with pytest.raises(ValueError, match="mode"):
         ModelConfig(mode="rigid")
+    # zero or negative sizes that the divisibility checks alone let through
+    with pytest.raises(ValueError, match="positive"):
+        ModelConfig(input_shape=(-16, 16, 16))
+    with pytest.raises(ValueError, match="base_dim"):
+        ModelConfig(base_dim=0)
+    with pytest.raises(ValueError, match="heads 0"):
+        ModelConfig(stage_heads=(2, 4, 0))
 
 
 def test_default_depths_total_ten():
