@@ -92,7 +92,8 @@ def _load_json(path, what):
         raise CliError(f"cannot read {what} {path}: {e}", EXIT_IO)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    # ValueError also covers integers past the interpreter's digit limit
+    except (ValueError, RecursionError) as e:
         raise CliError(f"{what} {path} is not valid JSON: {e}", EXIT_USAGE)
 
 

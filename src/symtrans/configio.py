@@ -8,11 +8,39 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import typing
 
 
 class ConfigError(ValueError):
     pass
+
+
+def integer(name, value, minimum=None) -> int:
+    """``value`` as an int; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def finite(name, value):
+    """``value`` unchanged if it is a finite real number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def sequence(name, values, item, length=None) -> tuple:
+    """A list or tuple, of ``length`` if given, with ``item`` applied to each."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    if length is not None and len(values) != length:
+        raise ValueError(f"{name} must have {length} entries, got {len(values)}")
+    return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(values))
 
 
 def from_dict(cls, data: dict, path: str = ""):

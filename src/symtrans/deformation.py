@@ -4,6 +4,12 @@ Displacement fields are (3, D, H, W) voxel-unit offsets along the (d, h, w)
 axes; the full map is phi(p) = p + u(p). Sampling clamps to the volume border.
 Velocity fields are exponentiated by scaling and squaring: halve the field T
 times, then self-compose T times.
+
+A trilinear sample keeps three arrays per voxel on the tape besides its two
+inputs: the flat index of the low corner (int64), the fractional position
+(3 values of the field's dtype) and the inside-the-volume mask (3 bools).
+That is 23 bytes per voxel at float32; the backward rule recomputes the
+interpolation weights from them.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .configio import integer
 from .tensor import Tensor, make_op
 
 
@@ -21,6 +28,7 @@ class IntegrationConfig:
     steps: int = 7
 
     def __post_init__(self):
+        self.steps = integer("integration steps", self.steps)
         if not 1 <= self.steps <= 12:
             raise ValueError(f"integration steps must be in [1, 12], got {self.steps}")
 
@@ -34,15 +42,13 @@ class FoldingStats:
     interior_voxels: int
 
 
-def _grid(shape, dtype):
-    return np.indices(shape).astype(dtype)
-
-
 def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
     """Sample ``field`` at p + offsets(p), trilinearly, clamping to the border.
 
     Differentiable in both arguments; the offset gradient flows through the
-    interpolation weights and is zero where the clamp is active.
+    interpolation weights and is zero where the clamp is active. Each corner
+    is one gather at a flat voxel index: the low corner's index plus a fixed
+    step per axis (0 on an axis of extent 1).
     """
     if field.ndim != 4 or offsets.ndim != 4 or offsets.shape[0] != 3:
         raise ValueError(
@@ -56,72 +62,93 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
         raise ValueError("trilinear_sample: offsets contain non-finite values")
     c = field.shape[0]
     spatial = field.shape[1:]
+    n = int(np.prod(spatial))
     dtype = field.data.dtype
-    coords = _grid(spatial, dtype) + offsets.data
+    base = np.zeros(spatial, dtype=np.int64)
+    frac = np.empty((3,) + spatial, dtype=dtype)
     inside = np.empty((3,) + spatial, dtype=bool)
-    cl = np.empty_like(coords)
     for ax, ext in enumerate(spatial):
-        inside[ax] = (coords[ax] >= 0.0) & (coords[ax] <= ext - 1.0)
-        cl[ax] = np.clip(coords[ax], 0.0, ext - 1.0)
-    i0 = np.floor(cl).astype(np.int64)
-    for ax, ext in enumerate(spatial):
-        np.minimum(i0[ax], ext - 2 if ext > 1 else 0, out=i0[ax])
-        np.maximum(i0[ax], 0, out=i0[ax])
-    frac = (cl - i0).astype(dtype)
-    i1 = [np.minimum(i0[ax] + 1, spatial[ax] - 1) for ax in range(3)]
-
-    fd, fh, fw = frac
-    wgt = {}
-    idx = {}
-    for bd in (0, 1):
-        for bh in (0, 1):
-            for bw in (0, 1):
-                wd = fd if bd else 1.0 - fd
-                wh = fh if bh else 1.0 - fh
-                ww = fw if bw else 1.0 - fw
-                wgt[(bd, bh, bw)] = wd * wh * ww
-                idx[(bd, bh, bw)] = (
-                    i1[0] if bd else i0[0],
-                    i1[1] if bh else i0[1],
-                    i1[2] if bw else i0[2],
-                )
+        line = [1, 1, 1]
+        line[ax] = ext
+        coord = np.arange(ext, dtype=dtype).reshape(line) + offsets.data[ax]
+        inside[ax] = (coord >= 0.0) & (coord <= ext - 1.0)
+        cl = np.clip(coord, 0.0, ext - 1.0)
+        i0 = np.floor(cl).astype(np.int64)
+        np.minimum(i0, max(ext - 2, 0), out=i0)
+        frac[ax] = cl - i0
+        base *= ext
+        base += i0
+    d, h, w = spatial
+    step = (h * w if d > 1 else 0, w if h > 1 else 0, 1 if w > 1 else 0)
+    # (bits, flat-index step) of the 8 corners, low corner first
+    corners = [((bd, bh, bw), bd * step[0] + bh * step[1] + bw * step[2])
+               for bd in (0, 1) for bh in (0, 1) for bw in (0, 1)]
 
     fdat = field.data
-    out = np.zeros((c,) + spatial, dtype=dtype)
-    for key, w in wgt.items():
-        d_i, h_i, w_i = idx[key]
-        out += fdat[:, d_i, h_i, w_i] * w[None]
+    flat_base = base.reshape(n)
 
-    n_spatial = int(np.prod(spatial))
+    def gather(s, into):
+        """Write every voxel's field values at the corner ``s`` flat steps up."""
+        # indices are in range by construction; "clip" lets take write
+        # straight into ``into`` where "raise" would buffer
+        np.take(fdat.reshape(c, n), flat_base + s, axis=1, out=into, mode="clip")
+
+    def factors():
+        """Per-axis weight factors (1 - frac, frac), flattened."""
+        return [(1.0 - frac[ax].reshape(n), frac[ax].reshape(n)) for ax in range(3)]
+
+    def pair(fac, a, b):
+        """Products of the factors of axes a < b, indexed [bit_a][bit_b]."""
+        return [[fac[a][i] * fac[b][j] for j in (0, 1)] for i in (0, 1)]
+
+    fac = factors()
+    dh = pair(fac, 0, 1)
+    out = np.zeros((c, n), dtype=dtype)
+    v = np.empty((c, n), dtype=dtype)
+    for (bd, bh, bw), s in corners:
+        gather(s, v)
+        v *= dh[bd][bh] * fac[2][bw]
+        out += v
+    out = out.reshape((c,) + spatial)
 
     def rule(gy):
-        dfield = np.zeros_like(fdat)
-        for key, w in wgt.items():
-            d_i, h_i, w_i = idx[key]
-            flat = (d_i * spatial[1] + h_i) * spatial[2] + w_i
-            contrib = (gy * w[None]).reshape(c, n_spatial)
-            flat1 = flat.ravel()
-            for ch in range(c):
-                dfield[ch] += np.bincount(
-                    flat1, weights=contrib[ch], minlength=n_spatial
-                ).reshape(spatial).astype(dtype)
-
-        doff = np.zeros((3,) + spatial, dtype=dtype)
-        # derivative w.r.t. each coordinate: difference of the two corner
-        # planes along that axis, interpolated over the other two
-        for ax in range(3):
-            acc = np.zeros((c,) + spatial, dtype=dtype)
-            for key, w in wgt.items():
-                d_i, h_i, w_i = idx[key]
-                # replace this axis' weight factor by +/-1
-                others = 1.0
-                for oax, bit, f in ((0, key[0], fd), (1, key[1], fh), (2, key[2], fw)):
-                    if oax == ax:
-                        continue
-                    others = others * (f if bit else 1.0 - f)
-                sign = 1.0 if key[ax] else -1.0
-                acc += fdat[:, d_i, h_i, w_i] * (sign * others)[None]
-            doff[ax] = np.sum(gy * acc, axis=0) * inside[ax].astype(dtype)
+        gy = gy.reshape(c, n)
+        fac = factors()
+        # others[ax]: products of the factors of the two axes other than ax
+        other_axes = ((1, 2), (0, 2), (0, 1))
+        others = [pair(fac, a, b) for a, b in other_axes]
+        dfield = np.zeros_like(fdat) if field.requires_grad else None
+        acc = np.zeros((3, c, n), dtype=dtype) if offsets.requires_grad else None
+        chan_base = (np.arange(c, dtype=np.int64)[:, None] * n + flat_base).ravel()
+        v = np.empty((c, n), dtype=dtype)
+        term = np.empty((c, n), dtype=dtype)
+        w64 = np.empty((c, n), dtype=np.float64)
+        for bits, s in corners:
+            gather(s, v)
+            if dfield is not None:
+                # one bincount over channel-offset indices. The product is
+                # rounded in the field's dtype (numpy picks the loop from the
+                # inputs) and stored as the float64 weights bincount would
+                # otherwise convert to itself, more slowly
+                np.multiply(gy, others[2][bits[0]][bits[1]] * fac[2][bits[2]], out=w64)
+                dfield += np.bincount(
+                    chan_base + s, weights=w64.ravel(), minlength=c * n
+                ).astype(dtype).reshape(fdat.shape)
+            if acc is not None:
+                # derivative w.r.t. each coordinate: difference of the two
+                # corner planes along that axis, interpolated over the others
+                for ax, (a, b) in enumerate(other_axes):
+                    np.multiply(v, others[ax][bits[a]][bits[b]], out=term)
+                    if bits[ax]:
+                        acc[ax] += term
+                    else:
+                        acc[ax] -= term
+        doff = None
+        if acc is not None:
+            doff = np.empty((3,) + spatial, dtype=dtype)
+            for ax in range(3):
+                doff[ax] = (np.sum(gy * acc[ax], axis=0)
+                            * inside[ax].reshape(n).astype(dtype)).reshape(spatial)
         return dfield, doff
 
     return make_op((field, offsets), out, rule)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .configio import finite
 from .deformation import IntegrationConfig, integrate, warp
 from .tensor import Tensor
 
@@ -24,6 +25,7 @@ class LossConfig:
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
 
     def __post_init__(self):
+        finite("lambda_reg", self.lambda_reg)
         if self.lambda_reg < 0:
             raise ValueError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
 

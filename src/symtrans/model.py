@@ -24,6 +24,7 @@ on top of it, which is also how checkpoints are read back.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -45,7 +46,7 @@ from .cemsa import (
     tokens_to_volume,
     volume_to_tokens,
 )
-from .configio import from_dict, to_canonical_json
+from .configio import finite, from_dict, integer, sequence, to_canonical_json
 from .ops import Conv3dParams, LinearParams, conv3d, conv_transpose3d, linear
 from .params import ParamBag
 from .tensor import Tensor
@@ -72,13 +73,21 @@ class ModelConfig:
     leaky_slope: float = 0.2
 
     def __post_init__(self):
-        self.input_shape = tuple(int(e) for e in self.input_shape)
-        self.encoder_depths = tuple(int(d) for d in self.encoder_depths)
-        self.decoder_depths = tuple(int(d) for d in self.decoder_depths)
-        self.stage_kernels = tuple(int(s) for s in self.stage_kernels)
-        self.stage_heads = tuple(int(h) for h in self.stage_heads)
-        if len(self.input_shape) != 3:
-            raise ValueError(f"input_shape must have 3 extents, got {self.input_shape}")
+        count = functools.partial(integer, minimum=0)
+        size = functools.partial(integer, minimum=1)
+        self.input_shape = sequence("input_shape", self.input_shape, integer, 3)
+        self.encoder_depths = sequence("encoder_depths", self.encoder_depths, count, 3)
+        self.decoder_depths = sequence("decoder_depths", self.decoder_depths, count, 3)
+        self.stage_kernels = sequence("stage_kernels", self.stage_kernels, size, 3)
+        self.stage_heads = sequence("stage_heads", self.stage_heads, integer, 3)
+        self.base_dim = integer("base_dim", self.base_dim)
+        self.patch_kernel = integer("patch_kernel", self.patch_kernel, 1)
+        self.ffn_expansion = integer("ffn_expansion", self.ffn_expansion, 1)
+        finite("leaky_slope", self.leaky_slope)
+        if self.patch_kernel % 2 == 0:
+            # the embedding pads by patch_kernel // 2, which keeps the
+            # stride-2 token grid only for an odd kernel
+            raise ValueError(f"patch_kernel must be odd, got {self.patch_kernel}")
         for e in self.input_shape:
             if e <= 0 or e % 16:
                 raise ValueError(f"input extents must be positive and divisible "
@@ -86,10 +95,6 @@ class ModelConfig:
         if self.base_dim <= 0 or self.base_dim % 4:
             raise ValueError(f"base_dim must be a positive multiple of 4, got "
                              f"{self.base_dim}")
-        if not (len(self.encoder_depths) == len(self.decoder_depths) == 3):
-            raise ValueError("encoder_depths and decoder_depths must have 3 entries")
-        if len(self.stage_kernels) != 3 or len(self.stage_heads) != 3:
-            raise ValueError("stage_kernels and stage_heads must have 3 entries")
         for i, h in enumerate(self.stage_heads):
             if h <= 0 or (self.base_dim * 2 ** i) % h:
                 raise ValueError(

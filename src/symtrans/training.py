@@ -9,6 +9,7 @@ batch size 1.
 from __future__ import annotations
 
 import csv
+import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .binio import Reader, write_record
+from .configio import finite, integer, sequence
 from .deformation import jacobian_determinant, warp
 from .losses import LossConfig, metrics_report, total_loss, warp_labels
 from .model import ModelConfig, forward, init_model_params, load_checkpoint, save_checkpoint
@@ -57,11 +59,18 @@ class SyntheticSpec:
     max_retries: int = 6
 
     def __post_init__(self):
-        self.extents = tuple(int(e) for e in self.extents)
-        self.radius_range = tuple(float(r) for r in self.radius_range)
-        self.intensity_range = tuple(float(v) for v in self.intensity_range)
-        if self.num_labels < 1:
-            raise ValueError("num_labels must be >= 1")
+        def real(name, value):
+            return float(finite(name, value))
+
+        self.extents = sequence("extents", self.extents,
+                                functools.partial(integer, minimum=1), 3)
+        self.radius_range = sequence("radius_range", self.radius_range, real, 2)
+        self.intensity_range = sequence("intensity_range", self.intensity_range, real, 2)
+        self.num_labels = integer("num_labels", self.num_labels, 1)
+        self.max_retries = integer("max_retries", self.max_retries, 1)
+        for name in ("center_jitter", "warp_amplitude", "warp_sigma",
+                     "translation_max", "scale_jitter", "blur_sigma"):
+            finite(name, getattr(self, name))
         if self.shapes not in ("spheres", "boxes", "mixed"):
             raise ValueError(f"unknown shape family {self.shapes!r}")
         if self.warp_amplitude < 0:
@@ -85,12 +94,16 @@ class TrainConfig:
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self):
+        for name in ("lr", "beta1", "beta2", "eps", "grad_clip"):
+            finite(name, getattr(self, name))
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        self.iterations = integer("iterations", self.iterations, 0)
+        self.seed = integer("seed", self.seed, 0)
+        self.checkpoint_every = integer("checkpoint_every", self.checkpoint_every, 1)
         if tuple(self.data.extents) != tuple(self.model.input_shape):
             raise ValueError(
                 f"data extents {self.data.extents} != model input "

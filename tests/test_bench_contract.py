@@ -73,3 +73,27 @@ def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placeme
     spans = {span[0] for span in tracer.spans}
     assert {f"ops.conv3d.{k}.bwd_s" for k in kinds} <= spans
     assert model.forward is untraced
+
+
+def test_traced_diffeomorphic_step_times_trilinear_backward(tracing):
+    cfg = ModelConfig(input_shape=(16, 16, 16), base_dim=8, mode="diffeomorphic",
+                      encoder_depths=(1, 1, 1), decoder_depths=(1, 1, 1))
+    _, params = init_model_params(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    moving, fixed = (Tensor(rng.random((1,) + cfg.input_shape).astype(np.float32))
+                     for _ in range(2))
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.op = 0
+    try:
+        raw = model.forward(moving, fixed, params, cfg)
+        loss, *_ = losses.total_loss(moving, fixed, raw, LossConfig(), cfg.mode)
+        loss.backward()
+    finally:
+        tracer.uninstall()
+
+    # 7 scaling-and-squaring compositions and the warp of the moving image
+    assert tracer.counts[0]["deformation.trilinear_sample.calls"] == 8
+    # a make_op call moved into a helper would be timed as tensor.other
+    spans = [span[0] for span in tracer.spans]
+    assert spans.count("deformation.trilinear_sample.bwd_s") == 8

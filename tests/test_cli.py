@@ -197,6 +197,42 @@ def test_train_invalid_lambda_exit_2(tmp_path, capsys):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("iterations", 1.5), ("seed", "x"), ("checkpoint_every", 2.0),
+    ("lr", float("nan")), ("eps", float("inf")), ("grad_clip", float("nan")),
+    ("beta1", 1.0), ("beta2", -0.1),
+])
+def test_train_config_bad_value_exit_2(tmp_path, capsys, field, value):
+    cfg = {"iterations": 0, field: value, "model": {"input_shape": [16, 16, 16]},
+           "data": {"extents": [16, 16, 16]}}
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(["train", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert str(cfg_path) in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_count_config_non_integral_extent_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "m.json"
+    cfg_path.write_text(json.dumps({"input_shape": [32.5, 32, 32]}))
+    code, _, err = run(["count", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert str(cfg_path) in err and "input_shape[0]" in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"seed": ' + "9" * 5000 + "}"])
+def test_config_json_past_the_parser_limits_exit_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(text)
+    code, _, err = run(["train", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert f"{cfg_path} is not valid JSON" in err
+
+
 def test_train_missing_config_exit_3(tmp_path, capsys):
     code, _, _ = run(["train", "--config", str(tmp_path / "nope.json"),
                       "--out", str(tmp_path / "o")], capsys)

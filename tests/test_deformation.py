@@ -9,6 +9,7 @@ from symtrans.deformation import (
     compose,
     integrate,
     jacobian_determinant,
+    trilinear_sample,
     warp,
 )
 from symtrans.oracles import compose_reference, trilinear_reference
@@ -109,6 +110,78 @@ def test_trilinear_vs_scalar_loop_oracle():
     off = smooth_field((5, 5, 5), rng, amplitude=1.3)
     out = warp(Tensor(field), Tensor(off)).data
     np.testing.assert_allclose(out, trilinear_reference(field, off), atol=1e-9)
+
+
+def offsets_past_every_face(shape, rng):
+    """Offsets to fractional points from two voxels before each face to two
+    past it, at least 0.15 from every integer so no probe crosses a kink."""
+    target = np.stack([rng.integers(-2, ext + 2, size=shape)
+                       + rng.uniform(0.15, 0.85, size=shape) for ext in shape])
+    for ax, ext in enumerate(shape):
+        assert (target[ax] < 0).any() and (target[ax] > ext - 1).any()
+    return target - np.indices(shape)
+
+
+def test_extent_one_axis_and_every_face_vs_oracle_and_gradcheck():
+    # h has extent 1: both of its corners are the same voxel (a zero step)
+    shape = (4, 1, 5)
+    rng = np.random.default_rng(15)
+    field = rng.normal(size=(2,) + shape)
+    off = offsets_past_every_face(shape, rng)
+    out = trilinear_sample(Tensor(field), Tensor(off)).data
+    np.testing.assert_allclose(out, trilinear_reference(field, off), atol=1e-9)
+
+    def build(lv):
+        out = trilinear_sample(lv["field"], lv["off"])
+        return T.mean_all(T.mul(out, out))
+
+    rep = T.grad_check(build, {"field": field, "off": off}, wide=True,
+                       coords_per_leaf=off.size, rng=np.random.default_rng(16))
+    assert rep.max_err() < 1e-6, rep
+
+
+def test_rule_returns_none_for_a_parent_without_gradient():
+    rng = np.random.default_rng(17)
+    img = Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32))
+    u = Tensor(rng.normal(size=(3, 4, 4, 4)).astype(np.float32), requires_grad=True)
+    out = warp(img, u)
+    dimg, du = out._backward_rule(np.ones_like(out.data))
+    assert dimg is None and du.shape == u.shape
+    out = warp(u, Tensor(np.zeros_like(u.data)))
+    dfield, doff = out._backward_rule(np.ones_like(out.data))
+    assert dfield.shape == u.shape and doff is None
+
+
+def held_arrays(value, found):
+    """Owning arrays reachable from a closure: cells, nested functions and
+    containers, with views resolved to the array that owns the memory."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        found[id(value)] = value
+    elif callable(value) and getattr(value, "__closure__", None):
+        for cell in value.__closure__:
+            held_arrays(cell.cell_contents, found)
+    elif isinstance(value, dict):
+        held_arrays(list(value.values()), found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            held_arrays(item, found)
+    return found
+
+
+def test_backward_closure_holds_at_most_24_bytes_per_voxel():
+    rng = np.random.default_rng(18)
+    shape = (8, 8, 8)
+    field = Tensor(rng.normal(size=(3,) + shape).astype(np.float32), requires_grad=True)
+    off = Tensor((2 * rng.normal(size=(3,) + shape)).astype(np.float32),
+                 requires_grad=True)
+    out = trilinear_sample(field, off)
+    found = held_arrays(out._backward_rule, {})
+    # the parents are on the tape anyway
+    for parent in (field.data, off.data):
+        found.pop(id(parent), None)
+    assert sum(a.nbytes for a in found.values()) <= 24 * np.prod(shape)
 
 
 def test_compose_gradcheck():

@@ -53,6 +53,17 @@ def test_config_validation():
         ModelConfig(base_dim=0)
     with pytest.raises(ValueError, match="heads 0"):
         ModelConfig(stage_heads=(2, 4, 0))
+    # non-integral or non-numeric sizes, which int() used to truncate or parse
+    with pytest.raises(ValueError, match=r"input_shape\[0\] must be an integer"):
+        ModelConfig(input_shape=(32.5, 32, 32))
+    with pytest.raises(ValueError, match="encoder_depths must be a list"):
+        ModelConfig(encoder_depths="111")
+    with pytest.raises(ValueError, match="patch_kernel must be an integer"):
+        ModelConfig(patch_kernel=None)
+    with pytest.raises(ValueError, match="patch_kernel must be odd"):
+        ModelConfig(patch_kernel=4)
+    with pytest.raises(ValueError, match="leaky_slope must be a finite number"):
+        ModelConfig(leaky_slope=float("nan"))
 
 
 def test_default_depths_total_ten():

@@ -231,6 +231,23 @@ def test_train_config_validation():
         tiny_train_cfg(lr=0.0)
     with pytest.raises(ValueError, match="iterations"):
         tiny_train_cfg(iterations=-1)
+    with pytest.raises(ValueError, match="iterations must be an integer"):
+        tiny_train_cfg(iterations=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        tiny_train_cfg(seed="x")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        tiny_train_cfg(seed=-1)
+    with pytest.raises(ValueError, match="checkpoint_every must be an integer"):
+        tiny_train_cfg(checkpoint_every=True)
+    for name in ("lr", "eps", "grad_clip"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                tiny_train_cfg(**{name: bad})
+    for name in ("beta1", "beta2"):
+        for bad in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\)"):
+                tiny_train_cfg(**{name: bad})
+    assert tiny_train_cfg(beta1=0.0, beta2=0.0).beta2 == 0.0
     with pytest.raises(ValueError, match="extents"):
         TrainConfig(model=ModelConfig(input_shape=(16, 16, 16)),
                     data=SyntheticSpec(extents=(32, 32, 32)))
