@@ -14,9 +14,9 @@ import numpy as np
 
 from symtrans.cemsa import (
     CemsaConfig,
-    bind_cemsa_params,
     cemsa_block,
     cemsa_param_shapes,
+    cemsa_params,
     cemsa_qkv,
     count_flops,
     count_parameters,
@@ -28,12 +28,12 @@ from symtrans.tensor import Tensor
 
 # a stage working on a 6x6x6 token volume with 16 channels, 4 heads
 cfg = CemsaConfig(dim=16, heads=4, dw_kernel=5, spatial_shape=(6, 6, 6))
-# every parameter is declared once, as (shape, init kind), in a fixed order
+# cemsa_params declares every parameter once, as (name, shape, init kind) in
+# a fixed order, and binds what its source returns; this source draws the init
 bag = ParamBag()
 rng = np.random.default_rng(0)
-for name, (shape, kind) in cemsa_param_shapes(cfg).items():
-    bag.add(f"demo.{name}", init_array(shape, kind, rng))
-params = bind_cemsa_params(cfg, "demo", bag.tensors)
+params = cemsa_params(cfg, lambda name, shape, kind:
+                      bag.add(f"demo.{name}", init_array(shape, kind, rng)))
 
 x = Tensor(np.random.default_rng(1).normal(size=(216, 16)).astype(np.float32))
 q, k, v = cemsa_qkv(x, cfg, params)

@@ -84,31 +84,57 @@ class CemsaParams:
     dw: Conv3dParams        # shared depthwise trunk, kernel s
     g_kv: Conv3dParams      # grouped 1x1x1 reduction on the K/V path
     ln_kv: LayerNormParams
+    ln1: LayerNormParams
+    ln2: LayerNormParams
     proj_k: LinearParams
     proj_v: LinearParams
     proj_out: LinearParams
-    ln1: LayerNormParams
-    ln2: LayerNormParams
     ffn1: LinearParams
     ffn2: LinearParams
 
 
+def cemsa_params(cfg: CemsaConfig, param) -> CemsaParams:
+    """Declare one block's parameters and bind what ``param`` gives back.
+
+    ``param(name, shape, init_kind)`` is called once per parameter, in
+    declaration order, with the name relative to the block; its return value
+    fills the slot the forward pass reads. Call arguments are evaluated left
+    to right, so the order below is the declaration order.
+    """
+    d, s, g, e = cfg.dim, cfg.kernel, cfg.groups, cfg.ffn_expansion
+
+    def pair(name, shape, kind):  # a weight and its bias
+        return (param(f"{name}.weight", shape, kind),
+                param(f"{name}.bias", shape[:1], "zeros"))
+
+    def conv(name, in_per_group, k, groups):
+        return Conv3dParams(*pair(name, (d, in_per_group, k, k, k), "conv"),
+                            padding=k // 2, groups=groups)
+
+    def ln(name):
+        return LayerNormParams(param(f"{name}.gamma", (d,), "ones"),
+                               param(f"{name}.beta", (d,), "zeros"))
+
+    def lin(name, out_dim, in_dim, kind="weight"):
+        return LinearParams(*pair(name, (out_dim, in_dim), kind))
+
+    return CemsaParams(
+        dw=conv("dw", 1, s, d), g_kv=conv("g_kv", d // g, 1, g),
+        ln_kv=ln("ln_kv"), ln1=ln("ln1"), ln2=ln("ln2"),
+        proj_k=lin("proj_k", d, d, "key"), proj_v=lin("proj_v", d, d),
+        proj_out=lin("proj_out", d, d),
+        ffn1=lin("ffn1", e * d, d), ffn2=lin("ffn2", d, e * d),
+    )
+
+
 def cemsa_param_shapes(cfg: CemsaConfig) -> dict:
     """Relative name -> (shape, init kind) for one block's parameters."""
-    d, s, g, e = cfg.dim, cfg.kernel, cfg.groups, cfg.ffn_expansion
-    shapes = {"dw.weight": ((d, 1, s, s, s), "conv"),
-              "dw.bias": ((d,), "zeros"),
-              "g_kv.weight": ((d, d // g, 1, 1, 1), "conv"),
-              "g_kv.bias": ((d,), "zeros")}
-    for ln_name in ("ln_kv", "ln1", "ln2"):
-        shapes[f"{ln_name}.gamma"] = ((d,), "ones")
-        shapes[f"{ln_name}.beta"] = ((d,), "zeros")
-    for lin_name, out_dim, in_dim in (("proj_k", d, d), ("proj_v", d, d),
-                                      ("proj_out", d, d), ("ffn1", e * d, d),
-                                      ("ffn2", d, e * d)):
-        kind = "key" if lin_name == "proj_k" else "weight"
-        shapes[f"{lin_name}.weight"] = ((out_dim, in_dim), kind)
-        shapes[f"{lin_name}.bias"] = ((out_dim,), "zeros")
+    shapes = {}
+
+    def record(name, shape, kind):
+        shapes[name] = (shape, kind)
+
+    cemsa_params(cfg, record)
     return shapes
 
 
@@ -131,25 +157,7 @@ def init_array(shape, kind, rng: np.random.Generator) -> np.ndarray:
 
 def bind_cemsa_params(cfg: CemsaConfig, prefix: str, tensors) -> CemsaParams:
     """Assemble the structured view over a name -> Tensor mapping."""
-
-    def t(name):
-        return tensors[f"{prefix}.{name}"]
-
-    def ln(name):
-        return LayerNormParams(gamma=t(f"{name}.gamma"), beta=t(f"{name}.beta"))
-
-    def lin(name):
-        return LinearParams(weight=t(f"{name}.weight"), bias=t(f"{name}.bias"))
-
-    return CemsaParams(
-        dw=Conv3dParams(t("dw.weight"), t("dw.bias"), stride=1,
-                        padding=cfg.kernel // 2, groups=cfg.dim),
-        g_kv=Conv3dParams(t("g_kv.weight"), t("g_kv.bias"),
-                          stride=1, padding=0, groups=cfg.groups),
-        ln_kv=ln("ln_kv"), proj_k=lin("proj_k"), proj_v=lin("proj_v"),
-        proj_out=lin("proj_out"), ln1=ln("ln1"), ln2=ln("ln2"),
-        ffn1=lin("ffn1"), ffn2=lin("ffn2"),
-    )
+    return cemsa_params(cfg, lambda name, shape, kind: tensors[f"{prefix}.{name}"])
 
 
 def tokens_to_volume(x: Tensor, spatial_shape) -> Tensor:
@@ -232,20 +240,11 @@ def count_flops(cfg: CemsaConfig) -> int:
     return n * weights + 2 * n * n * cfg.dim
 
 
-def msa_count_parameters(dim: int, ffn_expansion: int = 4,
-                         breakdown: bool = False):
+def msa_count_parameters(dim: int, ffn_expansion: int = 4) -> int:
     """Companion count for a standard MSA block at the same embedding dim.
 
-    Three dim x dim input projections, one output projection, and the
-    feed-forward pair; layer norms are tallied separately.
+    Three dim x dim input projections, one output projection, the
+    feed-forward pair, and two layer norms.
     """
     d, e = dim, ffn_expansion
-    parts = {
-        "qkv": 3 * (d * d + d),
-        "proj_out": d * d + d,
-        "ffn": (e * d * d + e * d) + (d * e * d + d),
-        "ln": 4 * d,
-    }
-    total = sum(parts.values())
-    return (total, parts) if breakdown else total
-
+    return 4 * (d * d + d) + (e * d * d + e * d) + (d * e * d + d) + 4 * d

@@ -257,7 +257,7 @@ def cmd_count(args) -> int:
             blk = cfg.cemsa_config(i)
             cemsa_total = count_parameters(blk)
             gconv_shape, _ = cemsa_param_shapes(blk)["g_kv.weight"]
-            msa_total = msa_count_parameters(blk.dim)
+            msa_total = msa_count_parameters(blk.dim, blk.ffn_expansion)
             stages.append({
                 "stage": i + 1,
                 "dim": blk.dim,

@@ -17,8 +17,10 @@ at 1/16. Once Adam has grown those weights, it is large enough that single
 pairs push out rough fields several times the usual size.
 
 Stage dims are C, 2C, 4C. Parameters live in a flat, insertion-ordered
-name -> Tensor bag; the structured views used by the forward pass are bound
-on top of it, which is also how checkpoints are read back.
+name -> Tensor bag. One walk declares every parameter and puts the tensor a
+source gives back into the slot the forward pass reads; drawing a fresh init,
+reading a checkpoint and binding an existing name -> Tensor map are its three
+sources.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from .binio import Reader, write_record
 from .cemsa import (
     CemsaConfig,
     LayerNormParams,
-    bind_cemsa_params,
     cemsa_block,
-    cemsa_param_shapes,
+    cemsa_params,
     count_flops,
     init_array,
     tokens_to_volume,
@@ -167,7 +168,7 @@ def _decoder_uses_deconv(cfg: ModelConfig) -> bool:
 class ExpandParams:
     lin1: LinearParams  # C -> 2C
     lin2: LinearParams  # C/4 -> C/2
-    norm: LayerNormParams | None = None  # over C/2, applied by the model
+    norm: LayerNormParams  # over C/2, applied by the model
 
 
 @dataclass
@@ -209,13 +210,20 @@ class SymTransParams:
     flow: Conv3dParams
 
 
-# the network walked once: name -> (shape, init kind) in declaration order,
-# and learnable scalars and forward multiply-accumulates per top-level module
-_Layout = namedtuple("_Layout", "shapes params macs")
+# the network walked once: the structured view over whatever the source gave
+# back, name -> (shape, init kind) in declaration order, and learnable scalars
+# and forward multiply-accumulates per top-level module
+_Layout = namedtuple("_Layout", "view shapes params macs")
 
 
-def _model_layout(cfg: ModelConfig) -> _Layout:
-    """Declare every parameter in order, with the positions its weight runs at.
+def _model_layout(cfg: ModelConfig, source) -> _Layout:
+    """Declare every parameter in order and bind what ``source`` gives back.
+
+    ``source(name, shape, init_kind)`` is called once per parameter, in
+    declaration order, and its return value fills the slot the forward pass
+    reads. Call arguments are evaluated left to right, so the order below is
+    the declaration order. Every conv pads by ``k // 2``; its stride is given
+    where it is declared.
 
     A weight applied at n positions costs n times its size in MACs: a conv
     runs at its output voxels, a transposed conv and the first patch-expanding
@@ -230,135 +238,97 @@ def _model_layout(cfg: ModelConfig) -> _Layout:
     enc_tf, dec_tf = transformer_depths(cfg)
     enc_cv, dec_cv = conv_depths(cfg)
     deconv_dec = _decoder_uses_deconv(cfg)
-    out = _Layout(OrderedDict(), OrderedDict(), OrderedDict())
+    shapes, counts, macs = OrderedDict(), OrderedDict(), OrderedDict()
 
-    def tally(name, params, macs):
+    def tally(name, params, mac):
         top = name.split(".")[0]
-        out.params[top] = out.params.get(top, 0) + params
-        out.macs[top] = out.macs.get(top, 0) + macs
+        counts[top] = counts.get(top, 0) + params
+        macs[top] = macs.get(top, 0) + mac
 
     def param(name, shape, kind, at=0):
-        out.shapes[name] = (shape, kind)
+        shapes[name] = (shape, kind)
         tally(name, math.prod(shape), at * math.prod(shape))
+        return source(name, shape, kind)
 
     def layer(name, shape, kind, at, out_axis=0):  # a weight and its bias
-        param(f"{name}.weight", shape, kind, at)
-        param(f"{name}.bias", (shape[out_axis],), "zeros")
+        return (param(f"{name}.weight", shape, kind, at),
+                param(f"{name}.bias", (shape[out_axis],), "zeros"))
 
-    def conv(name, cout, cin, kk, at, kind="conv"):
-        layer(name, (cout, cin, kk, kk, kk), kind, at)
+    def conv(name, cout, cin, kk, at, stride=1, kind="conv"):
+        return Conv3dParams(*layer(name, (cout, cin, kk, kk, kk), kind, at),
+                            stride=stride, padding=kk // 2)
 
     def norm(name, dim):
-        param(f"{name}.gamma", (dim,), "ones")
-        param(f"{name}.beta", (dim,), "zeros")
+        return LayerNormParams(param(f"{name}.gamma", (dim,), "ones"),
+                               param(f"{name}.beta", (dim,), "zeros"))
 
     def expand(name, cin, at):
         if deconv_dec:
-            layer(f"{name}.deconv", (cin, cin // 2, 2, 2, 2), "conv", at, out_axis=1)
-        else:
-            # trunk upsamplers, not in-block projections: fan-in scaled so the
-            # decoder path carries signal from the first iteration
-            layer(f"{name}.lin1", (2 * cin, cin), "conv", at)
-            layer(f"{name}.lin2", (cin // 2, cin // 4), "conv", 8 * at)
-            norm(f"{name}.norm", cin // 2)
+            return DeconvParams(*layer(f"{name}.deconv", (cin, cin // 2, 2, 2, 2),
+                                       "conv", at, out_axis=1))
+        # trunk upsamplers, not in-block projections: fan-in scaled so the
+        # decoder path carries signal from the first iteration
+        return ExpandParams(
+            lin1=LinearParams(*layer(f"{name}.lin1", (2 * cin, cin), "conv", at)),
+            lin2=LinearParams(*layer(f"{name}.lin2", (cin // 2, cin // 4), "conv",
+                                     8 * at)),
+            norm=norm(f"{name}.norm", cin // 2))
 
-    def stage_blocks(prefix, stage, tf_depth, cv_depth):
+    def block(prefix, blk_cfg):
+        tally(prefix, 0, count_flops(blk_cfg))
+        return cemsa_params(blk_cfg, lambda rel, shape, kind:
+                            param(f"{prefix}.{rel}", shape, kind))
+
+    def stage_blocks(prefix, stage, tf_depth, cv_depth):  # stage fields
         blk_cfg = cfg.cemsa_config(stage)
-        for b in range(tf_depth):
-            for rel, (shape, kind) in cemsa_param_shapes(blk_cfg).items():
-                param(f"{prefix}.block{b}.{rel}", shape, kind)
-            tally(prefix, 0, count_flops(blk_cfg))
-        for b in range(cv_depth):
-            conv(f"{prefix}.conv{b}", dims[stage], dims[stage], 3, stages[stage])
-
-    conv("stem.conv0", c // 2, 2, 3, full)
-    conv("stem.down1", c, c // 2, 3, half)
-    conv("stem.conv1", c, c, 3, half)
+        return dict(
+            blocks=[block(f"{prefix}.block{b}", blk_cfg) for b in range(tf_depth)],
+            convs=[conv(f"{prefix}.conv{b}", dims[stage], dims[stage], 3,
+                        stages[stage]) for b in range(cv_depth)],
+            cemsa=blk_cfg)
 
     embed_in = (c, dims[0], dims[1])
-    for i in range(3):
-        conv(f"enc{i + 1}.embed", dims[i], embed_in[i], cfg.patch_kernel, stages[i],
-             kind="weight")
-        norm(f"enc{i + 1}.embed_norm", dims[i])
-        stage_blocks(f"enc{i + 1}", i, enc_tf[i], enc_cv[i])
+    enc_names = ("enc1", "enc2", "enc3")
+    dec_names = ("dec3", "dec2", "dec1")  # decoder stages, bottom (1/16) upward
+    view = SymTransParams(
+        stem_conv0=conv("stem.conv0", c // 2, 2, 3, full),
+        stem_down1=conv("stem.down1", c, c // 2, 3, half, stride=2),
+        stem_conv1=conv("stem.conv1", c, c, 3, half),
+        enc=[EncoderStage(
+            embed=conv(f"{name}.embed", dims[i], embed_in[i], cfg.patch_kernel,
+                       stages[i], stride=2, kind="weight"),
+            embed_norm=norm(f"{name}.embed_norm", dims[i]),
+            **stage_blocks(name, i, enc_tf[i], enc_cv[i]),
+        ) for i, name in enumerate(enc_names)],
+        dec=[DecoderStage(
+            # the 1/16 stage sits on the bottleneck; the others fuse a
+            # skip concatenated onto the expanded decoder volume
+            fuse=conv(f"{name}.fuse", dims[stage], dims[stage + 1], 3,
+                      stages[stage]) if j else None,
+            **stage_blocks(name, stage, dec_tf[j], dec_cv[j]),
+            expand=expand(f"{name}.expand", dims[stage], stages[stage]),
+        ) for j, (name, stage) in enumerate(zip(dec_names, (2, 1, 0)))],
+        fuse_half=conv("dec0.fuse", c, c // 2 + c, 3, half),  # half-res decode
+        expand_half=expand("dec0.expand", c, half),
+        fuse_full=conv("out.fuse", c // 2, c, 3, full),  # full-res decode
+        flow=conv("out.flow", 3, c // 2, 3, full, kind="flow"),
+    )
+    return _Layout(view, shapes, counts, macs)
 
-    # decoder transformer-level stages, bottom (1/16) upward
-    stage_blocks("dec3", 2, dec_tf[0], dec_cv[0])
-    expand("dec3.expand", dims[2], stages[2])
-    conv("dec2.fuse", dims[1], dims[2], 3, stages[1])  # 2C + 2C concatenated
-    stage_blocks("dec2", 1, dec_tf[1], dec_cv[1])
-    expand("dec2.expand", dims[1], stages[1])
-    conv("dec1.fuse", dims[0], dims[1], 3, stages[0])
-    stage_blocks("dec1", 0, dec_tf[2], dec_cv[2])
-    expand("dec1.expand", dims[0], stages[0])
 
-    conv("dec0.fuse", c, c // 2 + c, 3, half)  # half-res conv decode level
-    expand("dec0.expand", c, half)
-    conv("out.fuse", c // 2, c, 3, full)  # full-res conv decode level
-    conv("out.flow", 3, c // 2, 3, full, kind="flow")
-    return out
+def _declare(name, shape, kind):
+    """Source for a walk that only declares: every slot is left empty."""
+    return None
 
 
 def model_param_shapes(cfg: ModelConfig) -> "OrderedDict[str, tuple]":
     """Flat name -> (shape, init kind) map, in declaration order."""
-    return _model_layout(cfg).shapes
+    return _model_layout(cfg, _declare).shapes
 
 
 def bind_model_params(cfg: ModelConfig, tensors) -> SymTransParams:
-    c = cfg.base_dim
-    enc_tf, dec_tf = transformer_depths(cfg)
-    enc_cv, dec_cv = conv_depths(cfg)
-    deconv_dec = _decoder_uses_deconv(cfg)
-
-    def conv(name, stride, padding):
-        return Conv3dParams(tensors[f"{name}.weight"], tensors[f"{name}.bias"],
-                            stride=stride, padding=padding)
-
-    def lin(name):
-        return LinearParams(tensors[f"{name}.weight"], tensors[f"{name}.bias"])
-
-    def norm(name):
-        return LayerNormParams(tensors[f"{name}.gamma"], tensors[f"{name}.beta"])
-
-    def expand(name):
-        if deconv_dec:
-            return DeconvParams(tensors[f"{name}.deconv.weight"],
-                                tensors[f"{name}.deconv.bias"])
-        return ExpandParams(lin1=lin(f"{name}.lin1"), lin2=lin(f"{name}.lin2"),
-                            norm=norm(f"{name}.norm"))
-
-    def stage_blocks(prefix, stage, tf_depth, cv_depth):
-        blk_cfg = cfg.cemsa_config(stage)
-        blocks = [bind_cemsa_params(blk_cfg, f"{prefix}.block{b}", tensors)
-                  for b in range(tf_depth)]
-        convs = [conv(f"{prefix}.conv{b}", 1, 1) for b in range(cv_depth)]
-        return blocks, convs, blk_cfg
-
-    pk = cfg.patch_kernel
-    enc = []
-    for i in range(3):
-        blocks, convs, blk_cfg = stage_blocks(f"enc{i + 1}", i, enc_tf[i], enc_cv[i])
-        enc.append(EncoderStage(embed=conv(f"enc{i + 1}.embed", 2, pk // 2),
-                                embed_norm=norm(f"enc{i + 1}.embed_norm"),
-                                blocks=blocks, convs=convs, cemsa=blk_cfg))
-
-    dec = []
-    for j, (name, stage) in enumerate((("dec3", 2), ("dec2", 1), ("dec1", 0))):
-        blocks, convs, blk_cfg = stage_blocks(name, stage, dec_tf[j], dec_cv[j])
-        fuse = None if j == 0 else conv(f"{name}.fuse", 1, 1)
-        dec.append(DecoderStage(fuse=fuse, blocks=blocks, convs=convs,
-                                expand=expand(f"{name}.expand"), cemsa=blk_cfg))
-
-    return SymTransParams(
-        stem_conv0=conv("stem.conv0", 1, 1),
-        stem_down1=conv("stem.down1", 2, 1),
-        stem_conv1=conv("stem.conv1", 1, 1),
-        enc=enc, dec=dec,
-        fuse_half=conv("dec0.fuse", 1, 1),
-        expand_half=expand("dec0.expand"),
-        fuse_full=conv("out.fuse", 1, 1),
-        flow=conv("out.flow", 1, 1),
-    )
+    """Assemble the structured view over a name -> Tensor mapping."""
+    return _model_layout(cfg, lambda name, shape, kind: tensors[name]).view
 
 
 def init_model_params(cfg: ModelConfig, rng: np.random.Generator):
@@ -374,20 +344,20 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator):
     head starts near zero, so the initial field is near-identity.
     """
     bag = ParamBag()
-    for name, (shape, kind) in model_param_shapes(cfg).items():
-        bag.add(name, init_array(shape, kind, rng))
-    return bag, bind_model_params(cfg, bag.tensors)
+    layout = _model_layout(cfg, lambda name, shape, kind:
+                           bag.add(name, init_array(shape, kind, rng)))
+    return bag, layout.view
 
 
 def model_count_parameters(cfg: ModelConfig, by_module: bool = False):
     """Exact learnable-scalar total (optionally grouped by top-level module)."""
-    params = _model_layout(cfg).params
+    params = _model_layout(cfg, _declare).params
     return params if by_module else sum(params.values())
 
 
 def model_count_flops(cfg: ModelConfig, by_module: bool = False):
     """Forward-pass MAC count (optionally grouped by top-level module)."""
-    macs = _model_layout(cfg).macs
+    macs = _model_layout(cfg, _declare).macs
     return macs if by_module else sum(macs.values())
 
 
@@ -521,11 +491,14 @@ def load_checkpoint(path):
         except ValueError as e:
             raise r.fail(f"bad model config: {e}") from None
         bag = ParamBag()
-        for name, (shape, _) in model_param_shapes(cfg).items():
+
+        def read(name, shape, kind):
             found = r.name("parameter name"), r.shape(f"parameter {name!r}")
             if found != (name, tuple(shape)):
                 raise r.fail(f"expected parameter {name!r} of shape {tuple(shape)}, "
                              f"found {found[0]!r} of shape {found[1]}")
-            bag.add(name, r.float32(shape, f"parameter {name!r} data"))
+            return bag.add(name, r.float32(shape, f"parameter {name!r} data"))
+
+        params = _model_layout(cfg, read).view
         r.end("the final parameter")
-    return cfg, bag, bind_model_params(cfg, bag.tensors)
+    return cfg, bag, params

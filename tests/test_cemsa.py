@@ -4,9 +4,9 @@ import pytest
 from symtrans import tensor as T
 from symtrans.cemsa import (
     CemsaConfig,
-    bind_cemsa_params,
     cemsa_block,
     cemsa_param_shapes,
+    cemsa_params,
     cemsa_qkv,
     clamp_kernel,
     count_flops,
@@ -31,9 +31,8 @@ def toy_cfg(shape=(3, 3, 3), dim=8, heads=2, s=3):
 def build_block(cfg, seed=0):
     bag = ParamBag()
     rng = np.random.default_rng(seed)
-    for name, (shape, kind) in cemsa_param_shapes(cfg).items():
-        bag.add(f"blk.{name}", init_array(shape, kind, rng))
-    return bag, bind_cemsa_params(cfg, "blk", bag.tensors)
+    return bag, cemsa_params(cfg, lambda name, shape, kind:
+                             bag.add(f"blk.{name}", init_array(shape, kind, rng)))
 
 
 def randomize(bag, seed, std=0.3):
@@ -264,10 +263,11 @@ def test_count_parameters_matches_built_block():
 
 
 def test_msa_closed_form_count():
-    # 4*(8*8+8) + (8*32+32) + (32*8+8) = 840 for the attn+FFN part at dim 8
-    total, parts = msa_count_parameters(8, breakdown=True)
-    assert parts["qkv"] + parts["proj_out"] + parts["ffn"] == 840
-    assert total == 840 + parts["ln"]
+    # 4*(8*8+8) + (8*32+32) + (32*8+8) = 840 for the attn+FFN part at dim 8,
+    # plus 4*8 for the two layer norms
+    assert msa_count_parameters(8) == 840 + 4 * 8
+    # 4*(8*8+8) + (8*16+16) + (16*8+8) = 568 at expansion 2
+    assert msa_count_parameters(8, 2) == 568 + 4 * 8
 
 
 def test_cemsa_fewer_params_than_msa_at_large_dim_small_kernel():

@@ -376,6 +376,21 @@ def test_count_compare_msa(capsys):
             stage["gconv_weight_params_dense"]
 
 
+def test_count_compare_msa_follows_ffn_expansion(tmp_path, capsys):
+    # the MSA block compared against must use the config's expansion too
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"ffn_expansion": 2}))
+    code, stdout, _ = run(["count", "--config", str(cfg), "--compare-msa", "--json"],
+                          capsys)
+    assert code == 0
+    stages = json.loads(stdout.strip().splitlines()[-1])["msa_comparison"]
+    # 4*(8*8+8) + (8*16+16) + (16*8+8) + 4*8 at dim 8, expansion 2
+    assert stages[0]["msa_params"] == 600
+    for stage in stages:
+        d = stage["dim"]
+        assert stage["msa_params"] == 4 * (d * d + d) + (4 * d * d + 3 * d) + 4 * d
+
+
 def test_count_placements_differ(capsys):
     totals = {}
     for placement in ("symmetric", "bottom_only"):

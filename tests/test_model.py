@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from symtrans import tensor as T
-from symtrans.cemsa import volume_to_tokens
+from symtrans.cemsa import LayerNormParams, volume_to_tokens
 from symtrans.configio import ConfigError, from_dict
 from symtrans.model import (
     CheckpointError,
@@ -104,6 +106,12 @@ def test_patch_embed_values_vs_conv_oracle():
     np.testing.assert_allclose(tokens.data, ref.reshape(3, 8).T, atol=1e-9)
 
 
+def _unit_norm(dim):
+    # patch_expand leaves its norm to the decoder; the slot is still required
+    return LayerNormParams(Tensor(np.ones(dim, np.float32)),
+                           Tensor(np.zeros(dim, np.float32)))
+
+
 def _identity_expand(c_in):
     # lin1 replicates channel 0 into every slot; lin2 sums its inputs
     w1 = np.zeros((2 * c_in, c_in), np.float32)
@@ -112,6 +120,7 @@ def _identity_expand(c_in):
     return ExpandParams(
         lin1=LinearParams(Tensor(w1), Tensor(np.zeros(2 * c_in, np.float32))),
         lin2=LinearParams(Tensor(w2), Tensor(np.zeros(c_in // 2, np.float32))),
+        norm=_unit_norm(c_in // 2),
     )
 
 
@@ -124,6 +133,7 @@ def test_patch_expand_shape_contract():
                           bag.add("l1.b", np.zeros(16))),
         lin2=LinearParams(bag.add("l2.w", rng.normal(size=(4, 2))),
                           bag.add("l2.b", np.zeros(4))),
+        norm=_unit_norm(4),
     )
     out = patch_expand(x, (2, 2, 2), p)
     assert out.shape == (64, 4)
@@ -162,7 +172,7 @@ def test_patch_expand_gradcheck():
 
     def build(lv):
         p = ExpandParams(lin1=LinearParams(lv["w1"], lv["b1"]),
-                         lin2=LinearParams(lv["w2"], lv["b2"]))
+                         lin2=LinearParams(lv["w2"], lv["b2"]), norm=_unit_norm(2))
         out = patch_expand(lv["x"], (2, 2, 2), p)
         return T.mean_all(T.mul(out, out))
 
@@ -305,8 +315,38 @@ def test_all_placements_same_output_shape():
     for placement in ("symmetric", "encoder_only", "decoder_only", "bottom_only"):
         cfg = tiny_cfg(placement=placement)
         bag, params = init_model_params(cfg, np.random.default_rng(8))
-        shapes.add(forward(m, f, params, cfg).shape)
+        out = forward(m, f, params, cfg)
+        shapes.add(out.shape)
+        # every declared parameter is bound into the forward pass. Gradients
+        # may be exactly zero: the one-token 1/16 stage gives proj_k none.
+        T.mean_all(T.mul(out, out)).backward()
+        for name, t in bag.items():
+            assert t.grad is not None, (placement, name)
+            assert np.all(np.isfinite(t.grad)), (placement, name)
     assert shapes == {(3, 16, 16, 16)}
+
+
+# sha256 over (name, float32 bytes) of every parameter in declaration order,
+# from init_model_params(tiny_cfg(placement=p), default_rng(8)). A change
+# that moves one changes the names, order, shapes or init draws, which is a
+# behaviour change: it must say so and update the digest.
+INIT_DIGESTS = {
+    "symmetric": "0d98634af16977ba6f64eda7afbe2aecd4f28b45c3ce08fc5d63cf4326235339",
+    "encoder_only": "093ce959f797bec2e7226d3fab7208d2036fe63d8b24b28440bbc151c3a68cf5",
+    "decoder_only": "eb45582cc63b81a26d93e485d485d7084654df683ca9a10639896a9253ac68ee",
+    "bottom_only": "6314e0fd6a7cedda0c327a6dbdd641adf8b73109bad29b81a3905cb764600faf",
+}
+
+
+@pytest.mark.parametrize("placement", sorted(INIT_DIGESTS))
+def test_declaration_and_init_bytes_are_pinned(placement):
+    bag, _ = init_model_params(tiny_cfg(placement=placement),
+                               np.random.default_rng(8))
+    digest = hashlib.sha256()
+    for name, t in bag.items():
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(t.data, np.float32).tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[placement]
 
 
 def test_count_parameters_additive_and_matches_bag():
