@@ -191,6 +191,12 @@ def cemsa_qkv(x: Tensor, cfg: CemsaConfig, p: CemsaParams):
     return q, linear(kv, p.proj_k), linear(kv, p.proj_v)
 
 
+# Bytes of attention scores live at once per head. Larger score matrices are
+# computed in blocks of query rows: each row's softmax is independent, so the
+# blocked result is exact, and the n x n matrix is never held whole.
+SCORE_BLOCK_BYTES = 4 << 20
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          proj_out: LinearParams | None = None) -> Tensor:
     n, dm = q.shape
@@ -198,13 +204,19 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         raise ValueError(f"dim {dm} not divisible by heads {heads}")
     dk = dm // heads
     scale = 1.0 / np.sqrt(dk)
+    rows = max(1, SCORE_BLOCK_BYTES // (k.shape[0] * q.data.itemsize))
     outputs = []
     for h in range(heads):
         qh = T.narrow(q, 1, h * dk, dk)
         kh = T.narrow(k, 1, h * dk, dk)
         vh = T.narrow(v, 1, h * dk, dk)
-        scores = T.scalar_mul(T.matmul(qh, T.transpose2d(kh)), scale)
-        outputs.append(T.matmul(T.softmax_lastdim(scores), vh))
+        kt = T.transpose2d(kh)
+        blocks = []
+        for start in range(0, n, rows):
+            qb = qh if rows >= n else T.narrow(qh, 0, start, min(rows, n - start))
+            scores = T.scalar_mul(T.matmul(qb, kt), scale)
+            blocks.append(T.matmul(T.softmax_lastdim(scores), vh))
+        outputs.append(blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0))
     merged = outputs[0] if heads == 1 else T.concat(outputs, axis=1)
     return merged if proj_out is None else linear(merged, proj_out)
 

@@ -156,6 +156,27 @@ def _read_image(path):
     return data
 
 
+def _read_label_pair(args, extents, against):
+    """Both label maps as ``register``/``metrics_report`` keywords, or none.
+
+    Each map must have the given extents; a mismatch names its file.
+    """
+    if bool(args.moving_labels) != bool(args.fixed_labels):
+        raise CliError("provide both --moving-labels and --fixed-labels or neither",
+                       EXIT_USAGE)
+    if not args.moving_labels:
+        return {}
+    labels = {}
+    for key in ("moving_labels", "fixed_labels"):
+        path = getattr(args, key)
+        labels[key] = read_labels(path)
+        if labels[key].shape != tuple(extents):
+            raise CliError(
+                f"{path}: label extents {labels[key].shape} do not match the "
+                f"{against} extents {tuple(extents)}", EXIT_USAGE)
+    return labels
+
+
 def cmd_register(args) -> int:
     moving = _read_image(args.moving)
     fixed = _read_image(args.fixed)
@@ -164,18 +185,14 @@ def cmd_register(args) -> int:
         raise CliError(
             f"volume shapes {moving.shape}/{fixed.shape} do not match the "
             f"checkpoint input shape {(1,) + cfg.input_shape}", EXIT_USAGE)
+    labels = _read_label_pair(args, cfg.input_shape, "volume")
     mode = {"disp": "displacement", "diff": "diffeomorphic"}[args.mode]
     loss_cfg = LossConfig(lambda_reg=args.lambda_reg)
-    kwargs = {}
     inputs = [args.moving, args.fixed, args.checkpoint]
-    if args.moving_labels:
-        kwargs["moving_labels"] = read_labels(args.moving_labels)
-        inputs.append(args.moving_labels)
-    if args.fixed_labels:
-        kwargs["fixed_labels"] = read_labels(args.fixed_labels)
-        inputs.append(args.fixed_labels)
+    if labels:
+        inputs += [args.moving_labels, args.fixed_labels]
     u, warped, metrics = register(moving, fixed, params, cfg, mode=mode,
-                                  loss_cfg=loss_cfg, **kwargs)
+                                  loss_cfg=loss_cfg, **labels)
     outputs = []
     if args.out_field:
         write_svol(args.out_field, u, KIND_DISPLACEMENT)
@@ -194,20 +211,9 @@ def cmd_register(args) -> int:
 
 def cmd_eval(args) -> int:
     u, kind = read_field(args.field)
+    labels = _read_label_pair(args, u.shape[1:], "field")
     if kind == KIND_VELOCITY:
         u = integrate(Tensor(u), IntegrationConfig()).data
-    labels = {}
-    if bool(args.moving_labels) != bool(args.fixed_labels):
-        raise CliError("provide both --moving-labels and --fixed-labels or neither",
-                       EXIT_USAGE)
-    if args.moving_labels:
-        lm = read_labels(args.moving_labels)
-        lf = read_labels(args.fixed_labels)
-        if lm.shape != u.shape[1:] or lf.shape != u.shape[1:]:
-            raise CliError(
-                f"label extents {lm.shape}/{lf.shape} do not match the field "
-                f"extents {u.shape[1:]}", EXIT_USAGE)
-        labels = {"moving_labels": lm, "fixed_labels": lf}
     metrics = metrics_report(u, None, **labels)
     det, _ = jacobian_determinant(u)
     metrics["det_interior_mean"] = float(det[1:-1, 1:-1, 1:-1].mean())

@@ -5,10 +5,13 @@ registers its own forward/backward pair through :func:`make_op`). Two scalar
 precisions are supported as a tensor-level attribute: ``float32`` (standard,
 used for training) and ``float64`` (wide, used for gradient checks and
 oracles). Binary ops require matching dtypes and matching shapes; the only
-implicit broadcast is scalar-with-tensor.
+implicit broadcast is scalar-with-tensor. Inside :func:`no_grad` the ops
+compute the same values but record no tape.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy.special import erf
@@ -130,14 +133,33 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+_taping = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block, whatever the inputs require.
+
+    Op results are constants: no parents, no backward rule, and so nothing
+    keeps the intermediate arrays alive. The previous state comes back on
+    exit, also when the block raises.
+    """
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
 def make_op(parents, out_data, backward_rule) -> Tensor:
     """Wrap an op result into the graph.
 
     ``backward_rule(out_grad) -> tuple of parent grads (or None)`` is only
-    attached when some parent requires a gradient.
+    attached when some parent requires a gradient and taping is on.
     """
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
+    if _taping and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_rule = backward_rule
@@ -230,7 +252,7 @@ def gelu(x: Tensor) -> Tensor:
     """Exact (erf-form) GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     xd = x.data
     phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = (xd * phi).astype(x.dtype)
+    out = (xd * phi).astype(x.dtype, copy=False)
 
     def rule(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
@@ -266,7 +288,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         dot = np.sum(g * s, axis=-1, keepdims=True)
         return (s * (g - dot),)
 
-    return make_op((x,), s.astype(x.dtype), rule)
+    return make_op((x,), s.astype(x.dtype, copy=False), rule)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -294,7 +316,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx.astype(x.dtype), dgamma, dbeta
 
-    return make_op((x, gamma, beta), out.astype(x.dtype), rule)
+    return make_op((x, gamma, beta), out.astype(x.dtype, copy=False), rule)
 
 
 def reshape(x: Tensor, new_shape) -> Tensor:

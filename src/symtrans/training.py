@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from . import tensor as T
 from .binio import Reader, write_record
 from .configio import finite, integer, sequence
 from .deformation import jacobian_determinant, warp
@@ -382,16 +383,18 @@ def write_curve(path, curve):
 def register(moving: np.ndarray, fixed: np.ndarray, params, cfg: ModelConfig,
              mode: str | None = None, loss_cfg: LossConfig | None = None,
              moving_labels=None, fixed_labels=None):
-    """Single registration pass: field, warped volume, and a metrics bundle.
+    """Single forward-only registration pass: field, warped volume, metrics.
 
-    The loss components are training's objective on this pair.
+    No tape is recorded, whether or not ``params`` require gradients, so the
+    intermediate arrays are freed as soon as the next op has read them. The
+    loss components are training's objective on this pair.
     """
     mode = mode or cfg.mode
     loss_cfg = loss_cfg or LossConfig()
     moving_t, fixed_t = Tensor(moving), Tensor(fixed)
-    raw = forward(moving_t, fixed_t, params, cfg)
-    # the loss tensor is not kept: its graph would stay alive through the metrics
-    components, u, warped = total_loss(moving_t, fixed_t, raw, loss_cfg, mode)[1:]
+    with T.no_grad():
+        raw = forward(moving_t, fixed_t, params, cfg)
+        _, components, u, warped = total_loss(moving_t, fixed_t, raw, loss_cfg, mode)
     metrics = metrics_report(u.data, components,
                              moving_labels=moving_labels,
                              fixed_labels=fixed_labels)

@@ -283,7 +283,7 @@ def oracle_suite(instances: int = 20):
     checks.append(("oracle.conv3d", worst < ORACLE_TOL,
                    f"{instances} instances, max abs diff {worst:.2e}"))
 
-    from .cemsa import multi_head_attention
+    from .cemsa import SCORE_BLOCK_BYTES, multi_head_attention
 
     worst = 0.0
     for i in range(instances):
@@ -299,6 +299,22 @@ def oracle_suite(instances: int = 20):
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.attention", worst < ORACLE_TOL,
                    f"{instances} instances, max abs diff {worst:.2e}"))
+
+    # enough keys that each head's rows split into several score blocks, the
+    # last one ragged; the oracle runs on the first and last row of each block
+    n, heads = 2304, 2
+    rows = SCORE_BLOCK_BYTES // (n * 8)  # float64 scores
+    q, k, v = np.random.default_rng(31).normal(size=(3, n, 8))
+    out = multi_head_attention(Tensor(q, dtype=np.float64), Tensor(k, dtype=np.float64),
+                               Tensor(v, dtype=np.float64), heads)
+    probe = np.unique(np.r_[0:n:rows, rows - 1:n:rows, n - 1])
+    worst = float(np.max(np.abs(out.data[probe]
+                                - attention_reference(q[probe], k, v, heads))))
+    blocks = -(-n // rows)
+    checks.append(("oracle.attention_row_blocks",
+                   worst < ORACLE_TOL and blocks > 1 and n % rows > 0,
+                   f"{n} tokens in {blocks} row blocks of {rows}, "
+                   f"max abs diff {worst:.2e} on {probe.size} rows"))
 
     worst = 0.0
     for i in range(instances):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from symtrans import cemsa
 from symtrans import tensor as T
 from symtrans.cemsa import (
+    SCORE_BLOCK_BYTES,
     CemsaConfig,
     cemsa_block,
     cemsa_param_shapes,
@@ -197,6 +199,67 @@ def test_attention_rows_are_probability_vectors():
     attn = T.softmax_lastdim(scores)
     assert np.all(attn.data >= 0)
     np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-6)
+
+
+def taped_nodes(out):
+    nodes, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if node._backward_rule is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_attention_at_32_cubed_tokens_is_one_block_per_head():
+    # 512 float32 tokens fit one score block: per head, three column narrows,
+    # one transpose, two matmuls, the scale and the softmax; then one concat
+    rng = np.random.default_rng(16)
+    q, k, v = (Tensor(rng.normal(size=(512, 8)), requires_grad=True) for _ in range(3))
+    out = multi_head_attention(q, k, v, heads=2)
+    assert len(taped_nodes(out)) == 2 * 8 + 1
+
+
+def test_attention_in_row_blocks_matches_the_oracle(monkeypatch):
+    # 16 x 16 x 9 tokens: at float64 each head's rows span 11 score blocks,
+    # and the last one is ragged
+    n = 16 * 16 * 9
+    rows = SCORE_BLOCK_BYTES // (n * 8)
+    assert 1 < rows < n and n % rows
+    q, k, v = np.random.default_rng(17).normal(size=(3, n, 8))
+
+    def attend():
+        return multi_head_attention(Tensor(q, dtype=np.float64),
+                                    Tensor(k, dtype=np.float64),
+                                    Tensor(v, dtype=np.float64), heads=2).data
+
+    out = attend()
+    # the direct-formula oracle is slow, so it sees both edges of every
+    # block and the whole ragged block
+    probe = np.unique(np.r_[0:n:rows, rows - 1:n:rows, n - n % rows:n])
+    ref = attention_reference(q[probe], k, v, heads=2)
+    assert np.max(np.abs(out[probe] - ref)) < 1e-5
+    # every row against the same ops with the whole score matrix in one block
+    monkeypatch.setattr(cemsa, "SCORE_BLOCK_BYTES", n * n * 8)
+    np.testing.assert_allclose(out, attend(), rtol=0, atol=1e-12)
+
+
+def test_attention_in_row_blocks_gradcheck():
+    # 8 x 16 x 9 tokens keep each finite difference cheap: three blocks of
+    # 455 rows at float64, the last one ragged
+    n = 8 * 16 * 9
+    assert -(-n // (SCORE_BLOCK_BYTES // (n * 8))) == 3
+    rng = np.random.default_rng(18)
+    leaves = {name: rng.normal(size=(n, 8)) for name in "qkv"}
+    weight = rng.normal(size=(n, 8))
+
+    def build(lv):
+        out = multi_head_attention(lv["q"], lv["k"], lv["v"], heads=2)
+        return T.sum_all(T.mul(out, Tensor(weight, dtype=out.dtype)))
+
+    rep = T.grad_check(build, leaves, coords_per_leaf=6,
+                       rng=np.random.default_rng(0), wide=True)
+    assert rep.max_err() < 1e-6, rep
 
 
 def test_block_identity_when_all_weights_zero():

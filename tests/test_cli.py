@@ -300,6 +300,43 @@ def test_register_shape_mismatch_exit_2(trained, tmp_path, capsys):
     assert "shape" in err
 
 
+def register_argv(tmp_path, out, label_extents=(16, 16, 16)):
+    vol = tmp_path / "vol.svol"
+    write_svol(vol, np.zeros((1, 16, 16, 16), np.float32), KIND_IMAGE)
+    labels = tmp_path / "labels.svol"
+    write_svol(labels, np.ones(label_extents, np.float32), KIND_LABELS)
+    argv = ["register", "--moving", str(vol), "--fixed", str(vol),
+            "--checkpoint", str(out / "checkpoint_000002.symt")]
+    return argv, str(labels)
+
+
+def refuse_forward(*args, **kwargs):
+    raise AssertionError("register ran a forward pass")
+
+
+@pytest.mark.parametrize("flag", ["--moving-labels", "--fixed-labels"])
+def test_register_one_sided_labels_exit_2(trained, tmp_path, capsys, monkeypatch,
+                                          flag):
+    _, _, out = trained
+    argv, labels = register_argv(tmp_path, out)
+    monkeypatch.setattr("symtrans.cli.register", refuse_forward)
+    code, _, err = run(argv + [flag, labels], capsys)
+    assert code == 2
+    assert "provide both --moving-labels and --fixed-labels or neither" in err
+
+
+def test_register_label_extents_mismatch_exit_2(trained, tmp_path, capsys,
+                                                monkeypatch):
+    _, _, out = trained
+    argv, labels = register_argv(tmp_path, out, label_extents=(8, 8, 8))
+    monkeypatch.setattr("symtrans.cli.register", refuse_forward)
+    code, _, err = run(argv + ["--moving-labels", labels, "--fixed-labels", labels],
+                       capsys)
+    assert code == 2
+    assert f"{labels}: label extents (8, 8, 8)" in err
+    assert "(16, 16, 16)" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kv_stride", [None, 1])
 def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_stride):
     # version 2 predates the removal of ModelConfig.kv_stride; its config

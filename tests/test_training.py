@@ -220,10 +220,44 @@ def test_register_reports_the_training_objective():
         raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
         loss, comp, u_loss, warped_loss = total_loss(
             Tensor(moving), Tensor(fixed), raw, cfg.loss, mode)
+        # the same ops with and without a tape give the same bytes
+        assert loss._backward_rule is not None
         assert met["loss"] == float(loss.data)
         assert {k: met[k] for k in comp} == comp
         np.testing.assert_array_equal(u, u_loss.data)
         np.testing.assert_array_equal(warped, warped_loss.data)
+
+
+def test_register_records_no_tape_and_leaves_parameters_trainable(monkeypatch):
+    import symtrans.training as training
+    from symtrans import tensor as T
+    from symtrans.model import forward, init_model_params
+
+    cfg = tiny_train_cfg()
+    bag, params = init_model_params(cfg.model, np.random.default_rng(3))
+    moving, fixed, _, _, _ = generate_pair(cfg.data, pair_rng(1, 0))
+    seen = []
+
+    def spy(moving_t, fixed_t, raw, loss_cfg, mode):
+        result = total_loss(moving_t, fixed_t, raw, loss_cfg, mode)
+        seen.extend([raw, result[0], *result[2:]])
+        return result
+
+    monkeypatch.setattr(training, "total_loss", spy)
+    register(moving, fixed, params, cfg.model, mode="diffeomorphic")
+    assert len(seen) == 4
+    for t in seen:
+        assert not t.requires_grad and t._parents == () and t._backward_rule is None
+    # an unknown mode raises after the forward pass; the tape comes back on
+    with pytest.raises(ValueError, match="mode"):
+        register(moving, fixed, params, cfg.model, mode="affine")
+    for name, t in bag.items():
+        assert t.requires_grad and t.grad is None, name
+    assert forward(Tensor(moving), Tensor(fixed), params,
+                   cfg.model)._backward_rule is not None
+    with T.no_grad():
+        raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
+    assert not raw.requires_grad and raw._parents == () and raw._backward_rule is None
 
 
 def test_train_config_validation():
