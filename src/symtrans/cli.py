@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -2,19 +2,26 @@
 and linear layers.
 
 Convolutions are computed by direct loops over kernel offsets, vectorized over
-voxels with strided views, so the accumulation order is fixed and results are
-deterministic. ``conv3d`` has one formulation for every group count; the only
-branch left is the depthwise weight gradient, which keeps numpy's pairwise
-voxel sum. Volumes are channel-first (C, D, H, W); tokens are (N, dim).
+voxels, so the accumulation order is fixed and results are deterministic.
+``conv3d``'s forward reads each offset's input as contiguous runs (a shift of
+the flat padded grid, or a per-W-tap copy when padding dominates the plane);
+its backward reads strided windows. ``conv3d`` has one formulation for every
+group count; the only branch left is the depthwise weight gradient, which
+keeps numpy's pairwise voxel sum. Volumes are channel-first (C, D, H, W);
+tokens are (N, dim).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Tensor, add_rowvec, make_op, matmul, transpose2d
+
+# Bytes one depth slab of the flat-grid forward's accumulator may hold.
+GRID_SLAB_BYTES = 1 << 18
 
 
 @dataclass
@@ -65,12 +72,77 @@ def _validate_conv(x: Tensor, p: Conv3dParams):
     return out_ch, k, out_spatial
 
 
+def _forward_w_copies(xg, wg, b, out_spatial):
+    """Stride-1 forward for heavy padding: one contiguous copy per W tap.
+
+    Copy c holds ``xg[..., c:c + Wo]`` as (G, C/G, Dp, Hp*Wo), so the window
+    of tap (a, b, c) is one run of Ho*Wo values per output depth, and the
+    taps accumulate straight into the output.
+    """
+    groups, per_group, dp, hp, _ = xg.shape
+    k = wg.shape[-1]
+    do, ho, wo = out_spatial
+    copies = [np.ascontiguousarray(xg[..., c:c + wo]).reshape(
+        groups, per_group, dp, hp * wo) for c in range(k)]
+    out = np.empty((b.shape[0], do, ho, wo), dtype=xg.dtype)
+    out[:] = b[:, None, None, None]
+    outg = out.reshape((groups, -1, do, ho * wo))
+    for a, bb, c in itertools.product(range(k), repeat=3):
+        window = copies[c][:, :, a:a + do, bb * wo:(bb + ho) * wo]
+        outg += np.einsum("goi,gidr->godr", wg[..., a, bb, c], window)
+    return out
+
+
+def _forward_flat(xp, wg, b, st, out_spatial):
+    """Forward with every tap as one unit-stride shift of the flat padded grid.
+
+    At stride s the padded input is split once into s**3 phase copies; tap
+    (a, b, c) then reads phase (a % s, b % s, c % s) shifted by
+    (a // s, b // s, c // s). The taps accumulate on the phase grid's
+    (Hq, Wq) plane in slabs of output depth of at most GRID_SLAB_BYTES (one
+    depth at least), and each slab is cropped to (Ho, Wo); the positions
+    outside are computed and dropped.
+    """
+    groups, per_out = wg.shape[:2]
+    k = wg.shape[-1]
+    do, ho, wo = out_spatial
+    if st == 1:
+        phases = xp[None]
+    else:
+        grid = tuple(-(-e // st) for e in xp.shape[1:])
+        phases = np.zeros((st ** 3, xp.shape[0]) + grid, dtype=xp.dtype)
+        for i, (rd, rh, rw) in enumerate(itertools.product(range(st), repeat=3)):
+            part = xp[:, rd::st, rh::st, rw::st]
+            _, pd, ph, pw = part.shape
+            phases[i, :, :pd, :ph, :pw] = part
+    hq, wq = phases.shape[-2:]
+    plane = hq * wq
+    flat = phases.reshape((st ** 3, groups, -1, phases.shape[2] * plane))
+    out = np.empty((groups * per_out, do, ho, wo), dtype=xp.dtype)
+    slab = max(1, GRID_SLAB_BYTES // (out.shape[0] * plane * out.itemsize))
+    for z0 in range(0, do, slab):
+        nz = min(slab, do - z0)
+        span = (nz - 1) * plane + (ho - 1) * wq + wo
+        acc = np.empty((groups, per_out, nz * plane), dtype=xp.dtype)
+        acc[:] = b.reshape(groups, per_out, 1)
+        run = acc[..., :span]
+        for a, bb, c in itertools.product(range(k), repeat=3):
+            phase = ((a % st) * st + bb % st) * st + c % st
+            start = (z0 + a // st) * plane + (bb // st) * wq + c // st
+            run += np.einsum("goi,gis->gos", wg[..., a, bb, c],
+                             flat[phase, :, :, start:start + span])
+        out[:, z0:z0 + nz] = acc.reshape(-1, nz, hq, wq)[:, :, :ho, :wo]
+    return out
+
+
 def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     """Grouped 3-D convolution; output group g sees only input group g.
 
     Dense (groups 1) and depthwise (groups == channels) are the two ends of
     one formulation: x, weight and output are viewed as (G, C/G, ...) and
-    every kernel offset contracts the per-group channel axis.
+    every kernel offset contracts the per-group channel axis. Each output
+    element is the bias plus one such contraction per tap, added in (a, b, c)
+    order; the geometry only picks the memory layout the taps read from.
     """
     out_ch, k, (do, ho, wo) = _validate_conv(x, p)
     st, pad, groups = p.stride, p.padding, p.groups
@@ -78,24 +150,21 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     wg = w.reshape((groups, out_ch // groups) + w.shape[1:])  # (G, O, I, k, k, k)
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
     xg = xp.reshape((groups, -1) + xp.shape[1:])
-    depthwise = wg.shape[1] == wg.shape[2] == 1
-
-    out = np.empty((out_ch, do, ho, wo), dtype=x.dtype)
-    out[:] = b[:, None, None, None]
-    outg = out.reshape((groups, -1, do, ho, wo))
-    # every kernel offset with the (G, C/G, D, H, W) window it reads
-    taps = [(a, bb, c, (slice(None), slice(None), slice(a, a + st * do, st),
-                        slice(bb, bb + st * ho, st), slice(c, c + st * wo, st)))
-            for a in range(k) for bb in range(k) for c in range(k)]
-    for a, bb, c, sl in taps:
-        outg += np.einsum("goi,gidhw->godhw", wg[..., a, bb, c], xg[sl])
+    if st == 1 and xp.shape[2] * xp.shape[3] > 2 * ho * wo:
+        out = _forward_w_copies(xg, wg, b, (do, ho, wo))
+    else:
+        out = _forward_flat(xp, wg, b, st, (do, ho, wo))
 
     def rule(gy):
-        gyg = gy.reshape(outg.shape)
+        depthwise = wg.shape[1] == wg.shape[2] == 1
+        gyg = gy.reshape((groups, -1, do, ho, wo))
         dwg = np.zeros_like(wg)
         dxg = np.zeros_like(xg)
         db = gy.sum(axis=(1, 2, 3))
-        for a, bb, c, sl in taps:
+        for a, bb, c in itertools.product(range(k), repeat=3):
+            # the (G, C/G, D, H, W) window tap (a, bb, c) read
+            sl = (slice(None), slice(None), slice(a, a + st * do, st),
+                  slice(bb, bb + st * ho, st), slice(c, c + st * wo, st))
             if depthwise:
                 # Pairwise summation over the voxels, not einsum's sequential
                 # one: float32 dw moves by up to 2e-5 otherwise, which alone

@@ -280,9 +280,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis."""
     xd = x.data
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    # exp and normalize in place: the shifted copy is the only temporary
+    s = xd - xd.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
 
     def rule(g):
         dot = np.sum(g * s, axis=-1, keepdims=True)

@@ -283,6 +283,24 @@ def oracle_suite(instances: int = 20):
     checks.append(("oracle.conv3d", worst < ORACLE_TOL,
                    f"{instances} instances, max abs diff {worst:.2e}"))
 
+    # large kernels: a depthwise k=7 conv whose padding is most of its input
+    # plane, and a grouped k=5 conv at stride 2
+    large_rng = np.random.default_rng(31)
+    worst = 0.0
+    for cin, cout, groups, k, stride, extents in ((3, 3, 3, 7, 1, (6, 7, 9)),
+                                                  (4, 6, 2, 5, 2, (7, 6, 8))):
+        x = large_rng.normal(size=(cin,) + extents)
+        w = large_rng.normal(size=(cout, cin // groups, k, k, k))
+        b = large_rng.normal(size=cout)
+        out = conv3d(Tensor(x, dtype=np.float64),
+                     Conv3dParams(Tensor(w, dtype=np.float64),
+                                  Tensor(b, dtype=np.float64),
+                                  stride=stride, padding=k // 2, groups=groups))
+        ref = conv3d_reference(x, w, b, stride=stride, padding=k // 2, groups=groups)
+        worst = max(worst, float(np.max(np.abs(out.data - ref))))
+    checks.append(("oracle.conv3d_large_kernel", worst < ORACLE_TOL,
+                   f"depthwise k=7 and grouped k=5 stride 2, max abs diff {worst:.2e}"))
+
     from .cemsa import SCORE_BLOCK_BYTES, multi_head_attention
 
     worst = 0.0

@@ -337,6 +337,20 @@ def test_register_label_extents_mismatch_exit_2(trained, tmp_path, capsys,
     assert "(16, 16, 16)" in err and "Traceback" not in err
 
 
+def test_register_out_of_memory_exit_3(trained, tmp_path, capsys, monkeypatch):
+    _, _, out = trained
+    argv, _ = register_argv(tmp_path, out)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 992. MiB for an array")
+
+    monkeypatch.setattr("symtrans.training.forward", exhausted)
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err.strip() == "error: register: out of memory"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("kv_stride", [None, 1])
 def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_stride):
     # version 2 predates the removal of ModelConfig.kv_stride; its config

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from symtrans import ops
 from symtrans import tensor as T
 from symtrans.cemsa import CemsaConfig, cemsa_param_shapes
 from symtrans.ops import (
@@ -58,6 +61,92 @@ def test_conv3d_stride2_vs_oracle():
                  Conv3dParams(t(w, wide=True), t(b, wide=True), stride=2, padding=1))
     expect = conv3d_reference(x, w, b, stride=2, padding=1)
     assert np.max(np.abs(out.data - expect)) < 1e-5
+
+
+def windowed_einsum_conv3d(x, w, b, stride, padding, groups):
+    """conv3d's forward as one einsum over a strided 3-D window per offset.
+
+    This is the formulation whose bytes conv3d keeps: the bias, then one
+    contraction over the group's input channels per tap in (a, b, c) order.
+    """
+    out_ch, k = w.shape[0], w.shape[2]
+    wg = w.reshape((groups, out_ch // groups) + w.shape[1:])
+    xp = np.pad(x, ((0, 0),) + ((padding, padding),) * 3)
+    xg = xp.reshape((groups, -1) + xp.shape[1:])
+    do, ho, wo = (conv3d_output_extent(e, k, stride, padding) for e in x.shape[1:])
+    out = np.empty((out_ch, do, ho, wo), dtype=x.dtype)
+    out[:] = b[:, None, None, None]
+    outg = out.reshape((groups, -1, do, ho, wo))
+    for a, bb, c in itertools.product(range(k), repeat=3):
+        window = xg[:, :, a:a + stride * do:stride, bb:bb + stride * ho:stride,
+                    c:c + stride * wo:stride]
+        outg += np.einsum("goi,gidhw->godhw", wg[..., a, bb, c], window)
+    return out
+
+
+# (in, out, groups, k, stride, padding, extents, layout). The forward copies
+# the input once per W tap at stride 1 when the padded (H, W) plane is more
+# than twice the output plane, and otherwise shifts over the flat padded grid.
+FORWARD_GEOMETRIES = [
+    (8, 8, 8, 15, 1, 7, (16, 16, 16), "w_copies"),  # the 64^3 stage-1 trunk
+    (3, 4, 1, 3, 1, 1, (9, 10, 11), "flat"),
+    (16, 16, 16, 7, 1, 3, (8, 8, 8), "w_copies"),
+    (4, 4, 1, 3, 1, 1, (4, 4, 4), "w_copies"),
+    (2, 2, 2, 5, 1, 2, (5, 9, 7), "w_copies"),
+    (6, 3, 3, 5, 1, 1, (8, 9, 10), "w_copies"),
+    (5, 5, 5, 3, 1, 0, (7, 9, 11), "flat"),
+    (2, 4, 2, 1, 1, 0, (5, 6, 7), "flat"),
+    (4, 6, 2, 5, 2, 2, (9, 7, 11), "flat"),
+    (6, 6, 6, 3, 2, 1, (7, 10, 5), "flat"),
+    (4, 2, 2, 7, 2, 3, (11, 9, 13), "flat"),
+    (3, 3, 3, 15, 2, 7, (9, 12, 10), "flat"),
+    (4, 8, 1, 3, 2, 1, (13, 11, 9), "flat"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("geometry", FORWARD_GEOMETRIES,
+                         ids=lambda g: f"k{g[3]}s{g[4]}g{g[2]}-{g[7]}")
+def test_conv3d_forward_bytes_equal_windowed_einsum(geometry, dtype, monkeypatch):
+    cin, cout, groups, k, stride, padding, extents, layout = geometry
+    rng = np.random.default_rng(k * 100 + stride * 10 + groups)
+    x = rng.normal(size=(cin,) + extents).astype(dtype)
+    w = rng.normal(size=(cout, cin // groups, k, k, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    seen = []
+
+    def spy(name):
+        inner = getattr(ops, name)
+
+        def counted(*args):
+            seen.append(name)
+            return inner(*args)
+        return counted
+
+    monkeypatch.setattr(ops, "_forward_w_copies", spy("_forward_w_copies"))
+    monkeypatch.setattr(ops, "_forward_flat", spy("_forward_flat"))
+    out = conv3d(T.Tensor(x, dtype=dtype),
+                 Conv3dParams(T.Tensor(w, dtype=dtype), T.Tensor(b, dtype=dtype),
+                              stride=stride, padding=padding, groups=groups))
+    assert seen == [f"_forward_{layout}"]
+    expect = windowed_einsum_conv3d(x, w, b, stride, padding, groups)
+    assert out.data.dtype == expect.dtype and out.data.shape == expect.shape
+    assert out.data.flags.c_contiguous
+    assert out.data.tobytes() == expect.tobytes()
+
+
+def test_conv3d_forward_bytes_hold_across_depth_slabs(monkeypatch):
+    # a slab budget of one plane makes every output depth its own slab
+    monkeypatch.setattr(ops, "GRID_SLAB_BYTES", 1)
+    rng = np.random.default_rng(40)
+    for stride in (1, 2):
+        x = rng.normal(size=(4, 9, 10, 11)).astype(np.float32)
+        w = rng.normal(size=(6, 2, 3, 3, 3)).astype(np.float32)
+        b = rng.normal(size=6).astype(np.float32)
+        out = conv3d(T.Tensor(x), Conv3dParams(T.Tensor(w), T.Tensor(b), stride=stride,
+                                               padding=1, groups=2))
+        expect = windowed_einsum_conv3d(x, w, b, stride, 1, 2)
+        assert out.data.tobytes() == expect.tobytes()
 
 
 def test_conv3d_channel_group_mismatch():
