@@ -9,11 +9,19 @@ its backward reads strided windows. ``conv3d`` has one formulation for every
 group count; the only branch left is the depthwise weight gradient, which
 keeps numpy's pairwise voxel sum. Volumes are channel-first (C, D, H, W);
 tokens are (N, dim).
+
+When the process may run on more than one CPU (``os.sched_getaffinity``;
+there is no option), ``conv3d``'s backward runs its dx loop on one worker
+thread while the calling thread runs its dw loop. Each loop is the same with
+or without the worker, so gradients are byte-identical whatever the CPU
+count. The forward always runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +30,30 @@ from .tensor import Tensor, add_rowvec, make_op, matmul, transpose2d
 
 # Bytes one depth slab of the flat-grid forward's accumulator may hold.
 GRID_SLAB_BYTES = 1 << 18
+
+# Output values below which conv3d's backward runs its dx loop inline rather
+# than on the worker: under it the per-tap calls are too short to gain from
+# the second core and lose time to handing the GIL back and forth.
+BACKWARD_THREAD_VALUES = 1 << 15
+
+
+def _start_backward_worker():
+    """One worker thread for conv3d's backward, if this process may run on
+    more than one CPU. numpy's einsum and ufunc loops release the GIL, so the
+    dx loop on the worker and the dw loop on the calling thread run at once.
+    The thread starts with the first threaded backward, not at import. A
+    forked child starts its own: the parent's thread does not exist there.
+    """
+    global _BACKWARD_WORKER
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else 1
+    _BACKWARD_WORKER = (futures.ThreadPoolExecutor(1, thread_name_prefix="conv3d-bwd")
+                        if cpus > 1 else None)
+
+
+_start_backward_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_backward_worker)
 
 
 @dataclass
@@ -135,6 +167,45 @@ def _forward_flat(xp, wg, b, st, out_spatial):
     return out
 
 
+def _weight_grad(dwg, gyg, xg, taps):
+    """dw of conv3d: one contraction of gy with each tap's window, over voxels."""
+    depthwise = dwg.shape[1] == dwg.shape[2] == 1
+    for (a, bb, c), sl in taps:
+        if depthwise:
+            # Pairwise summation over the voxels, not einsum's sequential
+            # one: float32 dw moves by up to 2e-5 otherwise, which alone
+            # takes the A3 desk run from DSC 0.839 to 0.793.
+            dwg[:, 0, 0, a, bb, c] = (gyg[:, 0] * xg[sl][:, 0]).sum(axis=(1, 2, 3))
+        else:
+            dwg[..., a, bb, c] = np.einsum("godhw,gidhw->goi", gyg, xg[sl])
+
+
+def _input_grad(dxg, gyg, wg, taps):
+    """dx of conv3d on the padded grid: each tap scatters w^T gy into its window."""
+    for (a, bb, c), sl in taps:
+        dxg[sl] += np.einsum("goi,godhw->gidhw", wg[..., a, bb, c], gyg)
+
+
+def _side_by_side(here, there, values):
+    """Run ``there`` on the backward worker while ``here`` runs on this thread.
+
+    Inline, one after the other, when there is no worker or the op has fewer
+    than BACKWARD_THREAD_VALUES output values. The worker is always waited
+    for, also when ``here`` raises, so no caller sees the rule end while it
+    still writes; an exception it raised comes out of ``result()``.
+    """
+    if _BACKWARD_WORKER is None or values < BACKWARD_THREAD_VALUES:
+        here()
+        there()
+        return
+    future = _BACKWARD_WORKER.submit(there)
+    try:
+        here()
+    finally:
+        futures.wait((future,))
+    future.result()
+
+
 def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     """Grouped 3-D convolution; output group g sees only input group g.
 
@@ -156,26 +227,19 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
         out = _forward_flat(xp, wg, b, st, (do, ho, wo))
 
     def rule(gy):
-        depthwise = wg.shape[1] == wg.shape[2] == 1
         gyg = gy.reshape((groups, -1, do, ho, wo))
         dwg = np.zeros_like(wg)
         dxg = np.zeros_like(xg)
+        # taps: the (G, C/G, D, H, W) window each offset (a, b, c) read
+        taps = [((a, bb, c), (slice(None), slice(None), slice(a, a + st * do, st),
+                              slice(bb, bb + st * ho, st), slice(c, c + st * wo, st)))
+                for a, bb, c in itertools.product(range(k), repeat=3)]
+        _side_by_side(lambda: _weight_grad(dwg, gyg, xg, taps),
+                      lambda: _input_grad(dxg, gyg, wg, taps), gy.size)
         db = gy.sum(axis=(1, 2, 3))
-        for a, bb, c in itertools.product(range(k), repeat=3):
-            # the (G, C/G, D, H, W) window tap (a, bb, c) read
-            sl = (slice(None), slice(None), slice(a, a + st * do, st),
-                  slice(bb, bb + st * ho, st), slice(c, c + st * wo, st))
-            if depthwise:
-                # Pairwise summation over the voxels, not einsum's sequential
-                # one: float32 dw moves by up to 2e-5 otherwise, which alone
-                # takes the A3 desk run from DSC 0.839 to 0.793.
-                dwg[:, 0, 0, a, bb, c] = (gyg[:, 0] * xg[sl][:, 0]).sum(axis=(1, 2, 3))
-            else:
-                dwg[..., a, bb, c] = np.einsum("godhw,gidhw->goi", gyg, xg[sl])
-            dxg[sl] += np.einsum("goi,godhw->gidhw", wg[..., a, bb, c], gyg)
         dxp = dxg.reshape(xp.shape)
         dx = dxp[:, pad:-pad, pad:-pad, pad:-pad] if pad else dxp
-        return dx.copy(), dwg.reshape(w.shape), db
+        return dx, dwg.reshape(w.shape), db
 
     return make_op((x, p.weight, p.bias), out, rule)
 

@@ -30,9 +30,9 @@ def tracing():
     return module
 
 
-@pytest.mark.parametrize("placement", model.PLACEMENTS)
-def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placement,
-                                                                 monkeypatch):
+def check_traced_step(tracing, placement, monkeypatch):
+    """Trace a 16^3 training step: its MACs are the FLOP count, and every conv
+    kind it ran has a backward span."""
     cfg = ModelConfig(input_shape=(16, 16, 16), base_dim=8, placement=placement,
                       encoder_depths=(1, 1, 1), decoder_depths=(1, 1, 1))
     _, params = init_model_params(cfg, np.random.default_rng(0))
@@ -73,6 +73,19 @@ def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placeme
     spans = {span[0] for span in tracer.spans}
     assert {f"ops.conv3d.{k}.bwd_s" for k in kinds} <= spans
     assert model.forward is untraced
+
+
+@pytest.mark.parametrize("placement", model.PLACEMENTS)
+def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placement,
+                                                                 monkeypatch):
+    check_traced_step(tracing, placement, monkeypatch)
+
+
+def test_traced_step_with_conv_backward_on_the_worker(tracing, threaded_backward,
+                                                      monkeypatch):
+    # the worker runs raw numpy only, so the tracer's one-thread span stack
+    # and its conv backward keys hold when every dx loop runs there
+    check_traced_step(tracing, "symmetric", monkeypatch)
 
 
 def test_traced_diffeomorphic_step_times_trilinear_backward(tracing):

@@ -1,9 +1,11 @@
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+from symtrans import ops
 from symtrans.cli import main
 from symtrans.svol import (
     KIND_DISPLACEMENT,
@@ -349,6 +351,24 @@ def test_register_out_of_memory_exit_3(trained, tmp_path, capsys, monkeypatch):
     assert code == 3
     assert err.strip() == "error: register: out of memory"
     assert "Traceback" not in err
+
+
+def test_train_out_of_memory_on_the_backward_worker_exit_3(trained, tmp_path, capsys,
+                                                            threaded_backward, monkeypatch):
+    tmp, _, _ = trained
+    on_worker = []
+
+    def exhausted(*args):
+        on_worker.append(threading.current_thread() is not threading.main_thread())
+        raise MemoryError("Unable to allocate 64.0 MiB for an array")
+
+    monkeypatch.setattr(ops, "_input_grad", exhausted)
+    code, _, err = run(["train", "--config", str(tmp / "train.json"),
+                        "--out", str(tmp_path / "run")], capsys)
+    assert code == 3
+    assert err.strip() == "error: train: out of memory"
+    assert "Traceback" not in err
+    assert on_worker == [True]
 
 
 @pytest.mark.parametrize("kv_stride", [None, 1])

@@ -1,4 +1,7 @@
 import itertools
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +150,166 @@ def test_conv3d_forward_bytes_hold_across_depth_slabs(monkeypatch):
                                                padding=1, groups=2))
         expect = windowed_einsum_conv3d(x, w, b, stride, 1, 2)
         assert out.data.tobytes() == expect.tobytes()
+
+
+def windowed_einsum_conv3d_grads(x, w, gy, stride, padding, groups):
+    """conv3d's backward as one loop over the taps, dw and dx interleaved.
+
+    dw is one contraction of gy with each tap's strided window (the depthwise
+    one a pairwise voxel sum), dx adds w^T gy into that window on the padded
+    grid; these are the bytes conv3d's rule keeps, wherever its loops run.
+    """
+    out_ch, k = w.shape[0], w.shape[2]
+    wg = w.reshape((groups, out_ch // groups) + w.shape[1:])
+    xp = np.pad(x, ((0, 0),) + ((padding, padding),) * 3)
+    xg = xp.reshape((groups, -1) + xp.shape[1:])
+    gyg = gy.reshape((groups, -1) + gy.shape[1:])
+    do, ho, wo = gy.shape[1:]
+    dwg = np.zeros_like(wg)
+    dxg = np.zeros_like(xg)
+    for a, bb, c in itertools.product(range(k), repeat=3):
+        sl = (slice(None), slice(None), slice(a, a + stride * do, stride),
+              slice(bb, bb + stride * ho, stride), slice(c, c + stride * wo, stride))
+        if wg.shape[1] == wg.shape[2] == 1:
+            dwg[:, 0, 0, a, bb, c] = (gyg[:, 0] * xg[sl][:, 0]).sum(axis=(1, 2, 3))
+        else:
+            dwg[..., a, bb, c] = np.einsum("godhw,gidhw->goi", gyg, xg[sl])
+        dxg[sl] += np.einsum("goi,godhw->gidhw", wg[..., a, bb, c], gyg)
+    dxp = dxg.reshape(xp.shape)
+    dx = dxp[:, padding:-padding, padding:-padding, padding:-padding] if padding else dxp
+    return dx, dwg.reshape(w.shape), gy.sum(axis=(1, 2, 3))
+
+
+def conv3d_rule_grads(x, w, b, gy, stride, padding, groups):
+    """(dx, dw, db) of conv3d's own backward rule for the output gradient gy."""
+    leaves = [T.Tensor(v, requires_grad=True, dtype=v.dtype) for v in (x, w, b)]
+    out = conv3d(leaves[0], Conv3dParams(leaves[1], leaves[2], stride=stride,
+                                         padding=padding, groups=groups))
+    assert out.shape == gy.shape
+    return out._backward_rule(gy)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("geometry", FORWARD_GEOMETRIES,
+                         ids=lambda g: f"k{g[3]}s{g[4]}g{g[2]}-{g[7]}")
+def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
+                                                           threaded_backward, monkeypatch):
+    cin, cout, groups, k, stride, padding, extents, _ = geometry
+    rng = np.random.default_rng(k * 100 + stride * 10 + groups + 1)
+    x = rng.normal(size=(cin,) + extents).astype(dtype)
+    w = rng.normal(size=(cout, cin // groups, k, k, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    extents_out = tuple(conv3d_output_extent(e, k, stride, padding) for e in extents)
+    gy = rng.normal(size=(cout,) + extents_out).astype(dtype)
+    ran_on = []
+    input_grad = ops._input_grad
+
+    def spy(*args):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        input_grad(*args)
+
+    monkeypatch.setattr(ops, "_input_grad", spy)
+    threaded = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
+    monkeypatch.setattr(ops, "_BACKWARD_WORKER", None)
+    inline = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
+    assert ran_on == [False, True]
+    expect = windowed_einsum_conv3d_grads(x, w, gy, stride, padding, groups)
+    for got_threaded, got_inline, want in zip(threaded, inline, expect):
+        assert got_threaded.dtype == got_inline.dtype == want.dtype
+        assert got_threaded.shape == got_inline.shape == want.shape
+        assert got_threaded.tobytes() == got_inline.tobytes() == want.tobytes()
+
+
+def test_conv3d_backward_runs_small_ops_inline(backward_worker, monkeypatch):
+    ran_on = []
+    input_grad = ops._input_grad
+
+    def spy(*args):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        input_grad(*args)
+
+    monkeypatch.setattr(ops, "_input_grad", spy)
+    rng = np.random.default_rng(41)
+    w = rng.normal(size=(1, 1, 1, 1, 1)).astype(np.float32)
+    b = np.zeros(1, np.float32)
+    for values in (ops.BACKWARD_THREAD_VALUES - 1, ops.BACKWARD_THREAD_VALUES):
+        x = rng.normal(size=(1, 1, 1, values)).astype(np.float32)
+        conv3d_rule_grads(x, w, b, np.ones_like(x), 1, 0, 1)
+    assert ran_on == [True, False]
+
+
+def small_conv_rule(rng):
+    x = rng.normal(size=(2, 6, 6, 6)).astype(np.float32)
+    w = rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32)
+    out = conv3d(T.Tensor(x, requires_grad=True),
+                 Conv3dParams(T.Tensor(w, requires_grad=True), T.Tensor(np.zeros(2, np.float32)),
+                              padding=1))
+    return out._backward_rule, np.ones_like(out.data)
+
+
+def test_conv3d_backward_worker_error_reaches_the_caller(threaded_backward, monkeypatch):
+    stopped = threading.Event()
+
+    def exhausted(*args):
+        time.sleep(0.05)
+        stopped.set()
+        raise MemoryError("Unable to allocate 1.0 GiB for an array")
+
+    monkeypatch.setattr(ops, "_input_grad", exhausted)
+    rule, gy = small_conv_rule(np.random.default_rng(42))
+    with pytest.raises(MemoryError, match="1.0 GiB"):
+        rule(gy)
+    assert stopped.is_set()
+
+
+def test_conv3d_backward_joins_the_worker_before_reraising(threaded_backward, monkeypatch):
+    # dw fails at once while dx is still running on the worker: the rule must
+    # not hand its error, or control, back while the worker writes
+    started, finished = threading.Event(), threading.Event()
+    input_grad = ops._input_grad
+
+    def slow(*args):
+        started.set()
+        time.sleep(0.2)
+        input_grad(*args)
+        finished.set()
+
+    def failing(*args):
+        assert started.wait(5)
+        raise FloatingPointError("dw failed")
+
+    monkeypatch.setattr(ops, "_input_grad", slow)
+    monkeypatch.setattr(ops, "_weight_grad", failing)
+    rule, gy = small_conv_rule(np.random.default_rng(43))
+    with pytest.raises(FloatingPointError, match="dw failed"):
+        rule(gy)
+    assert finished.is_set()
+
+
+def _threaded_backward_in_child(x, w, b, gy, expect, done):
+    # runs in a forked child, whose copy of the parent's worker has no thread
+    got = conv3d_rule_grads(x, w, b, gy, 1, 1, 1)
+    done.value = all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+def test_conv3d_backward_works_in_a_forked_child(threaded_backward):
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=(2, 6, 6, 6)).astype(np.float32)
+    w = rng.normal(size=(3, 2, 3, 3, 3)).astype(np.float32)
+    b = np.zeros(3, np.float32)
+    gy = rng.normal(size=(3, 6, 6, 6)).astype(np.float32)
+    expect = conv3d_rule_grads(x, w, b, gy, 1, 1, 1)  # the worker thread is running
+    ctx = multiprocessing.get_context("fork")
+    done = ctx.Value("b", 0)
+    child = ctx.Process(target=_threaded_backward_in_child, args=(x, w, b, gy, expect, done))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0 and done.value
 
 
 def test_conv3d_channel_group_mismatch():
