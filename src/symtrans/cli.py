@@ -105,6 +105,15 @@ def _load_config(path, cls, what):
         raise CliError(f"invalid {what} {path}: {e}", EXIT_USAGE)
 
 
+def _count(minimum):
+    """argparse type: an integer of at least ``minimum``, else exit 2."""
+    def count(text):
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+    return count
+
+
 def cmd_gen_data(args) -> int:
     spec = (_load_config(args.spec, SyntheticSpec, "generator spec")
             if args.spec else SyntheticSpec())
@@ -186,7 +195,8 @@ def cmd_register(args) -> int:
             f"volume shapes {moving.shape}/{fixed.shape} do not match the "
             f"checkpoint input shape {(1,) + cfg.input_shape}", EXIT_USAGE)
     labels = _read_label_pair(args, cfg.input_shape, "volume")
-    mode = {"disp": "displacement", "diff": "diffeomorphic"}[args.mode]
+    mode = ({"disp": "displacement", "diff": "diffeomorphic"}[args.mode]
+            if args.mode else cfg.mode)
     loss_cfg = LossConfig(lambda_reg=args.lambda_reg)
     inputs = [args.moving, args.fixed, args.checkpoint]
     if labels:
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate synthetic volume pairs")
     p.add_argument("--spec", help="generator spec JSON (defaults used if omitted)")
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--pairs", type=_count(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="TrainConfig JSON")
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--resume", help="checkpoint stem to continue from")
-    p.add_argument("--log", type=int, default=None,
+    p.add_argument("--log", type=_count(1), default=None,
                    help="print the loss every N iterations")
     p.set_defaults(func=cmd_train)
 
@@ -323,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moving", required=True)
     p.add_argument("--fixed", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mode", choices=("disp", "diff"), default="disp")
+    p.add_argument("--mode", choices=("disp", "diff"),
+                   help="field the network predicts (default: the checkpoint's mode)")
     p.add_argument("--out-field")
     p.add_argument("--out-warped")
     p.add_argument("--moving-labels")

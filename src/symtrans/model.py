@@ -48,7 +48,7 @@ from .cemsa import (
     volume_to_tokens,
 )
 from .configio import finite, from_dict, integer, sequence, to_canonical_json
-from .ops import Conv3dParams, LinearParams, conv3d, conv_transpose3d, linear
+from .ops import Conv3dParams, LinearParams, conv3d, linear
 from .params import ParamBag
 from .tensor import Tensor
 
@@ -160,10 +160,6 @@ def conv_depths(cfg: ModelConfig):
     return tuple(enc), tuple(dec)
 
 
-def _decoder_uses_deconv(cfg: ModelConfig) -> bool:
-    return cfg.placement in ("encoder_only", "bottom_only")
-
-
 @dataclass
 class ExpandParams:
     lin1: LinearParams  # C -> 2C
@@ -237,7 +233,7 @@ def _model_layout(cfg: ModelConfig, source) -> _Layout:
     stages = [math.prod(shape) for shape in cfg.stage_shapes()]
     enc_tf, dec_tf = transformer_depths(cfg)
     enc_cv, dec_cv = conv_depths(cfg)
-    deconv_dec = _decoder_uses_deconv(cfg)
+    deconv_dec = cfg.placement in ("encoder_only", "bottom_only")
     shapes, counts, macs = OrderedDict(), OrderedDict(), OrderedDict()
 
     def tally(name, params, mac):
@@ -375,19 +371,42 @@ def patch_expand(x: Tensor, spatial_shape, p: ExpandParams) -> Tensor:
     d, h, w = spatial_shape
     if n != d * h * w:
         raise ValueError(f"patch_expand: {n} tokens vs spatial {spatial_shape}")
-    y = linear(x, p.lin1)  # (N, 2C)
-    c4 = c_in // 4
-    y = T.reshape(y, (d, h, w, c4, 2, 2, 2))
-    y = T.permute(y, (0, 4, 1, 5, 2, 6, 3))  # (d,2,h,2,w,2,c4)
-    y = T.reshape(y, (8 * n, c4))
+    y = _deal_blocks(linear(x, p.lin1), spatial_shape)  # (8N, C/4)
     return linear(y, p.lin2)  # (8N, C/2)
+
+
+def _deal_blocks(y: Tensor, spatial_shape) -> Tensor:
+    """(N, 8C) -> (8N, C): each token's channel-major vector, block offsets
+    last in (d, h, w) order, dealt out as its 2x2x2 block of the 2x grid."""
+    d, h, w = spatial_shape
+    n, c8 = y.shape
+    y = T.reshape(y, (d, h, w, c8 // 8, 2, 2, 2))
+    y = T.permute(y, (0, 4, 1, 5, 2, 6, 3))  # (d,2,h,2,w,2,c)
+    return T.reshape(y, (8 * n, c8 // 8))
+
+
+def deconv_upsample(vol: Tensor, p: DeconvParams) -> Tensor:
+    """Transposed conv with kernel 2, stride 2: exact 2x spatial upsampling.
+
+    Every input voxel paints one 2x2x2 output block and blocks never
+    overlap, so the op is one per-voxel matmul with the (in, out*8) weight,
+    dealt out as patch expanding deals its first linear, plus the bias.
+    """
+    cin, cout = p.weight.shape[:2]
+    if vol.ndim != 4 or vol.shape[0] != cin or p.weight.shape[2:] != (2, 2, 2):
+        raise ValueError(f"deconv_upsample: weight {p.weight.shape} incompatible "
+                         f"with (C, D, H, W) input {vol.shape}")
+    d, h, w = vol.shape[1:]
+    y = T.matmul(volume_to_tokens(vol), T.reshape(p.weight, (cin, 8 * cout)))
+    y = T.add_rowvec(_deal_blocks(y, (d, h, w)), p.bias)
+    return tokens_to_volume(y, (2 * d, 2 * h, 2 * w))
 
 
 def _expand_volume(vol: Tensor, p, slope: float) -> Tensor:
     """Upsample a volume 2x: patch expanding then its layer norm, or a
     transposed conv then LeakyReLU in the conv-variant decoders."""
     if isinstance(p, DeconvParams):
-        return T.leaky_relu(conv_transpose3d(vol, p.weight, p.bias), slope)
+        return T.leaky_relu(deconv_upsample(vol, p), slope)
     c, d, h, w = vol.shape
     tokens = patch_expand(volume_to_tokens(vol), (d, h, w), p)
     tokens = T.layer_norm(tokens, p.norm.gamma, p.norm.beta)

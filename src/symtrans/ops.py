@@ -1,5 +1,5 @@
-"""3D convolutions (grouped, which covers dense and depthwise; transposed)
-and linear layers.
+"""3D convolutions (grouped, which covers dense and depthwise) and linear
+layers.
 
 Convolutions are computed by direct loops over kernel offsets, vectorized over
 voxels, so the accumulation order is fixed and results are deterministic.
@@ -242,45 +242,6 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
         return dx, dwg.reshape(w.shape), db
 
     return make_op((x, p.weight, p.bias), out, rule)
-
-
-def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Transposed conv with kernel 2, stride 2: exact 2x spatial upsampling.
-
-    weight is (in_ch, out_ch, 2, 2, 2); every input voxel paints one 2x2x2
-    output block, so blocks never overlap and the op is a pure linear remap.
-    """
-    if x.ndim != 4:
-        raise ValueError(f"conv_transpose3d expects (C, D, H, W), got {x.shape}")
-    cin, d, h, wd = x.shape
-    if weight.shape[0] != cin or weight.shape[2:] != (2, 2, 2):
-        raise ValueError(
-            f"conv_transpose3d: weight {weight.shape} incompatible with input {x.shape}"
-        )
-    cout = weight.shape[1]
-    w, b = weight.data, bias.data
-    out = np.empty((cout, 2 * d, 2 * h, 2 * wd), dtype=x.dtype)
-    out[:] = b[:, None, None, None]
-    for a in range(2):
-        for bb in range(2):
-            for c in range(2):
-                out[:, a::2, bb::2, c::2] += np.einsum(
-                    "io,idhw->odhw", w[:, :, a, bb, c], x.data
-                )
-
-    def rule(gy):
-        dw = np.zeros_like(w)
-        dx = np.zeros_like(x.data)
-        db = gy.sum(axis=(1, 2, 3))
-        for a in range(2):
-            for bb in range(2):
-                for c in range(2):
-                    gslice = gy[:, a::2, bb::2, c::2]
-                    dw[:, :, a, bb, c] = np.einsum("odhw,idhw->io", gslice, x.data)
-                    dx += np.einsum("io,odhw->idhw", w[:, :, a, bb, c], gslice)
-        return dx, dw, db
-
-    return make_op((x, weight, bias), out, rule)
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:

@@ -16,8 +16,9 @@ from . import tensor as T
 from .cemsa import CemsaConfig, bind_cemsa_params, cemsa_block, cemsa_param_shapes
 from .deformation import IntegrationConfig, compose, integrate, jacobian_determinant, warp
 from .losses import LossConfig, total_loss
-from .model import ModelConfig, bind_model_params, forward, model_param_shapes
-from .ops import Conv3dParams, LinearParams, conv3d, conv_transpose3d, linear
+from .model import (DeconvParams, ModelConfig, bind_model_params, deconv_upsample,
+                    forward, model_param_shapes)
+from .ops import Conv3dParams, LinearParams, conv3d, linear
 from .oracles import (
     attention_reference,
     compose_reference,
@@ -130,11 +131,12 @@ def gradcheck_suite():
         "w": rng.normal(size=(2, 2, 2, 2, 2)) * 0.3,
         "b": rng.normal(size=2) * 0.3,
     }
-    checks += _op_gradcheck(
-        "conv_transpose3d",
-        lambda lv: T.mean_all(T.mul(conv_transpose3d(lv["x"], lv["w"], lv["b"]),
-                                    conv_transpose3d(lv["x"], lv["w"], lv["b"]))),
-        leaves, coords=5)
+
+    def upsample(lv):
+        out = deconv_upsample(lv["x"], DeconvParams(lv["w"], lv["b"]))
+        return T.mean_all(T.mul(out, out))
+
+    checks += _op_gradcheck("deconv_upsample", upsample, leaves, coords=5)
     leaves = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(3, 4)),
               "b": rng.normal(size=3)}
     checks += _op_gradcheck(

@@ -16,7 +16,6 @@ import pytest
 from symtrans import losses, model
 from symtrans.losses import LossConfig
 from symtrans.model import ModelConfig, init_model_params, model_count_flops
-from symtrans.ops import conv_transpose3d
 from symtrans.tensor import Tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -30,7 +29,7 @@ def tracing():
     return module
 
 
-def check_traced_step(tracing, placement, monkeypatch):
+def check_traced_step(tracing, placement):
     """Trace a 16^3 training step: its MACs are the FLOP count, and every conv
     kind it ran has a backward span."""
     cfg = ModelConfig(input_shape=(16, 16, 16), base_dim=8, placement=placement,
@@ -39,15 +38,6 @@ def check_traced_step(tracing, placement, monkeypatch):
     rng = np.random.default_rng(1)
     moving, fixed = (Tensor(rng.random((1,) + cfg.input_shape).astype(np.float32))
                      for _ in range(2))
-    # the tracer does not wrap the transposed conv of the conv-variant
-    # decoders; every input voxel runs the whole (in, out, 2, 2, 2) weight
-    deconv_macs = []
-
-    def counted(x, weight, bias):
-        deconv_macs.append(x.data[0].size * weight.data.size)
-        return conv_transpose3d(x, weight, bias)
-
-    monkeypatch.setattr(model, "conv_transpose3d", counted)
     untraced = model.forward
     tracer = tracing.Tracer()
     tracer.install()
@@ -61,11 +51,10 @@ def check_traced_step(tracing, placement, monkeypatch):
     finally:
         tracer.uninstall()
 
-    assert bool(deconv_macs) == (placement in ("encoder_only", "bottom_only"))
     traced = (counts.get("ops.conv3d.dw.macs", 0) + counts["ops.conv3d.other.macs"]
-              + counts["tensor.matmul.macs"] + sum(deconv_macs))
+              + counts["tensor.matmul.macs"])
     assert traced == model_count_flops(cfg)
-    assert counts["model.forward.macs"] + sum(deconv_macs) == model_count_flops(cfg)
+    assert counts["model.forward.macs"] == model_count_flops(cfg)
     # bottom_only runs its blocks at 1/16 = 1^3, where the depthwise trunk
     # clamps to a 1x1x1 kernel and is traced as an ordinary conv
     kinds = {"other"} if placement == "bottom_only" else {"dw", "other"}
@@ -76,16 +65,14 @@ def check_traced_step(tracing, placement, monkeypatch):
 
 
 @pytest.mark.parametrize("placement", model.PLACEMENTS)
-def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placement,
-                                                                 monkeypatch):
-    check_traced_step(tracing, placement, monkeypatch)
+def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placement):
+    check_traced_step(tracing, placement)
 
 
-def test_traced_step_with_conv_backward_on_the_worker(tracing, threaded_backward,
-                                                      monkeypatch):
+def test_traced_step_with_conv_backward_on_the_worker(tracing, threaded_backward):
     # the worker runs raw numpy only, so the tracer's one-thread span stack
     # and its conv backward keys hold when every dx loop runs there
-    check_traced_step(tracing, "symmetric", monkeypatch)
+    check_traced_step(tracing, "symmetric")
 
 
 def test_traced_diffeomorphic_step_times_trilinear_backward(tracing):

@@ -396,6 +396,55 @@ def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_str
     assert "Traceback" not in err
 
 
+def test_register_defaults_to_the_checkpoint_mode(trained, tmp_path, capsys):
+    _, _, out = trained
+    blob = (out / "checkpoint_000002.symt").read_bytes()
+    (blob_len,) = struct.unpack("<I", blob[8:12])
+    config = json.loads(blob[12:12 + blob_len])
+    config["mode"] = "diffeomorphic"
+    config_blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    diffeo = tmp_path / "diffeo.symt"
+    diffeo.write_bytes(blob[:8] + struct.pack("<I", len(config_blob))
+                       + config_blob + blob[12 + blob_len:])
+    rng = np.random.default_rng(4)
+    vols = []
+    for name in ("moving", "fixed"):
+        vols.append(tmp_path / f"{name}.svol")
+        write_svol(vols[-1], rng.random((1, 16, 16, 16)).astype(np.float32), KIND_IMAGE)
+    fields = {}
+    for flags in ([], ["--mode", "diff"], ["--mode", "disp"]):
+        field = tmp_path / f"u{len(fields)}.svol"
+        code, _, _ = run(["register", "--moving", str(vols[0]), "--fixed", str(vols[1]),
+                          "--checkpoint", str(diffeo), "--out-field", str(field)]
+                         + flags, capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / f"{field.name}.manifest.json").read_text())
+        fields[tuple(flags)] = field.read_bytes(), manifest["config"]["mode"]
+    assert fields[()] == fields[("--mode", "diff")]
+    assert fields[()][1] == "diffeomorphic"
+    # an explicit --mode still overrides the checkpoint
+    assert fields[("--mode", "disp")][0] != fields[()][0]
+    assert fields[("--mode", "disp")][1] == "displacement"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--log", "0"], "--log"),
+    (["gen-data", "--pairs", "-2"], "--pairs"),
+], ids=["log", "pairs"])
+def test_cli_count_below_its_minimum_exit_2(tmp_path, capsys, trained, argv, flag):
+    tmp, _, _ = trained
+    out = tmp_path / "o"
+    argv = argv + ["--out", str(out)]
+    if argv[0] == "train":
+        argv += ["--config", str(tmp / "train.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_identity_field(tmp_path, capsys):
     field = tmp_path / "id.svol"
     write_svol(field, np.zeros((3, 8, 8, 8), np.float32), KIND_DISPLACEMENT)

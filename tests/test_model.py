@@ -8,11 +8,13 @@ from symtrans.cemsa import LayerNormParams, volume_to_tokens
 from symtrans.configio import ConfigError, from_dict
 from symtrans.model import (
     CheckpointError,
+    DeconvParams,
     ExpandParams,
     ModelConfig,
     _fuse_volumes,
     bind_model_params,
     conv_depths,
+    deconv_upsample,
     forward,
     init_model_params,
     load_checkpoint,
@@ -158,6 +160,60 @@ def test_patch_expand_channel_divisibility():
     x = Tensor(np.zeros((8, 6), np.float32))
     with pytest.raises(ValueError, match="divisible by 4"):
         patch_expand(x, (2, 2, 2), _identity_expand(4))
+
+
+def wide(data):
+    return Tensor(np.asarray(data), dtype=T.WIDE)
+
+
+def test_deconv_upsample_doubles_extents_and_matches_manual():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 3, 3, 3))
+    w = rng.normal(size=(2, 4, 2, 2, 2))
+    b = rng.normal(size=4)
+    out = deconv_upsample(wide(x), DeconvParams(wide(w), wide(b)))
+    assert out.shape == (4, 6, 6, 6)
+    expect = np.zeros((4, 6, 6, 6))
+    for i in range(2):
+        for o in range(4):
+            for zd in range(3):
+                for zh in range(3):
+                    for zw in range(3):
+                        for a in range(2):
+                            for bb in range(2):
+                                for c in range(2):
+                                    expect[o, 2 * zd + a, 2 * zh + bb, 2 * zw + c] += (
+                                        w[i, o, a, bb, c] * x[i, zd, zh, zw]
+                                    )
+    expect += b[:, None, None, None]
+    assert np.max(np.abs(out.data - expect)) < 1e-10
+
+
+def test_deconv_upsample_gradcheck():
+    rng = np.random.default_rng(21)
+    x0 = rng.normal(size=(2, 3, 3, 3))
+    w0 = rng.normal(size=(2, 3, 2, 2, 2)) * 0.3
+    b0 = rng.normal(size=3) * 0.3
+
+    def build(lv):
+        out = deconv_upsample(lv["x"], DeconvParams(lv["w"], lv["b"]))
+        return T.mean_all(T.mul(out, out))
+
+    rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
+                       coords_per_leaf=6, rng=np.random.default_rng(2))
+    assert rep.max_err() < 1e-6, rep
+
+
+@pytest.mark.parametrize("x_shape,w_shape", [
+    ((2, 3, 3), (2, 4, 2, 2, 2)),  # not a (C, D, H, W) volume
+    ((3, 3, 3, 3), (2, 4, 2, 2, 2)),  # cin != weight.shape[0]
+    ((2, 3, 3, 3), (2, 4, 3, 3, 3)),  # not a (2, 2, 2) kernel
+])
+def test_deconv_upsample_shape_checks(x_shape, w_shape):
+    p = DeconvParams(Tensor(np.zeros(w_shape, np.float32)),
+                     Tensor(np.zeros(w_shape[1], np.float32)))
+    with pytest.raises(ValueError, match="incompatible"):
+        deconv_upsample(Tensor(np.zeros(x_shape, np.float32)), p)
 
 
 def test_patch_expand_gradcheck():

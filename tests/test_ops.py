@@ -14,7 +14,6 @@ from symtrans.ops import (
     LinearParams,
     conv3d,
     conv3d_output_extent,
-    conv_transpose3d,
     linear,
 )
 from symtrans.oracles import conv3d_reference
@@ -468,29 +467,6 @@ def test_linear_vs_matmul_oracle():
     np.testing.assert_allclose(out.data, x @ w.T + b, atol=1e-12)
 
 
-def test_conv_transpose3d_doubles_extents_and_matches_manual():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(2, 3, 3, 3))
-    w = rng.normal(size=(2, 4, 2, 2, 2))
-    b = rng.normal(size=4)
-    out = conv_transpose3d(t(x, wide=True), t(w, wide=True), t(b, wide=True))
-    assert out.shape == (4, 6, 6, 6)
-    expect = np.zeros((4, 6, 6, 6))
-    for i in range(2):
-        for o in range(4):
-            for zd in range(3):
-                for zh in range(3):
-                    for zw in range(3):
-                        for a in range(2):
-                            for bb in range(2):
-                                for c in range(2):
-                                    expect[o, 2 * zd + a, 2 * zh + bb, 2 * zw + c] += (
-                                        w[i, o, a, bb, c] * x[i, zd, zh, zw]
-                                    )
-    expect += b[:, None, None, None]
-    assert np.max(np.abs(out.data - expect)) < 1e-10
-
-
 @pytest.mark.parametrize("groups", [1, 2, 4])
 def test_conv3d_gradcheck(groups):
     rng = np.random.default_rng(13 + groups)
@@ -520,19 +496,4 @@ def test_conv3d_stride2_gradcheck():
 
     rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
                        coords_per_leaf=6, rng=np.random.default_rng(1))
-    assert rep.max_err() < 1e-6, rep
-
-
-def test_conv_transpose3d_gradcheck():
-    rng = np.random.default_rng(21)
-    x0 = rng.normal(size=(2, 3, 3, 3))
-    w0 = rng.normal(size=(2, 3, 2, 2, 2)) * 0.3
-    b0 = rng.normal(size=3) * 0.3
-
-    def build(lv):
-        out = conv_transpose3d(lv["x"], lv["w"], lv["b"])
-        return T.mean_all(T.mul(out, out))
-
-    rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
-                       coords_per_leaf=6, rng=np.random.default_rng(2))
     assert rep.max_err() < 1e-6, rep
