@@ -10,11 +10,13 @@ group count; the only branch left is the depthwise weight gradient, which
 keeps numpy's pairwise voxel sum. Volumes are channel-first (C, D, H, W);
 tokens are (N, dim).
 
-When the process may run on more than one CPU (``os.sched_getaffinity``;
-there is no option), ``conv3d``'s backward runs its dx loop on one worker
-thread while the calling thread runs its dw loop. Each loop is the same with
-or without the worker, so gradients are byte-identical whatever the CPU
-count. The forward always runs on the calling thread.
+The affinity rule: when the process may run on more than one CPU
+(``usable_cpus``, its ``os.sched_getaffinity`` mask; there is no option),
+``conv3d``'s backward runs its dx loop on one worker thread while the calling
+thread runs its dw loop. Each loop is the same with or without the worker, so
+gradients are byte-identical whatever the CPU count. The forward always runs
+on the calling thread. ``training`` applies the same rule to its pair
+producer.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ GRID_SLAB_BYTES = 1 << 18
 BACKWARD_THREAD_VALUES = 1 << 15
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
 def _start_backward_worker():
     """One worker thread for conv3d's backward, if this process may run on
     more than one CPU. numpy's einsum and ufunc loops release the GIL, so the
@@ -45,10 +53,8 @@ def _start_backward_worker():
     forked child starts its own: the parent's thread does not exist there.
     """
     global _BACKWARD_WORKER
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else 1
     _BACKWARD_WORKER = (futures.ThreadPoolExecutor(1, thread_name_prefix="conv3d-bwd")
-                        if cpus > 1 else None)
+                        if usable_cpus() > 1 else None)
 
 
 _start_backward_worker()

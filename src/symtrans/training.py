@@ -4,12 +4,20 @@ Training pairs are synthesized on the fly from a seeded stream: a base volume
 of labeled shapes is deformed by a smooth, fold-free random field, so every
 pair comes with its ground-truth correspondence. One pair per iteration,
 batch size 1.
+
+``train`` follows ``ops``' affinity rule: when the process may run on more
+than one CPU (``ops.usable_cpus``; there is no option) and can fork, a forked
+child generates pair k + 1 while the parent runs step k's forward and loss.
+The child runs the same ``generate_pair`` on the same seeded stream, so the
+bytes are those of the inline loop, which one CPU runs.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import multiprocessing
+import signal
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +31,7 @@ from .configio import finite, integer, sequence
 from .deformation import jacobian_determinant, warp
 from .losses import LossConfig, metrics_report, total_loss, warp_labels
 from .model import ModelConfig, forward, init_model_params, load_checkpoint, save_checkpoint
+from .ops import usable_cpus
 from .params import ParamBag
 from .tensor import Tensor
 
@@ -255,6 +264,101 @@ def pair_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng([seed, iteration])
 
 
+# Whether ``train`` may generate pairs in a forked child (the affinity rule).
+_FORK_PRODUCER = usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+def _produce_pairs(spec: SyntheticSpec, conn, parent_end):
+    """The child's loop: each Generator received becomes ``(moving, fixed)``,
+    or the exception ``generate_pair`` raised. Ends when the parent closes
+    its end of the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    parent_end.close()
+    try:
+        while True:
+            rng = conn.recv()
+            try:
+                result = generate_pair(spec, rng)[:2]
+            except Exception as exc:  # raised in the parent, where the pair is used
+                result = exc
+            conn.send(result)
+    except (EOFError, OSError):
+        pass
+
+
+class _PairProducer:
+    """A forked child that generates the next training pair while a step runs.
+
+    ``send`` hands the child a pair's Generator, ``receive`` collects the
+    pair, and ``take`` returns it, raising there what ``generate_pair``
+    raised. Once the child is gone, ``take`` generates each pair here from
+    the Generator it was sent, so the stream is drawn once either way.
+
+    Forked, not spawned: the child starts with numpy and scipy imported and
+    runs ``generate_pair`` only. ``train`` forks at its top, where conv3d's
+    backward worker and the BLAS threads are idle.
+    """
+
+    def __init__(self, spec: SyntheticSpec):
+        self.spec = spec
+        self.rng = self.result = None
+        self.in_flight = False
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.child = ctx.Process(target=_produce_pairs, args=(spec, child_end, self.conn))
+        # SIGINT stays blocked until the child ignores it, so Ctrl-C cannot
+        # interrupt the child and print its traceback
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.child.start()
+        except OSError:  # fork failed (no memory or process slots): all inline
+            self.child = None
+            self.conn.close()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            child_end.close()
+
+    def send(self, rng: np.random.Generator):
+        self.rng = rng
+        if self.child is None:
+            return
+        try:
+            self.conn.send(rng)
+            self.in_flight = True
+        except OSError:
+            self.stop()
+
+    def receive(self):
+        if not self.in_flight:
+            return
+        self.in_flight = False
+        try:
+            self.result = self.conn.recv()
+        except (EOFError, OSError):
+            self.stop()
+
+    def take(self):
+        self.receive()
+        rng, result = self.rng, self.result
+        self.rng = self.result = None
+        if result is None:
+            result = generate_pair(self.spec, rng)[:2]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def stop(self):
+        """Close the pipe and join the child. A pair it is still sending fails
+        with a broken pipe, so the join cannot wait on a full pipe."""
+        if self.child is None:
+            return
+        self.conn.close()
+        self.child.join()
+        self.child.close()
+        self.child = None
+
+
 @dataclass
 class TrainResult:
     bag: ParamBag
@@ -278,12 +382,18 @@ class OptStateError(ValueError):
     """Malformed SYMO optimizer-state content."""
 
 
+def _opt_header(r: Reader) -> int:
+    """Read the SYMO magic and version; return the step counter."""
+    r.magic(OPT_MAGIC, "optimizer-state")
+    r.version(OPT_VERSION, "optimizer-state")
+    (t,) = r.unpack("Q", "step counter")
+    return t
+
+
 def load_opt_state(path) -> AdamState:
     with open(path, "rb") as f:
         r = Reader(f, path, OptStateError)
-        r.magic(OPT_MAGIC, "optimizer-state")
-        r.version(OPT_VERSION, "optimizer-state")
-        (t,) = r.unpack("Q", "step counter")
+        t = _opt_header(r)
         m, v = {}, {}
         for _ in range(r.u32("record count")):
             name = r.name("parameter name")
@@ -294,77 +404,116 @@ def load_opt_state(path) -> AdamState:
     return AdamState(m=m, v=v, t=t)
 
 
+def _resume_step(resume) -> int | None:
+    """The step counter in ``resume``'s optimizer state, or None when its
+    header cannot be read; loading the file then reports why."""
+    path = f"{resume}.opt"
+    try:
+        with open(path, "rb") as f:
+            return _opt_header(Reader(f, path, OptStateError))
+    except (OSError, OptStateError):
+        return None
+
+
 def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
     """Run the unsupervised loop: forward, loss, backward, Adam, checkpoints.
 
     ``resume`` names a checkpoint stem (without extension) written by a
     previous run; the step counter, parameters, and moments all continue.
+    ``log``, if given, prints the loss every ``log`` iterations.
     Raises :class:`TrainingDiverged` on non-finite losses or when the
     50-iteration moving average exceeds twice its running minimum.
+
+    ``pair_rng`` is called on this thread once per iteration, in order. With
+    a pair producer (see the module docstring), the call for pair k + 1 comes
+    at the top of step k, and the pair is collected before step k's backward,
+    so the child never competes with conv3d's backward worker.
     """
+    if log is not None:
+        integer("log", log, 1)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    if resume is not None:
-        ckpt_cfg, bag, params = load_checkpoint(str(resume) + ".symt")
-        if ckpt_cfg != cfg.model:
-            raise ValueError("resume checkpoint config differs from cfg.model")
-        adam = load_opt_state(f"{resume}.opt")
-        shapes = [(n, t.shape) for n, t in bag.items()]
-        if any([(n, a.shape) for n, a in moments.items()] != shapes
-               for moments in (adam.m, adam.v)):
-            raise OptStateError(f"{resume}.opt: moments do not match the checkpoint")
-    else:
-        bag, params = init_model_params(cfg.model, np.random.default_rng(cfg.seed))
-        adam = init_adam(bag.tensors)
+    first = 0 if resume is None else _resume_step(resume)
+    producer = None
+    # forked before the model exists, so that the two processes share few
+    # pages; a daemonic process (a multiprocessing pool worker) may not fork
+    if (_FORK_PRODUCER and first is not None and cfg.iterations - first >= 2
+            and not multiprocessing.current_process().daemon):
+        producer = _PairProducer(cfg.data)
+    try:
+        if producer is not None:
+            producer.send(pair_rng(cfg.seed, first))
 
-    curve = []
-    checkpoints = []
-    window = []
-    ma_min = None
+        if resume is not None:
+            ckpt_cfg, bag, params = load_checkpoint(str(resume) + ".symt")
+            if ckpt_cfg != cfg.model:
+                raise ValueError("resume checkpoint config differs from cfg.model")
+            adam = load_opt_state(f"{resume}.opt")
+            shapes = [(n, t.shape) for n, t in bag.items()]
+            if any([(n, a.shape) for n, a in moments.items()] != shapes
+                   for moments in (adam.m, adam.v)):
+                raise OptStateError(f"{resume}.opt: moments do not match the checkpoint")
+        else:
+            bag, params = init_model_params(cfg.model, np.random.default_rng(cfg.seed))
+            adam = init_adam(bag.tensors)
 
-    def write_checkpoint(step):
-        if out_path is None:
-            return
-        stem = out_path / f"checkpoint_{step:06d}"
-        save_checkpoint(f"{stem}.symt", cfg.model, bag)
-        save_opt_state(f"{stem}.opt", adam)
-        checkpoints.append(str(stem))
+        curve = []
+        checkpoints = []
+        window = []
+        ma_min = None
 
-    if adam.t == 0:
-        write_checkpoint(0)
+        def write_checkpoint(step):
+            if out_path is None:
+                return
+            stem = out_path / f"checkpoint_{step:06d}"
+            save_checkpoint(f"{stem}.symt", cfg.model, bag)
+            save_opt_state(f"{stem}.opt", adam)
+            checkpoints.append(str(stem))
 
-    start = adam.t
-    for it in range(start, cfg.iterations):
-        rng = pair_rng(cfg.seed, it)
-        moving, fixed, _, _, _ = generate_pair(cfg.data, rng)
-        bag.zero_grads()
-        raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
-        loss, comp, _, _ = total_loss(Tensor(moving), Tensor(fixed), raw,
-                                      cfg.loss, cfg.model.mode)
-        if not np.isfinite(comp["loss"]):
-            raise TrainingDiverged(it, comp)
-        loss.backward()
-        if cfg.grad_clip > 0:
-            clip_gradients(bag.tensors, cfg.grad_clip)
-        adam_step(bag.tensors, adam, cfg)
-        curve.append((it + 1, comp["loss"], comp["loss_sim"], comp["loss_reg"]))
-        if log is not None and (it + 1) % log == 0:
-            print(f"iter {it + 1:6d}  loss {comp['loss']:.6f}  "
-                  f"sim {comp['loss_sim']:.6f}  reg {comp['loss_reg']:.6f}")
+        if adam.t == 0:
+            write_checkpoint(0)
 
-        window.append(comp["loss"])
-        if len(window) > 50:
-            window.pop(0)
-        if len(window) == 50:
-            ma = float(np.mean(window))
-            ma_min = ma if ma_min is None else min(ma_min, ma)
-            if ma > 2.0 * ma_min:
-                raise TrainingDiverged(it, {"moving_average": ma, "min": ma_min})
+        start = adam.t
+        for it in range(start, cfg.iterations):
+            if producer is None:
+                moving, fixed, _, _, _ = generate_pair(cfg.data, pair_rng(cfg.seed, it))
+            else:
+                moving, fixed = producer.take()
+                if it + 1 < cfg.iterations:
+                    producer.send(pair_rng(cfg.seed, it + 1))
+            bag.zero_grads()
+            raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
+            loss, comp, _, _ = total_loss(Tensor(moving), Tensor(fixed), raw,
+                                          cfg.loss, cfg.model.mode)
+            if not np.isfinite(comp["loss"]):
+                raise TrainingDiverged(it, comp)
+            if producer is not None:
+                producer.receive()
+            loss.backward()
+            if cfg.grad_clip > 0:
+                clip_gradients(bag.tensors, cfg.grad_clip)
+            adam_step(bag.tensors, adam, cfg)
+            curve.append((it + 1, comp["loss"], comp["loss_sim"], comp["loss_reg"]))
+            if log is not None and (it + 1) % log == 0:
+                print(f"iter {it + 1:6d}  loss {comp['loss']:.6f}  "
+                      f"sim {comp['loss_sim']:.6f}  reg {comp['loss_reg']:.6f}")
 
-        if (it + 1) % cfg.checkpoint_every == 0 or it + 1 == cfg.iterations:
-            write_checkpoint(it + 1)
+            window.append(comp["loss"])
+            if len(window) > 50:
+                window.pop(0)
+            if len(window) == 50:
+                ma = float(np.mean(window))
+                ma_min = ma if ma_min is None else min(ma_min, ma)
+                if ma > 2.0 * ma_min:
+                    raise TrainingDiverged(it, {"moving_average": ma, "min": ma_min})
+
+            if (it + 1) % cfg.checkpoint_every == 0 or it + 1 == cfg.iterations:
+                write_checkpoint(it + 1)
+    finally:
+        if producer is not None:
+            producer.stop()
 
     if out_path is not None:
         write_curve(out_path / "loss.csv", curve)

@@ -2,7 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from symtrans import ops
+from symtrans import ops, training
 
 
 @pytest.fixture
@@ -22,3 +22,18 @@ def backward_worker(monkeypatch):
 def threaded_backward(backward_worker, monkeypatch):
     """Every conv3d backward runs its dx loop on the worker, whatever its size."""
     monkeypatch.setattr(ops, "BACKWARD_THREAD_VALUES", 0)
+
+
+@pytest.fixture
+def inline_training(monkeypatch):
+    """One-CPU behaviour whatever the affinity: ``train`` generates every pair
+    on the calling thread and conv3d's backward runs both loops there."""
+    monkeypatch.setattr(ops, "_BACKWARD_WORKER", None)
+    monkeypatch.setattr(training, "_FORK_PRODUCER", False)
+
+
+@pytest.fixture
+def forked_training(backward_worker, monkeypatch):
+    """Two-CPU behaviour whatever the affinity: ``train`` generates pairs in a
+    forked producer and conv3d's backward has its worker."""
+    monkeypatch.setattr(training, "_FORK_PRODUCER", True)

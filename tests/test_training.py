@@ -1,6 +1,13 @@
+import errno
+import multiprocessing
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
+from symtrans import ops, training
 from symtrans.deformation import jacobian_determinant
 from symtrans.losses import LossConfig, dice, total_loss, warp_labels
 from symtrans.model import ModelConfig
@@ -9,6 +16,7 @@ from symtrans.tensor import Tensor
 from symtrans.training import (
     AdamState,
     SyntheticSpec,
+    TrainingDiverged,
     TrainConfig,
     adam_step,
     clip_gradients,
@@ -285,3 +293,186 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="extents"):
         TrainConfig(model=ModelConfig(input_shape=(16, 16, 16)),
                     data=SyntheticSpec(extents=(32, 32, 32)))
+
+
+@pytest.mark.parametrize("log", [0, -1, 1.5, True, "2"])
+def test_train_refuses_a_log_interval_below_one(log):
+    with pytest.raises(ValueError, match="log"):
+        train(tiny_train_cfg(iterations=1), log=log)
+
+
+# --- the pair producer -----------------------------------------------------------
+
+@pytest.fixture
+def producers(monkeypatch):
+    """Every pair producer ``train`` starts, in order."""
+    started = []
+
+    class Recorded(training._PairProducer):
+        def __init__(self, spec):
+            super().__init__(spec)
+            started.append(self)
+
+    monkeypatch.setattr(training, "_PairProducer", Recorded)
+    return started
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """``(seed, iteration, on the main thread)`` for every ``pair_rng`` call."""
+    calls = []
+
+    def recorded(seed, iteration):
+        calls.append((seed, iteration,
+                      threading.current_thread() is threading.main_thread()))
+        return pair_rng(seed, iteration)
+
+    monkeypatch.setattr(training, "pair_rng", recorded)
+    return calls
+
+
+def checkpoint_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("checkpoint_*"))}
+
+
+def test_producer_draws_each_pair_once_in_order(forked_training, producers, pair_calls,
+                                                tmp_path):
+    train(tiny_train_cfg(iterations=3), out_dir=tmp_path / "part")
+    assert pair_calls == [(7, k, True) for k in range(3)]
+    pair_calls.clear()
+    train(tiny_train_cfg(iterations=6), out_dir=tmp_path / "resumed",
+          resume=tmp_path / "part" / "checkpoint_000003")
+    assert pair_calls == [(7, k, True) for k in range(3, 6)]
+    assert len(producers) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kill", [None, "no_fork", "before_send", "in_flight", "sigint"])
+def test_producer_bytes_match_the_inline_run(kill, forked_training, producers, pair_calls,
+                                             tmp_path, monkeypatch, capfd):
+    cfg = tiny_train_cfg(iterations=4, checkpoint_every=1)
+    with monkeypatch.context() as m:
+        m.setattr(training, "_FORK_PRODUCER", False)
+        m.setattr(ops, "_BACKWARD_WORKER", None)
+        inline = train(cfg, out_dir=tmp_path / "inline")
+    assert producers == []
+    pair_calls.clear()
+
+    recorded_rng = training.pair_rng
+    recorded_forward = training.forward
+
+    def child():
+        return producers[0].child
+
+    def before_send(seed, iteration):
+        if iteration == 2:
+            # SIGKILL: the send fails or the receive finds no pair;
+            # SIGINT: the child ignores it and makes the pair
+            os.kill(child().pid, {"before_send": signal.SIGKILL,
+                                  "sigint": signal.SIGINT}[kill])
+            if kill == "before_send":
+                child().join(60)
+        return recorded_rng(seed, iteration)
+
+    calls = []
+
+    def in_flight(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            # pair 2 was sent; the receive gets it, a broken one, or nothing
+            os.kill(child().pid, signal.SIGKILL)
+        return recorded_forward(*args)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    if kill == "no_fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif kill in ("before_send", "sigint"):
+        monkeypatch.setattr(training, "pair_rng", before_send)
+    elif kill == "in_flight":
+        monkeypatch.setattr(training, "forward", in_flight)
+    forked = train(cfg, out_dir=tmp_path / "forked")
+
+    assert len(producers) == 1
+    assert pair_calls == [(7, k, True) for k in range(4)]
+    assert forked.curve == inline.curve
+    assert checkpoint_bytes(tmp_path / "forked") == checkpoint_bytes(tmp_path / "inline")
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
+
+
+def test_producer_error_surfaces_at_the_iteration_that_uses_the_pair(
+        forked_training, producers, pair_calls, tmp_path, monkeypatch, capfd):
+    generate = training.generate_pair
+    folding = pair_rng(7, 2).bit_generator.state
+
+    def fold_at_pair_2(spec, rng):
+        if rng.bit_generator.state == folding:
+            raise ValueError(f"no fold-free field in process {os.getpid()}")
+        return generate(spec, rng)
+
+    monkeypatch.setattr(training, "generate_pair", fold_at_pair_2)
+    with pytest.raises(ValueError, match="no fold-free field") as raised:
+        train(tiny_train_cfg(iterations=5, checkpoint_every=1), out_dir=tmp_path)
+    assert str(os.getpid()) not in str(raised.value)  # raised in the child
+    assert len(producers) == 1
+    assert pair_calls == [(7, k, True) for k in range(3)]
+    # iterations 0 and 1 ran and wrote their checkpoints, as inline
+    assert sorted(p.name for p in tmp_path.glob("*.symt")) == [
+        f"checkpoint_{step:06d}.symt" for step in range(3)]
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
+
+
+def test_producer_stops_when_training_diverges(forked_training, producers, monkeypatch,
+                                               capfd):
+    scored = training.total_loss
+    calls = []
+
+    def diverge_at_step_1(*args):
+        loss, comp, u, warped = scored(*args)
+        calls.append(None)
+        if len(calls) == 2:
+            comp = dict(comp, loss=float("nan"))
+        return loss, comp, u, warped
+
+    monkeypatch.setattr(training, "total_loss", diverge_at_step_1)
+    with pytest.raises(TrainingDiverged) as raised:
+        train(tiny_train_cfg(iterations=4))
+    assert raised.value.iteration == 1
+    assert len(producers) == 1
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
+
+
+def test_no_producer_for_one_pair(forked_training, producers, pair_calls):
+    train(tiny_train_cfg(iterations=1))
+    assert producers == []
+    assert pair_calls == [(7, 0, True)]
+
+
+def test_no_producer_under_inline_training(inline_training, producers, pair_calls):
+    train(tiny_train_cfg(iterations=3))
+    assert producers == []
+    assert pair_calls == [(7, k, True) for k in range(3)]
+
+
+def _train_in_daemon(cfg, out, conn):
+    train(cfg, out_dir=out)
+    conn.send(multiprocessing.active_children())
+
+
+def test_no_producer_in_a_daemonic_process(forked_training, tmp_path):
+    # a multiprocessing pool worker is daemonic and may not start a process
+    cfg = tiny_train_cfg(iterations=2)
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+    worker = ctx.Process(target=_train_in_daemon, args=(cfg, tmp_path / "daemon", there),
+                         daemon=True)
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive() and worker.exitcode == 0
+    assert here.recv() == []
+    train(cfg, out_dir=tmp_path / "here")
+    assert checkpoint_bytes(tmp_path / "daemon") == checkpoint_bytes(tmp_path / "here")
