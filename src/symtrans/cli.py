@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="generator spec JSON (defaults used if omitted)")
     p.add_argument("--pairs", type=_count(0), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a registration model")

@@ -5,15 +5,20 @@ Convolutions are computed by direct loops over kernel offsets, vectorized over
 voxels, so the accumulation order is fixed and results are deterministic.
 ``conv3d``'s forward reads each offset's input as contiguous runs (a shift of
 the flat padded grid, or a per-W-tap copy when padding dominates the plane);
-its backward reads strided windows. ``conv3d`` has one formulation for every
-group count; the only branch left is the depthwise weight gradient, which
-keeps numpy's pairwise voxel sum. Volumes are channel-first (C, D, H, W);
-tokens are (N, dim).
+its dx scatters each offset's contraction into one run of the flat padded
+grid, and its dw reads strided windows. ``conv3d`` has one formulation for
+every group count; the only branch left is the depthwise weight gradient,
+which keeps numpy's pairwise voxel sum. Volumes are channel-first
+(C, D, H, W); tokens are (N, dim).
 
 The affinity rule: when the process may run on more than one CPU
 (``usable_cpus``, its ``os.sched_getaffinity`` mask; there is no option),
-``conv3d``'s backward runs its dx loop on one worker thread while the calling
-thread runs its dw loop. Each loop is the same with or without the worker, so
+``conv3d``'s backward hands its dw loop to one worker thread, when the conv
+has at least ``BACKWARD_THREAD_VALUES`` output values and a dx to compute,
+and returns the job's ``Future`` as the weight's gradient; the calling thread
+computes dx and walks on through the tape, and ``Tensor.backward`` waits for
+the job at the end. No later rule reads a weight gradient, so only the
+optimizer waits for it. Each loop is the same with or without the worker, so
 gradients are byte-identical whatever the CPU count. The forward always runs
 on the calling thread. ``training`` applies the same rule to its pair
 producer.
@@ -33,7 +38,7 @@ from .tensor import Tensor, add_rowvec, make_op, matmul, transpose2d
 # Bytes one depth slab of the flat-grid forward's accumulator may hold.
 GRID_SLAB_BYTES = 1 << 18
 
-# Output values below which conv3d's backward runs its dx loop inline rather
+# Output values below which conv3d's backward runs its dw loop inline rather
 # than on the worker: under it the per-tap calls are too short to gain from
 # the second core and lose time to handing the GIL back and forth.
 BACKWARD_THREAD_VALUES = 1 << 15
@@ -48,7 +53,7 @@ def usable_cpus() -> int:
 def _start_backward_worker():
     """One worker thread for conv3d's backward, if this process may run on
     more than one CPU. numpy's einsum and ufunc loops release the GIL, so the
-    dx loop on the worker and the dw loop on the calling thread run at once.
+    dw loops on the worker run while the calling thread walks the tape.
     The thread starts with the first threaded backward, not at import. A
     forked child starts its own: the parent's thread does not exist there.
     """
@@ -186,30 +191,37 @@ def _weight_grad(dwg, gyg, xg, taps):
             dwg[..., a, bb, c] = np.einsum("godhw,gidhw->goi", gyg, xg[sl])
 
 
-def _input_grad(dxg, gyg, wg, taps):
-    """dx of conv3d on the padded grid: each tap scatters w^T gy into its window."""
-    for (a, bb, c), sl in taps:
-        dxg[sl] += np.einsum("goi,godhw->gidhw", wg[..., a, bb, c], gyg)
+def _input_grad(gyg, wg, st, grid_shape):
+    """dx of conv3d on the padded grid ``grid_shape``, each tap scattering
+    w^T gy into one unit-stride run of the flat grid.
 
-
-def _side_by_side(here, there, values):
-    """Run ``there`` on the backward worker while ``here`` runs on this thread.
-
-    Inline, one after the other, when there is no worker or the op has fewer
-    than BACKWARD_THREAD_VALUES output values. The worker is always waited
-    for, also when ``here`` raises, so no caller sees the rule end while it
-    still writes; an exception it raised comes out of ``result()``.
+    gy is laid out on the (Hq, Wq) plane of the grid (of its phase grid at
+    stride s, split as in ``_forward_flat``) with zeros at the positions
+    outside (Ho, Wo). A zero adds nothing to a sum, so every position gets
+    the contributions of the strided windows, in (a, b, c) order.
     """
-    if _BACKWARD_WORKER is None or values < BACKWARD_THREAD_VALUES:
-        here()
-        there()
-        return
-    future = _BACKWARD_WORKER.submit(there)
-    try:
-        here()
-    finally:
-        futures.wait((future,))
-    future.result()
+    groups, per_out, do, ho, wo = gyg.shape
+    k = wg.shape[-1]
+    dq, hq, wq = (-(-e // st) for e in grid_shape[1:])
+    plane = hq * wq
+    gyf = np.zeros((groups, per_out, do, hq, wq), dtype=gyg.dtype)
+    gyf[..., :ho, :wo] = gyg
+    span = (do - 1) * plane + (ho - 1) * wq + wo
+    run = gyf.reshape((groups, per_out, -1))[..., :span]
+    dphases = np.zeros((st ** 3, groups, wg.shape[2], dq * plane), dtype=gyg.dtype)
+    for a, bb, c in itertools.product(range(k), repeat=3):
+        phase = ((a % st) * st + bb % st) * st + c % st
+        start = (a // st) * plane + (bb // st) * wq + c // st
+        dphases[phase, ..., start:start + span] += np.einsum(
+            "goi,gos->gis", wg[..., a, bb, c], run)
+    dphases = dphases.reshape((st ** 3, grid_shape[0], dq, hq, wq))
+    if st == 1:
+        return dphases[0]
+    dxp = np.empty(grid_shape, dtype=gyg.dtype)
+    for i, (rd, rh, rw) in enumerate(itertools.product(range(st), repeat=3)):
+        part = dxp[:, rd::st, rh::st, rw::st]
+        part[...] = dphases[i, :, :part.shape[1], :part.shape[2], :part.shape[3]]
+    return dxp
 
 
 def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
@@ -234,18 +246,36 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
 
     def rule(gy):
         gyg = gy.reshape((groups, -1, do, ho, wo))
-        dwg = np.zeros_like(wg)
-        dxg = np.zeros_like(xg)
         # taps: the (G, C/G, D, H, W) window each offset (a, b, c) read
         taps = [((a, bb, c), (slice(None), slice(None), slice(a, a + st * do, st),
                               slice(bb, bb + st * ho, st), slice(c, c + st * wo, st)))
                 for a, bb, c in itertools.product(range(k), repeat=3)]
-        _side_by_side(lambda: _weight_grad(dwg, gyg, xg, taps),
-                      lambda: _input_grad(dxg, gyg, wg, taps), gy.size)
+
+        def weight_grad():
+            dwg = np.zeros_like(wg)
+            _weight_grad(dwg, gyg, xg, taps)
+            return dwg.reshape(w.shape)
+
+        def input_grad():
+            if not x.requires_grad:  # e.g. the stem's conv of the input pair
+                return None
+            dxp = _input_grad(gyg, wg, st, xp.shape)
+            return dxp[:, pad:-pad, pad:-pad, pad:-pad] if pad else dxp
+
         db = gy.sum(axis=(1, 2, 3))
-        dxp = dxg.reshape(xp.shape)
-        dx = dxp[:, pad:-pad, pad:-pad, pad:-pad] if pad else dxp
-        return dx, dwg.reshape(w.shape), db
+        # dw goes to the worker while this thread computes dx and walks on.
+        # With no dx there is nothing to overlap here, and such a conv (on a
+        # constant input) comes at the end of the walk, where a deferred dw
+        # would only lengthen the final wait.
+        if (_BACKWARD_WORKER is None or gy.size < BACKWARD_THREAD_VALUES
+                or not x.requires_grad or p.weight._backward_rule is not None):
+            return input_grad(), weight_grad(), db
+        dw = _BACKWARD_WORKER.submit(weight_grad)
+        try:
+            return input_grad(), dw, db
+        except BaseException:
+            futures.wait((dw,))  # no caller sees the rule end while dw writes
+            raise
 
     return make_op((x, p.weight, p.bias), out, rule)
 

@@ -12,6 +12,7 @@ compute the same values but record no tape.
 from __future__ import annotations
 
 import contextlib
+from concurrent import futures
 
 import numpy as np
 from scipy.special import erf
@@ -72,7 +73,17 @@ class Tensor:
 
         The graph is traversed in exact reverse execution order (reverse
         topological order); gradients flowing into a node reached through
-        several paths accumulate additively.
+        several paths accumulate additively, in the order the rules produce
+        them: the first is copied, the rest are added in place.
+
+        A rule may return a ``concurrent.futures.Future`` as the gradient of
+        a leaf (a parent with no backward rule), for work another thread
+        finishes while the walk goes on: no later rule reads a leaf's
+        gradient. From its first Future on, a leaf's contributions wait in
+        order and are resolved and accumulated after the walk, so the bytes
+        are those of the inline walk. A Future for any other parent is a
+        ``TypeError``. Every Future is waited for on every exit path, also
+        when a rule raises, and only then is the first error raised.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -95,22 +106,44 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward_rule is None or node.grad is None:
-                continue
-            grads = node._backward_rule(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is None or not parent.requires_grad:
+        pending: list[futures.Future] = []
+        # leaf -> its contributions from its first Future on
+        deferred: dict[Tensor, list] = {}
+        try:
+            for node in reversed(order):
+                if node._backward_rule is None or node.grad is None:
                     continue
-                if g.shape != parent.data.shape:
-                    raise ValueError(
-                        f"backward rule produced shape {g.shape} for parent "
-                        f"of shape {parent.data.shape}"
-                    )
-                if parent.grad is None:
-                    parent.grad = g.copy()
-                else:
-                    parent.grad += g
+                grads = node._backward_rule(node.grad)
+                for parent, g in zip(node._parents, grads):
+                    if isinstance(g, futures.Future):
+                        pending.append(g)
+                        if parent._backward_rule is not None:
+                            raise TypeError("backward rule returned a Future for a "
+                                            "parent that has a backward rule")
+                    if g is None or not parent.requires_grad:
+                        continue
+                    if isinstance(g, futures.Future) or parent in deferred:
+                        deferred.setdefault(parent, []).append(g)
+                    else:
+                        parent._accumulate(g)
+        finally:
+            futures.wait(pending)
+        for future in pending:
+            future.result()
+        for parent, contributions in deferred.items():
+            for g in contributions:
+                parent._accumulate(g.result() if isinstance(g, futures.Future) else g)
+
+    def _accumulate(self, g: np.ndarray):
+        if g.shape != self.data.shape:
+            raise ValueError(
+                f"backward rule produced shape {g.shape} for parent "
+                f"of shape {self.data.shape}"
+            )
+        if self.grad is None:
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     # operator sugar (scalars allowed, full broadcasting is not)
     def __add__(self, other):

@@ -20,14 +20,15 @@ def backward_worker(monkeypatch):
 
 @pytest.fixture
 def threaded_backward(backward_worker, monkeypatch):
-    """Every conv3d backward runs its dx loop on the worker, whatever its size."""
+    """Every conv3d backward with a dx to compute hands its dw loop to the
+    worker, whatever its size."""
     monkeypatch.setattr(ops, "BACKWARD_THREAD_VALUES", 0)
 
 
 @pytest.fixture
 def inline_training(monkeypatch):
     """One-CPU behaviour whatever the affinity: ``train`` generates every pair
-    on the calling thread and conv3d's backward runs both loops there."""
+    on the calling thread and conv3d's backward runs both of its loops there."""
     monkeypatch.setattr(ops, "_BACKWARD_WORKER", None)
     monkeypatch.setattr(training, "_FORK_PRODUCER", False)
 

@@ -71,7 +71,7 @@ def test_traced_step_matches_flop_count_and_times_conv_backward(tracing, placeme
 
 def test_traced_step_with_conv_backward_on_the_worker(tracing, threaded_backward):
     # the worker runs raw numpy only, so the tracer's one-thread span stack
-    # and its conv backward keys hold when every dx loop runs there
+    # and its conv backward keys hold when every dw loop runs there
     check_traced_step(tracing, "symmetric")
 
 

@@ -356,19 +356,23 @@ def test_register_out_of_memory_exit_3(trained, tmp_path, capsys, monkeypatch):
 def test_train_out_of_memory_on_the_backward_worker_exit_3(trained, tmp_path, capsys,
                                                             threaded_backward, monkeypatch):
     tmp, _, _ = trained
-    on_worker = []
+    failed_on_worker = []
+    weight_grad = ops._weight_grad
 
     def exhausted(*args):
-        on_worker.append(threading.current_thread() is not threading.main_thread())
+        if threading.current_thread() is threading.main_thread():
+            return weight_grad(*args)
+        failed_on_worker.append(args)
         raise MemoryError("Unable to allocate 64.0 MiB for an array")
 
-    monkeypatch.setattr(ops, "_input_grad", exhausted)
+    monkeypatch.setattr(ops, "_weight_grad", exhausted)
     code, _, err = run(["train", "--config", str(tmp / "train.json"),
                         "--out", str(tmp_path / "run")], capsys)
     assert code == 3
     assert err.strip() == "error: train: out of memory"
     assert "Traceback" not in err
-    assert on_worker == [True]
+    # the walk goes on past a failed job, so every later deferred dw ran too
+    assert len(failed_on_worker) > 1
 
 
 @pytest.mark.parametrize("kv_stride", [None, 1])
@@ -430,7 +434,9 @@ def test_register_defaults_to_the_checkpoint_mode(trained, tmp_path, capsys):
 @pytest.mark.parametrize("argv,flag", [
     (["train", "--log", "0"], "--log"),
     (["gen-data", "--pairs", "-2"], "--pairs"),
-], ids=["log", "pairs"])
+    (["gen-data", "--pairs", "0", "--seed", "-1"], "--seed"),
+    (["gen-data", "--pairs", "1", "--seed", "-1"], "--seed"),
+], ids=["log", "pairs", "seed-no-pairs", "seed"])
 def test_cli_count_below_its_minimum_exit_2(tmp_path, capsys, trained, argv, flag):
     tmp, _, _ = trained
     out = tmp_path / "o"

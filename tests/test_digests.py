@@ -3,8 +3,10 @@
 The 4-iteration 32^3 desk runs (seed 42, lr 5e-3, beta2 0.99) write the same
 step-0 and step-4 files in both modes, whether the pairs come from the forked
 producer and conv3d's backward has its worker, or everything runs inline on
-one thread. A change that moves a training byte on purpose updates DIGESTS in
-the same diff and says why.
+one thread. The ablation placements' displacement runs, which take other
+backward paths through conv3d's deferred weight gradients, write the same
+step-4 weights with the producer and the worker. A change that moves a
+training byte on purpose updates the digests in the same diff and says why.
 
 The digests hold for the environment in PINNED_ENV. Float32 sums can round
 differently with another numpy, BLAS or set of SIMD extensions, so on an
@@ -50,6 +52,14 @@ DIGESTS = {
     },
 }
 
+# sha256[:16] of checkpoint_000004.symt of each ablation placement's
+# displacement desk run
+PLACEMENT_DIGESTS = {
+    "encoder_only": "bc19efb129b7d842",
+    "bottom_only": "aaec431869ff5df3",
+    "decoder_only": "6947ed6d6f157985",
+}
+
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -69,9 +79,9 @@ def environment() -> dict:
     }
 
 
-def desk_config(mode) -> TrainConfig:
+def desk_config(mode, placement="symmetric") -> TrainConfig:
     model = ModelConfig(input_shape=(32, 32, 32), base_dim=8, encoder_depths=(1, 1, 1),
-                        decoder_depths=(1, 1, 1), mode=mode)
+                        decoder_depths=(1, 1, 1), mode=mode, placement=placement)
     return TrainConfig(lr=5e-3, beta2=0.99, iterations=4, seed=42, checkpoint_every=1000,
                        model=model, data=SyntheticSpec())
 
@@ -92,16 +102,29 @@ def test_desk_run_digests(mode, path, request, tmp_path, monkeypatch):
     train(desk_config(mode), out_dir=tmp_path)
     assert len(generated_here) == (0 if path == "forked_training" else 4)
 
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
-           for name in DIGESTS[mode]}
-    moved = [f"{name}: {got[name]}, pinned {pinned}"
-             for name, pinned in DIGESTS[mode].items() if got[name] != pinned]
+    check_digests(f"{mode} desk run ({path})", tmp_path, DIGESTS[mode])
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENT_DIGESTS))
+def test_placement_desk_run_digests(placement, forked_training, tmp_path):
+    train(desk_config("displacement", placement), out_dir=tmp_path)
+    check_digests(f"{placement} desk run", tmp_path,
+                  {"checkpoint_000004.symt": PLACEMENT_DIGESTS[placement]})
+
+
+def check_digests(run, out_dir, pinned):
+    """Fail, or on an environment other than the pinned one xfail, naming
+    every file of ``pinned`` whose digest moved."""
+    got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
+           for name in pinned}
+    moved = [f"{name}: {got[name]}, pinned {digest}"
+             for name, digest in pinned.items() if got[name] != digest]
     if not moved:
         return
     here = environment()
     differs = [f"{key}: {here[key]!r}, pinned {PINNED_ENV[key]!r}"
                for key in PINNED_ENV if here[key] != PINNED_ENV[key]]
-    message = f"{mode} desk run ({path}) moved " + "; ".join(moved)
+    message = f"{run} moved " + "; ".join(moved)
     if differs:
         pytest.xfail(message + ". The environment differs from the pinned one in "
                      + "; ".join(differs))

@@ -180,12 +180,25 @@ def windowed_einsum_conv3d_grads(x, w, gy, stride, padding, groups):
 
 
 def conv3d_rule_grads(x, w, b, gy, stride, padding, groups):
-    """(dx, dw, db) of conv3d's own backward rule for the output gradient gy."""
+    """(dx, dw, db) that ``backward`` gives conv3d's leaves when the rule is
+    handed the output gradient gy."""
     leaves = [T.Tensor(v, requires_grad=True, dtype=v.dtype) for v in (x, w, b)]
     out = conv3d(leaves[0], Conv3dParams(leaves[1], leaves[2], stride=stride,
                                          padding=padding, groups=groups))
     assert out.shape == gy.shape
-    return out._backward_rule(gy)
+    T.sum_all(T.mul(out, T.Tensor(gy, dtype=gy.dtype))).backward()  # hands the rule exactly gy
+    return tuple(leaf.grad for leaf in leaves)
+
+
+def spy_on_thread(monkeypatch, name, ran_on):
+    """Record, per call of ops.<name>, whether it ran on the main thread."""
+    inner = getattr(ops, name)
+
+    def spy(*args):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        return inner(*args)
+
+    monkeypatch.setattr(ops, name, spy)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -201,13 +214,7 @@ def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
     extents_out = tuple(conv3d_output_extent(e, k, stride, padding) for e in extents)
     gy = rng.normal(size=(cout,) + extents_out).astype(dtype)
     ran_on = []
-    input_grad = ops._input_grad
-
-    def spy(*args):
-        ran_on.append(threading.current_thread() is threading.main_thread())
-        input_grad(*args)
-
-    monkeypatch.setattr(ops, "_input_grad", spy)
+    spy_on_thread(monkeypatch, "_weight_grad", ran_on)
     threaded = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
     monkeypatch.setattr(ops, "_BACKWARD_WORKER", None)
     inline = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
@@ -221,13 +228,7 @@ def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
 
 def test_conv3d_backward_runs_small_ops_inline(backward_worker, monkeypatch):
     ran_on = []
-    input_grad = ops._input_grad
-
-    def spy(*args):
-        ran_on.append(threading.current_thread() is threading.main_thread())
-        input_grad(*args)
-
-    monkeypatch.setattr(ops, "_input_grad", spy)
+    spy_on_thread(monkeypatch, "_weight_grad", ran_on)
     rng = np.random.default_rng(41)
     w = rng.normal(size=(1, 1, 1, 1, 1)).astype(np.float32)
     b = np.zeros(1, np.float32)
@@ -237,13 +238,50 @@ def test_conv3d_backward_runs_small_ops_inline(backward_worker, monkeypatch):
     assert ran_on == [True, False]
 
 
-def small_conv_rule(rng):
+def test_conv3d_backward_skips_dx_of_a_constant_input(threaded_backward, monkeypatch):
+    # the stem's first conv reads concat(moving, fixed), which needs no
+    # gradient; with no dx to overlap, its dw stays on the calling thread
+    dx_ran, dw_ran_here = [], []
+    spy_on_thread(monkeypatch, "_input_grad", dx_ran)
+    spy_on_thread(monkeypatch, "_weight_grad", dw_ran_here)
+    rng = np.random.default_rng(45)
+    weight = T.Tensor(rng.normal(size=(4, 2, 3, 3, 3)).astype(np.float32), requires_grad=True)
     x = rng.normal(size=(2, 6, 6, 6)).astype(np.float32)
+    grads = []
+    for requires_grad in (False, True):
+        out = conv3d(T.Tensor(x, requires_grad=requires_grad),
+                     Conv3dParams(weight, T.Tensor(np.zeros(4, np.float32)), padding=1))
+        weight.zero_grad()
+        T.sum_all(out).backward()
+        grads.append(weight.grad)
+    assert len(dx_ran) == 1
+    assert dw_ran_here == [True, False]
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_conv3d_backward_keeps_the_dw_of_a_computed_weight_inline(threaded_backward):
+    # backward takes a deferred gradient only for a leaf
+    rng = np.random.default_rng(46)
+    x = rng.normal(size=(2, 6, 6, 6)).astype(np.float32)
+    w = rng.normal(size=(3, 2, 3, 3, 3)).astype(np.float32)
+    grads = []
+    for computed in (False, True):
+        leaf = T.Tensor(w, requires_grad=True)
+        weight = T.scalar_mul(leaf, 1.0) if computed else leaf
+        out = conv3d(T.Tensor(x, requires_grad=True),
+                     Conv3dParams(weight, T.Tensor(np.zeros(3, np.float32)), padding=1))
+        T.sum_all(out).backward()
+        grads.append(leaf.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def conv_loss(rng):
+    """A loss over one 2->2 channel conv at 6^3."""
+    x = T.Tensor(rng.normal(size=(2, 6, 6, 6)).astype(np.float32), requires_grad=True)
     w = rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32)
-    out = conv3d(T.Tensor(x, requires_grad=True),
-                 Conv3dParams(T.Tensor(w, requires_grad=True), T.Tensor(np.zeros(2, np.float32)),
-                              padding=1))
-    return out._backward_rule, np.ones_like(out.data)
+    out = conv3d(x, Conv3dParams(T.Tensor(w, requires_grad=True),
+                                 T.Tensor(np.zeros(2, np.float32)), padding=1))
+    return T.sum_all(out)
 
 
 def test_conv3d_backward_worker_error_reaches_the_caller(threaded_backward, monkeypatch):
@@ -254,34 +292,34 @@ def test_conv3d_backward_worker_error_reaches_the_caller(threaded_backward, monk
         stopped.set()
         raise MemoryError("Unable to allocate 1.0 GiB for an array")
 
-    monkeypatch.setattr(ops, "_input_grad", exhausted)
-    rule, gy = small_conv_rule(np.random.default_rng(42))
+    monkeypatch.setattr(ops, "_weight_grad", exhausted)
+    loss = conv_loss(np.random.default_rng(42))
     with pytest.raises(MemoryError, match="1.0 GiB"):
-        rule(gy)
+        loss.backward()
     assert stopped.is_set()
 
 
 def test_conv3d_backward_joins_the_worker_before_reraising(threaded_backward, monkeypatch):
-    # dw fails at once while dx is still running on the worker: the rule must
-    # not hand its error, or control, back while the worker writes
+    # dx fails on the calling thread while dw still runs on the worker: the
+    # rule must not hand its error, or control, back while the worker writes
     started, finished = threading.Event(), threading.Event()
-    input_grad = ops._input_grad
+    weight_grad = ops._weight_grad
 
     def slow(*args):
         started.set()
         time.sleep(0.2)
-        input_grad(*args)
+        weight_grad(*args)
         finished.set()
 
     def failing(*args):
         assert started.wait(5)
-        raise FloatingPointError("dw failed")
+        raise FloatingPointError("dx failed")
 
-    monkeypatch.setattr(ops, "_input_grad", slow)
-    monkeypatch.setattr(ops, "_weight_grad", failing)
-    rule, gy = small_conv_rule(np.random.default_rng(43))
-    with pytest.raises(FloatingPointError, match="dw failed"):
-        rule(gy)
+    monkeypatch.setattr(ops, "_weight_grad", slow)
+    monkeypatch.setattr(ops, "_input_grad", failing)
+    loss = conv_loss(np.random.default_rng(43))
+    with pytest.raises(FloatingPointError, match="dx failed"):
+        loss.backward()
     assert finished.is_set()
 
 

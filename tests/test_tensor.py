@@ -1,3 +1,7 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -245,3 +249,84 @@ def test_narrow_and_concat_round_trip():
     np.testing.assert_array_equal(back.data, x.data)
     T.sum_all(back).backward()
     np.testing.assert_array_equal(x.grad, np.ones((4, 6)))
+
+
+def contribute(x, g, order, label, worker=None):
+    """An op whose rule hands ``x`` the gradient ``g`` (from a job on
+    ``worker`` when given) and records ``label`` in ``order``."""
+    def job():
+        time.sleep(0.05)
+        return g
+
+    def rule(_):
+        order.append(label)
+        return (worker.submit(job) if worker else g,)
+
+    return T.make_op((x,), x.data.copy(), rule)
+
+
+def deferred_leaf_grad(contributions, worker):
+    x = t(np.zeros(contributions[0].shape, np.float32))
+    order = []
+    (g1, w1), (g2, w2), (g3, w3) = zip(contributions, worker)
+    loss = T.sum_all(T.add(T.add(contribute(x, g1, order, 0, w1),
+                                 contribute(x, g2, order, 1, w2)),
+                           contribute(x, g3, order, 2, w3)))
+    loss.backward()
+    return x.grad, order
+
+
+def test_deferred_leaf_contributions_accumulate_to_the_inline_bytes():
+    rng = np.random.default_rng(3)
+    parts = [(rng.normal(size=4096) * scale).astype(np.float32) for scale in (1e4, 1.0, 1e-3)]
+    inline, order = deferred_leaf_grad(parts, (None, None, None))
+    first, second, third = (parts[i] for i in order)
+    expect = first.copy()
+    expect += second
+    expect += third
+    assert inline.tobytes() == expect.tobytes()
+    # the eager contribution comes last: summed first, the bytes would move
+    assert order[-1] == 2
+    eager_first = parts[2] + first
+    eager_first += second
+    assert eager_first.tobytes() != expect.tobytes()
+    with ThreadPoolExecutor(1) as worker:
+        deferred, _ = deferred_leaf_grad(parts, (worker, worker, None))
+    assert deferred.tobytes() == expect.tobytes()
+
+
+def test_backward_refuses_a_future_for_a_non_leaf_parent():
+    finished = threading.Event()
+
+    def job():
+        time.sleep(0.1)
+        finished.set()
+        return np.ones(3, np.float32)
+
+    with ThreadPoolExecutor(1) as worker:
+        hidden = T.scalar_mul(t([1.0, 2.0, 3.0]), 2.0)
+        out = T.make_op((hidden,), hidden.data.copy(), lambda g: (worker.submit(job),))
+        with pytest.raises(TypeError, match="Future"):
+            T.sum_all(out).backward()
+        assert finished.is_set()
+
+
+def test_backward_raises_a_rule_error_only_after_the_worker_finished():
+    finished = threading.Event()
+
+    def job():
+        time.sleep(0.2)
+        finished.set()
+        return np.ones(3, np.float32)
+
+    def failing(g):
+        raise FloatingPointError("rule failed")
+
+    with ThreadPoolExecutor(1) as worker:
+        x, w = t([1.0, 2.0, 3.0]), t([4.0, 5.0, 6.0])
+        u = T.make_op((w,), w.data.copy(), failing)  # its rule runs after v's
+        v = T.make_op((x, u), x.data + u.data, lambda g: (worker.submit(job), g))
+        with pytest.raises(FloatingPointError, match="rule failed"):
+            T.sum_all(v).backward()
+        assert finished.is_set()
+        assert x.grad is None
