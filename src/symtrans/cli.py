@@ -13,10 +13,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .configio import ConfigError, from_dict, to_canonical_json
@@ -79,6 +81,10 @@ def write_manifest(out_path, command, config, seed, inputs, outputs):
         else config,
         "seed": seed,
         "tool_version": __version__,
+        # what produced the file: same-seed runs agree byte for byte only
+        # under the same numpy, scipy and Python
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
     }

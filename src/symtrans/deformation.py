@@ -10,17 +10,48 @@ inputs: the flat index of the low corner (int64), the fractional position
 (3 values of the field's dtype) and the inside-the-volume mask (3 bools).
 That is 23 bytes per voxel at float32; the backward rule recomputes the
 interpolation weights from them.
+
+The forward runs in depth slabs of ``SAMPLE_SLAB_VOXELS`` voxels (one depth
+at least). Each slab computes its own coordinates, clamp, low-corner index,
+fractions and mask and gathers its 8 corners, writing only its slice of the
+output and of the three saved arrays. From ``SAMPLE_THREAD_VOXELS`` voxels,
+when ``ops`` has its worker thread (see the affinity rule there), the slabs
+of the first half of the depths run on the worker while the calling thread
+samples the second half. From ``SCATTER_THREAD_VOXELS`` voxels, when both
+inputs need a gradient, the backward's field scatter runs on the worker
+while the calling thread computes the offset gradient. The worker calls raw
+numpy only, and every job is waited for before the op or its rule returns,
+also when it raises. Every voxel's arithmetic is the same on either thread
+and at any slab size, so the bytes are too; what the backward reads is
+still the 23 bytes per voxel.
 """
 
 from __future__ import annotations
 
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from . import tensor as T
 from .configio import integer
 from .tensor import Tensor, make_op
+
+# Voxels in one depth slab of trilinear_sample's forward, so that a slab's
+# indices, weights and gathered corners stay in cache between the passes
+# over them.
+SAMPLE_SLAB_VOXELS = 1 << 15
+
+# Voxels from which trilinear_sample's forward samples the first half of the
+# depths on ops' worker. Set per training step, not per call: a 32^3 forward
+# gains alone but loses within a step, where the pair producer holds the
+# second core.
+SAMPLE_THREAD_VOXELS = 1 << 16
+
+# Voxels from which trilinear_sample's backward scatters the field's
+# gradient on ops' worker; under it the hand-off costs more than it saves.
+SCATTER_THREAD_VOXELS = 1 << 13
 
 
 @dataclass
@@ -42,6 +73,86 @@ class FoldingStats:
     interior_voxels: int
 
 
+def _sample_slab(fdat, off, z0, z1, out, base, frac, inside):
+    """Sample depths z0:z1 of ``trilinear_sample``'s forward into their
+    slices of ``out`` (C, D*H*W), ``base``, ``frac`` and ``inside``; ``out``
+    and ``base`` start at zero. Raw numpy only, so it may run on ``ops``'
+    worker."""
+    c, d, h, w = fdat.shape
+    m = (z1 - z0) * h * w
+    dtype = fdat.dtype
+    bases = base[z0:z1]
+    fracs = frac[:, z0:z1]
+    for ax, (lo, hi, ext) in enumerate(((z0, z1, d), (0, h, h), (0, w, w))):
+        line = [1, 1, 1]
+        line[ax] = hi - lo
+        coord = np.arange(lo, hi, dtype=dtype).reshape(line) + off[ax, z0:z1]
+        inside[ax, z0:z1] = (coord >= 0.0) & (coord <= ext - 1.0)
+        cl = np.clip(coord, 0.0, ext - 1.0)
+        i0 = np.floor(cl).astype(np.int64)
+        np.minimum(i0, max(ext - 2, 0), out=i0)
+        fracs[ax] = cl - i0
+        bases *= ext
+        bases += i0
+    fac = _factors(fracs.reshape(3, m))
+    dh = _pair(fac, 0, 1)
+    flat_base = bases.reshape(m)
+    acc = out[:, z0 * h * w:z1 * h * w]
+    v = np.empty((c, m), dtype=dtype)
+    for (bd, bh, bw), s in _corners((d, h, w)):
+        _gather(fdat, flat_base, s, v)
+        v *= dh[bd][bh] * fac[2][bw]
+        acc += v
+
+
+def _field_grad(gy, fdat, flat_base, corners, dh, fac_w):
+    """The field's gradient: per corner, ``gy`` times the corner's weight
+    (``dh`` of its d and h bits times ``fac_w`` of its w bit) scattered to the
+    corner's voxels, added in corner order. Raw numpy only, so it may run on
+    ``ops``' worker."""
+    c, n = gy.shape
+    dfield = np.zeros_like(fdat)
+    chan_base = (np.arange(c, dtype=np.int64)[:, None] * n + flat_base).ravel()
+    w64 = np.empty((c, n), dtype=np.float64)
+    for (bd, bh, bw), s in corners:
+        # one bincount over channel-offset indices. The product is rounded in
+        # the field's dtype (numpy picks the loop from the inputs) and stored
+        # as the float64 weights bincount would otherwise convert to itself,
+        # more slowly
+        np.multiply(gy, dh[bd][bh] * fac_w[bw], out=w64)
+        dfield += np.bincount(
+            chan_base + s, weights=w64.ravel(), minlength=c * n
+        ).astype(fdat.dtype).reshape(fdat.shape)
+    return dfield
+
+
+def _corners(spatial):
+    """(bits, flat-index step) of the 8 corners, low corner first."""
+    d, h, w = spatial
+    step = (h * w if d > 1 else 0, w if h > 1 else 0, 1 if w > 1 else 0)
+    return [((bd, bh, bw), bd * step[0] + bh * step[1] + bw * step[2])
+            for bd in (0, 1) for bh in (0, 1) for bw in (0, 1)]
+
+
+def _gather(fdat, flat_base, s, into):
+    """Write the field values at the corner ``s`` flat steps above each
+    index of ``flat_base``."""
+    # indices are in range by construction; "clip" lets take write straight
+    # into ``into`` where "raise" would buffer
+    c = fdat.shape[0]
+    np.take(fdat.reshape(c, -1), flat_base + s, axis=1, out=into, mode="clip")
+
+
+def _factors(frac):
+    """Per-axis weight factors (1 - frac, frac) of flat (3, n) fractions."""
+    return [(1.0 - frac[ax], frac[ax]) for ax in range(3)]
+
+
+def _pair(fac, a, b):
+    """Products of the factors of axes a < b, indexed [bit_a][bit_b]."""
+    return [[fac[a][i] * fac[b][j] for j in (0, 1)] for i in (0, 1)]
+
+
 def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
     """Sample ``field`` at p + offsets(p), trilinearly, clamping to the border.
 
@@ -58,83 +169,56 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
         raise ValueError(
             f"trilinear_sample: spatial mismatch {field.shape} vs {offsets.shape}"
         )
+    if field.dtype != offsets.dtype:
+        raise TypeError(f"mixed precisions: {field.dtype} vs {offsets.dtype}")
     if not np.isfinite(offsets.data).all():
         raise ValueError("trilinear_sample: offsets contain non-finite values")
     c = field.shape[0]
     spatial = field.shape[1:]
-    n = int(np.prod(spatial))
-    dtype = field.data.dtype
+    d, h, w = spatial
+    n = d * h * w
+    dtype = field.dtype
+    fdat = field.data
+    out = np.zeros((c, n), dtype=dtype)
     base = np.zeros(spatial, dtype=np.int64)
     frac = np.empty((3,) + spatial, dtype=dtype)
     inside = np.empty((3,) + spatial, dtype=bool)
-    for ax, ext in enumerate(spatial):
-        line = [1, 1, 1]
-        line[ax] = ext
-        coord = np.arange(ext, dtype=dtype).reshape(line) + offsets.data[ax]
-        inside[ax] = (coord >= 0.0) & (coord <= ext - 1.0)
-        cl = np.clip(coord, 0.0, ext - 1.0)
-        i0 = np.floor(cl).astype(np.int64)
-        np.minimum(i0, max(ext - 2, 0), out=i0)
-        frac[ax] = cl - i0
-        base *= ext
-        base += i0
-    d, h, w = spatial
-    step = (h * w if d > 1 else 0, w if h > 1 else 0, 1 if w > 1 else 0)
-    # (bits, flat-index step) of the 8 corners, low corner first
-    corners = [((bd, bh, bw), bd * step[0] + bh * step[1] + bw * step[2])
-               for bd in (0, 1) for bh in (0, 1) for bw in (0, 1)]
+    depth = max(1, SAMPLE_SLAB_VOXELS // (h * w))
 
-    fdat = field.data
+    def sample(lo, hi):
+        """Depths lo:hi, in slabs of ``depth``."""
+        for z0 in range(lo, hi, depth):
+            _sample_slab(fdat, offsets.data, z0, min(z0 + depth, hi), out, base, frac,
+                         inside)
+
+    worker = ops._WORKER
+    if worker is None or n < SAMPLE_THREAD_VOXELS or d < 2:
+        sample(0, d)
+    else:
+        half = worker.submit(sample, 0, d // 2)
+        try:
+            sample(d // 2, d)
+        finally:
+            futures.wait((half,))
+        half.result()
+
+    corners = _corners(spatial)
     flat_base = base.reshape(n)
-
-    def gather(s, into):
-        """Write every voxel's field values at the corner ``s`` flat steps up."""
-        # indices are in range by construction; "clip" lets take write
-        # straight into ``into`` where "raise" would buffer
-        np.take(fdat.reshape(c, n), flat_base + s, axis=1, out=into, mode="clip")
-
-    def factors():
-        """Per-axis weight factors (1 - frac, frac), flattened."""
-        return [(1.0 - frac[ax].reshape(n), frac[ax].reshape(n)) for ax in range(3)]
-
-    def pair(fac, a, b):
-        """Products of the factors of axes a < b, indexed [bit_a][bit_b]."""
-        return [[fac[a][i] * fac[b][j] for j in (0, 1)] for i in (0, 1)]
-
-    fac = factors()
-    dh = pair(fac, 0, 1)
-    out = np.zeros((c, n), dtype=dtype)
-    v = np.empty((c, n), dtype=dtype)
-    for (bd, bh, bw), s in corners:
-        gather(s, v)
-        v *= dh[bd][bh] * fac[2][bw]
-        out += v
-    out = out.reshape((c,) + spatial)
 
     def rule(gy):
         gy = gy.reshape(c, n)
-        fac = factors()
+        fac = _factors(frac.reshape(3, n))
         # others[ax]: products of the factors of the two axes other than ax
         other_axes = ((1, 2), (0, 2), (0, 1))
-        others = [pair(fac, a, b) for a, b in other_axes]
-        dfield = np.zeros_like(fdat) if field.requires_grad else None
-        acc = np.zeros((3, c, n), dtype=dtype) if offsets.requires_grad else None
-        chan_base = (np.arange(c, dtype=np.int64)[:, None] * n + flat_base).ravel()
-        v = np.empty((c, n), dtype=dtype)
-        term = np.empty((c, n), dtype=dtype)
-        w64 = np.empty((c, n), dtype=np.float64)
-        for bits, s in corners:
-            gather(s, v)
-            if dfield is not None:
-                # one bincount over channel-offset indices. The product is
-                # rounded in the field's dtype (numpy picks the loop from the
-                # inputs) and stored as the float64 weights bincount would
-                # otherwise convert to itself, more slowly
-                np.multiply(gy, others[2][bits[0]][bits[1]] * fac[2][bits[2]], out=w64)
-                dfield += np.bincount(
-                    chan_base + s, weights=w64.ravel(), minlength=c * n
-                ).astype(dtype).reshape(fdat.shape)
-            if acc is not None:
+        others = [_pair(fac, a, b) for a, b in other_axes]
+        field_args = (gy, fdat, flat_base, corners, others[2], fac[2])
+
+        def offset_grad():
+            acc = np.zeros((3, c, n), dtype=dtype)
+            v = np.empty((c, n), dtype=dtype)
+            term = np.empty((c, n), dtype=dtype)
+            for bits, s in corners:
+                _gather(fdat, flat_base, s, v)
                 # derivative w.r.t. each coordinate: difference of the two
                 # corner planes along that axis, interpolated over the others
                 for ax, (a, b) in enumerate(other_axes):
@@ -143,15 +227,27 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
                         acc[ax] += term
                     else:
                         acc[ax] -= term
-        doff = None
-        if acc is not None:
             doff = np.empty((3,) + spatial, dtype=dtype)
             for ax in range(3):
                 doff[ax] = (np.sum(gy * acc[ax], axis=0)
                             * inside[ax].reshape(n).astype(dtype)).reshape(spatial)
-        return dfield, doff
+            return doff
 
-    return make_op((field, offsets), out, rule)
+        if not offsets.requires_grad:
+            return _field_grad(*field_args), None
+        if not field.requires_grad:
+            return None, offset_grad()
+        worker = ops._WORKER
+        if worker is None or n < SCATTER_THREAD_VOXELS:
+            return _field_grad(*field_args), offset_grad()
+        dfield = worker.submit(_field_grad, *field_args)
+        try:
+            doff = offset_grad()
+        finally:
+            futures.wait((dfield,))
+        return dfield.result(), doff
+
+    return make_op((field, offsets), out.reshape((c,) + spatial), rule)
 
 
 def warp(image: Tensor, u: Tensor) -> Tensor:

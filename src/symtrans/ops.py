@@ -13,14 +13,18 @@ which keeps numpy's pairwise voxel sum. Volumes are channel-first
 
 The affinity rule: when the process may run on more than one CPU
 (``usable_cpus``, its ``os.sched_getaffinity`` mask; there is no option),
-``conv3d``'s backward hands its dw loop to one worker thread, when the conv
-has at least ``BACKWARD_THREAD_VALUES`` output values and a dx to compute,
-and returns the job's ``Future`` as the weight's gradient; the calling thread
-computes dx and walks on through the tape, and ``Tensor.backward`` waits for
-the job at the end. No later rule reads a weight gradient, so only the
-optimizer waits for it. Each loop is the same with or without the worker, so
-gradients are byte-identical whatever the CPU count. The forward always runs
-on the calling thread. ``training`` applies the same rule to its pair
+the process keeps one worker thread, ``_WORKER``, and it has two users.
+``conv3d``'s backward hands its dw loop to it, when the conv has at least
+``BACKWARD_THREAD_VALUES`` output values and a dx to compute, and returns
+the job's ``Future`` as the weight's gradient; the calling thread computes
+dx and walks on through the tape, and ``Tensor.backward`` waits for the job
+at the end. No later rule reads a weight gradient, so only the optimizer
+waits for it. ``deformation.trilinear_sample`` runs half of its forward's
+depth slabs there on large volumes, and its field scatter beside the offset
+gradient; it waits for its job before it returns. Each loop is the same with
+or without the worker, so results are byte-identical whatever the CPU count.
+The worker runs raw numpy only, never a traced op. conv3d's forward always
+runs on the calling thread. ``training`` applies the same rule to its pair
 producer.
 """
 
@@ -50,21 +54,21 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _start_backward_worker():
-    """One worker thread for conv3d's backward, if this process may run on
-    more than one CPU. numpy's einsum and ufunc loops release the GIL, so the
-    dw loops on the worker run while the calling thread walks the tape.
-    The thread starts with the first threaded backward, not at import. A
-    forked child starts its own: the parent's thread does not exist there.
+def _start_worker():
+    """The one worker thread, if this process may run on more than one CPU.
+    numpy's einsum, ufunc and take loops release the GIL, so a job on the
+    worker runs while the calling thread goes on. The thread starts with the
+    first job, not at import. A forked child starts its own: the parent's
+    thread does not exist there.
     """
-    global _BACKWARD_WORKER
-    _BACKWARD_WORKER = (futures.ThreadPoolExecutor(1, thread_name_prefix="conv3d-bwd")
-                        if usable_cpus() > 1 else None)
+    global _WORKER
+    _WORKER = (futures.ThreadPoolExecutor(1, thread_name_prefix="symtrans-worker")
+               if usable_cpus() > 1 else None)
 
 
-_start_backward_worker()
+_start_worker()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_backward_worker)
+    os.register_at_fork(after_in_child=_start_worker)
 
 
 @dataclass
@@ -103,6 +107,9 @@ def _validate_conv(x: Tensor, p: Conv3dParams):
         )
     if p.bias.shape != (out_ch,):
         raise ValueError(f"conv3d: bias shape {p.bias.shape} != ({out_ch},)")
+    for param in (p.weight, p.bias):
+        if param.dtype != x.dtype:
+            raise TypeError(f"mixed precisions: {x.dtype} vs {param.dtype}")
     spatial = x.shape[1:]
     for e in spatial:
         if e + 2 * p.padding < k:
@@ -267,10 +274,10 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
         # With no dx there is nothing to overlap here, and such a conv (on a
         # constant input) comes at the end of the walk, where a deferred dw
         # would only lengthen the final wait.
-        if (_BACKWARD_WORKER is None or gy.size < BACKWARD_THREAD_VALUES
+        if (_WORKER is None or gy.size < BACKWARD_THREAD_VALUES
                 or not x.requires_grad or p.weight._backward_rule is not None):
             return input_grad(), weight_grad(), db
-        dw = _BACKWARD_WORKER.submit(weight_grad)
+        dw = _WORKER.submit(weight_grad)
         try:
             return input_grad(), dw, db
         except BaseException:

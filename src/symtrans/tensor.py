@@ -140,6 +140,11 @@ class Tensor:
                 f"backward rule produced shape {g.shape} for parent "
                 f"of shape {self.data.shape}"
             )
+        if g.dtype != self.data.dtype:
+            raise TypeError(
+                f"backward rule produced dtype {g.dtype} for parent "
+                f"of dtype {self.data.dtype}"
+            )
         if self.grad is None:
             self.grad = g.copy()
         else:

@@ -296,8 +296,8 @@ class _PairProducer:
     the Generator it was sent, so the stream is drawn once either way.
 
     Forked, not spawned: the child starts with numpy and scipy imported and
-    runs ``generate_pair`` only. ``train`` forks at its top, where conv3d's
-    backward worker and the BLAS threads are idle.
+    runs ``generate_pair`` only. ``train`` forks at its top, where ``ops``' worker
+    and the BLAS threads are idle.
     """
 
     def __init__(self, spec: SyntheticSpec):
@@ -427,7 +427,7 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
     ``pair_rng`` is called on this thread once per iteration, in order. With
     a pair producer (see the module docstring), the call for pair k + 1 comes
     at the top of step k, and the pair is collected before step k's backward,
-    so the child never competes with conv3d's backward worker.
+    so the child never competes with the backward's jobs on ``ops``' worker.
     """
     if log is not None:
         integer("log", log, 1)

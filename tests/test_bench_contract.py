@@ -8,12 +8,13 @@ in the tier-1 suite.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symtrans import losses, model
+from symtrans import deformation, losses, model
 from symtrans.losses import LossConfig
 from symtrans.model import ModelConfig, init_model_params, model_count_flops
 from symtrans.tensor import Tensor
@@ -75,7 +76,9 @@ def test_traced_step_with_conv_backward_on_the_worker(tracing, threaded_backward
     check_traced_step(tracing, "symmetric")
 
 
-def test_traced_diffeomorphic_step_times_trilinear_backward(tracing):
+def traced_diffeomorphic_step(tracing):
+    """Trace a 16^3 diffeomorphic training step: the tracer, the forward's
+    counts and the model config."""
     cfg = ModelConfig(input_shape=(16, 16, 16), base_dim=8, mode="diffeomorphic",
                       encoder_depths=(1, 1, 1), decoder_depths=(1, 1, 1))
     _, params = init_model_params(cfg, np.random.default_rng(0))
@@ -87,13 +90,42 @@ def test_traced_diffeomorphic_step_times_trilinear_backward(tracing):
     tracer.op = 0
     try:
         raw = model.forward(moving, fixed, params, cfg)
+        counts = dict(tracer.counts[0])
         loss, *_ = losses.total_loss(moving, fixed, raw, LossConfig(), cfg.mode)
         loss.backward()
     finally:
         tracer.uninstall()
+    return tracer, counts, cfg
 
+
+def test_traced_diffeomorphic_step_times_trilinear_backward(tracing):
+    tracer, _, _ = traced_diffeomorphic_step(tracing)
     # 7 scaling-and-squaring compositions and the warp of the moving image
     assert tracer.counts[0]["deformation.trilinear_sample.calls"] == 8
     # a make_op call moved into a helper would be timed as tensor.other
     spans = [span[0] for span in tracer.spans]
     assert spans.count("deformation.trilinear_sample.bwd_s") == 8
+
+
+def test_traced_diffeomorphic_step_with_trilinear_on_the_worker(tracing, threaded_sample,
+                                                                monkeypatch):
+    # the worker runs raw numpy only, so the tracer's one-thread span stack,
+    # its trilinear spans and its MAC count hold when the first half of
+    # every forward's depths and every field scatter run there
+    ran_on = []
+    sample_slab = deformation._sample_slab
+
+    def spy(*args):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        return sample_slab(*args)
+
+    monkeypatch.setattr(deformation, "_sample_slab", spy)
+    tracer, counts, cfg = traced_diffeomorphic_step(tracing)
+    assert not all(ran_on) and any(ran_on)
+    assert tracer.counts[0]["deformation.trilinear_sample.calls"] == 8
+    spans = [span[0] for span in tracer.spans]
+    assert spans.count("deformation.trilinear_sample.fwd_s") == 8
+    assert spans.count("deformation.trilinear_sample.bwd_s") == 8
+    traced = (counts.get("ops.conv3d.dw.macs", 0) + counts["ops.conv3d.other.macs"]
+              + counts["tensor.matmul.macs"])
+    assert traced == counts["model.forward.macs"] == model_count_flops(cfg)

@@ -1,11 +1,13 @@
 import json
+import platform
 import struct
 import threading
 
 import numpy as np
 import pytest
+import scipy
 
-from symtrans import ops
+from symtrans import deformation, ops
 from symtrans.cli import main
 from symtrans.svol import (
     KIND_DISPLACEMENT,
@@ -373,6 +375,52 @@ def test_train_out_of_memory_on_the_backward_worker_exit_3(trained, tmp_path, ca
     assert "Traceback" not in err
     # the walk goes on past a failed job, so every later deferred dw ran too
     assert len(failed_on_worker) > 1
+
+
+def test_register_out_of_memory_on_the_sampling_worker_exit_3(trained, tmp_path, capsys,
+                                                              threaded_sample, monkeypatch):
+    _, _, out = trained
+    argv, _ = register_argv(tmp_path, out)
+    failed_on_worker = []
+    sample_slab = deformation._sample_slab
+
+    def exhausted(*args):
+        if threading.current_thread() is threading.main_thread():
+            return sample_slab(*args)
+        failed_on_worker.append(args)
+        raise MemoryError("Unable to allocate 64.0 MiB for an array")
+
+    monkeypatch.setattr(deformation, "_sample_slab", exhausted)
+    code, _, err = run(argv + ["--mode", "diff"], capsys)
+    assert code == 3
+    assert err.strip() == "error: register: out of memory"
+    assert "Traceback" not in err
+    assert failed_on_worker
+
+
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
+
+
+def test_manifests_record_the_environment(trained, tmp_path, capsys):
+    _, cfg, out = trained
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(cfg["data"]))
+    manifests = []
+    for name in ("a", "b"):
+        code, _, _ = run(["gen-data", "--pairs", "1", "--out", str(tmp_path / name),
+                          "--seed", "4", "--spec", str(spec_path)], capsys)
+        assert code == 0
+        manifests.append((tmp_path / name / "manifest.json").read_bytes())
+    # the environment is the same for both, so same-seed manifests still agree
+    assert manifests[0] == manifests[1]
+    argv, _ = register_argv(tmp_path, out)
+    field = tmp_path / "u.svol"
+    code, _, _ = run(argv + ["--out-field", str(field)], capsys)
+    assert code == 0
+    for path in (tmp_path / "a" / "manifest.json", out / "manifest.json",
+                 tmp_path / "u.svol.manifest.json"):
+        assert json.loads(path.read_text())["environment"] == ENVIRONMENT, path
 
 
 @pytest.mark.parametrize("kv_stride", [None, 1])

@@ -1,7 +1,11 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from symtrans import deformation
 from symtrans import tensor as T
 from symtrans.deformation import (
     FoldingStats,
@@ -182,6 +186,219 @@ def test_backward_closure_holds_at_most_24_bytes_per_voxel():
     for parent in (field.data, off.data):
         found.pop(id(parent), None)
     assert sum(a.nbytes for a in found.values()) <= 24 * np.prod(shape)
+
+
+def whole_volume_sample(fdat, off, gy):
+    """The whole-volume sampler that the slab forward replaced, kept as the
+    reference: (out, dfield, doff) of trilinear_sample for upstream ``gy``."""
+    c, spatial = fdat.shape[0], fdat.shape[1:]
+    n = int(np.prod(spatial))
+    dtype = fdat.dtype
+    base = np.zeros(spatial, dtype=np.int64)
+    frac = np.empty((3,) + spatial, dtype=dtype)
+    inside = np.empty((3,) + spatial, dtype=bool)
+    for ax, ext in enumerate(spatial):
+        line = [1, 1, 1]
+        line[ax] = ext
+        coord = np.arange(ext, dtype=dtype).reshape(line) + off[ax]
+        inside[ax] = (coord >= 0.0) & (coord <= ext - 1.0)
+        cl = np.clip(coord, 0.0, ext - 1.0)
+        i0 = np.floor(cl).astype(np.int64)
+        np.minimum(i0, max(ext - 2, 0), out=i0)
+        frac[ax] = cl - i0
+        base *= ext
+        base += i0
+    d, h, w = spatial
+    step = (h * w if d > 1 else 0, w if h > 1 else 0, 1 if w > 1 else 0)
+    corners = [((bd, bh, bw), bd * step[0] + bh * step[1] + bw * step[2])
+               for bd in (0, 1) for bh in (0, 1) for bw in (0, 1)]
+    flat_base = base.reshape(n)
+
+    def gather(s):
+        return np.take(fdat.reshape(c, n), flat_base + s, axis=1)
+
+    fac = [(1.0 - frac[ax].reshape(n), frac[ax].reshape(n)) for ax in range(3)]
+
+    def pair(a, b):
+        return [[fac[a][i] * fac[b][j] for j in (0, 1)] for i in (0, 1)]
+
+    out = np.zeros((c, n), dtype=dtype)
+    for (bd, bh, bw), s in corners:
+        out += gather(s) * (pair(0, 1)[bd][bh] * fac[2][bw])
+
+    gy = gy.reshape(c, n)
+    other_axes = ((1, 2), (0, 2), (0, 1))
+    others = [pair(a, b) for a, b in other_axes]
+    dfield = np.zeros_like(fdat)
+    acc = np.zeros((3, c, n), dtype=dtype)
+    chan_base = (np.arange(c, dtype=np.int64)[:, None] * n + flat_base).ravel()
+    for bits, s in corners:
+        weights = (gy * (others[2][bits[0]][bits[1]] * fac[2][bits[2]])).astype(np.float64)
+        dfield += np.bincount(chan_base + s, weights=weights.ravel(),
+                              minlength=c * n).astype(dtype).reshape(fdat.shape)
+        v = gather(s)
+        for ax, (a, b) in enumerate(other_axes):
+            term = v * others[ax][bits[a]][bits[b]]
+            if bits[ax]:
+                acc[ax] += term
+            else:
+                acc[ax] -= term
+    doff = np.empty((3,) + spatial, dtype=dtype)
+    for ax in range(3):
+        doff[ax] = (np.sum(gy * acc[ax], axis=0)
+                    * inside[ax].reshape(n).astype(dtype)).reshape(spatial)
+    return out.reshape((c,) + spatial), dfield, doff
+
+
+def spy_on_thread(monkeypatch, name, ran_on):
+    """Record, per call of deformation.<name>, whether it ran on the main
+    thread."""
+    inner = getattr(deformation, name)
+
+    def spy(*args):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        return inner(*args)
+
+    monkeypatch.setattr(deformation, name, spy)
+
+
+# (spatial extents, channels): odd and non-cubic extents, and extents of 1 and 2
+SLAB_CASES = [((7, 5, 3), 3), ((5, 6, 4), 1), ((1, 4, 5), 3), ((2, 1, 2), 1),
+              ((2, 3, 1), 3), ((9, 2, 2), 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slab", ["one-depth", "whole-volume"])
+@pytest.mark.parametrize("path", ["threaded_sample", "inline_training"])
+def test_trilinear_bytes_do_not_depend_on_slabs_or_the_worker(path, slab, dtype, request,
+                                                              monkeypatch):
+    request.getfixturevalue(path)
+    monkeypatch.setattr(deformation, "SAMPLE_SLAB_VOXELS",
+                        1 if slab == "one-depth" else 1 << 30)
+    slabs_on, scatters_on = [], []
+    spy_on_thread(monkeypatch, "_sample_slab", slabs_on)
+    spy_on_thread(monkeypatch, "_field_grad", scatters_on)
+    rng = np.random.default_rng(21)
+    for spatial, c in SLAB_CASES:
+        field = rng.normal(size=(c,) + spatial).astype(dtype)
+        # up to one and a half extents off on either side, so the clamp is
+        # active on every face and many voxels share clamped corners
+        reach = 1.5 * np.array(spatial, dtype=np.float64).reshape(3, 1, 1, 1)
+        off = (rng.uniform(-1.0, 1.0, size=(3,) + spatial) * reach).astype(dtype)
+        gy = rng.normal(size=(c,) + spatial).astype(dtype)
+        want = whole_volume_sample(field, off, gy)
+        for field_grad, off_grad in [(True, True), (True, False), (False, True),
+                                     (False, False)]:
+            out = trilinear_sample(Tensor(field, requires_grad=field_grad),
+                                   Tensor(off, requires_grad=off_grad))
+            assert out.data.dtype == dtype
+            assert out.data.tobytes() == want[0].tobytes(), (spatial, c)
+            if not (field_grad or off_grad):
+                assert out._backward_rule is None
+                continue
+            for got, needed, expect in zip(out._backward_rule(gy),
+                                           (field_grad, off_grad), want[1:]):
+                if not needed:
+                    assert got is None
+                    continue
+                assert got.dtype == dtype
+                assert got.tobytes() == expect.tobytes(), (spatial, c, field_grad, off_grad)
+    threaded = path == "threaded_sample"
+    assert (not all(slabs_on)) == threaded
+    assert (not all(scatters_on)) == threaded
+
+
+def fail_off_the_main_thread(monkeypatch, name, stopped):
+    """Make deformation.<name> raise on the worker, after a pause, and set
+    ``stopped`` as the worker leaves it."""
+    inner = getattr(deformation, name)
+
+    def exhausted(*args):
+        if threading.current_thread() is threading.main_thread():
+            return inner(*args)
+        time.sleep(0.05)
+        stopped.set()
+        raise MemoryError("Unable to allocate 1.0 GiB for an array")
+
+    monkeypatch.setattr(deformation, name, exhausted)
+
+
+def fail_on_the_main_thread_while_the_worker_runs(monkeypatch, name, slow, finished):
+    """Make deformation.<name> raise on the main thread once deformation.<slow>
+    has started on the worker, which then takes 0.2 s and sets ``finished``."""
+    started = threading.Event()
+    inner_slow, inner = getattr(deformation, slow), getattr(deformation, name)
+
+    def slowed(*args):
+        if threading.current_thread() is threading.main_thread():
+            return inner_slow(*args)
+        started.set()
+        time.sleep(0.2)
+        result = inner_slow(*args)
+        finished.set()
+        return result
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            return inner(*args)
+        assert started.wait(5)
+        raise FloatingPointError("caller failed")
+
+    monkeypatch.setattr(deformation, slow, slowed)
+    monkeypatch.setattr(deformation, name, failing)
+
+
+def sample_pair(rng, requires_grad=False):
+    field = Tensor(rng.normal(size=(3, 4, 5, 6)).astype(np.float32), requires_grad=requires_grad)
+    off = Tensor(rng.normal(size=(3, 4, 5, 6)).astype(np.float32), requires_grad=requires_grad)
+    return field, off
+
+
+def test_trilinear_forward_worker_error_reaches_the_caller_after_it_stopped(
+        threaded_sample, monkeypatch):
+    stopped = threading.Event()
+    fail_off_the_main_thread(monkeypatch, "_sample_slab", stopped)
+    with pytest.raises(MemoryError, match="1.0 GiB"):
+        trilinear_sample(*sample_pair(np.random.default_rng(22)))
+    assert stopped.is_set()
+
+
+def test_trilinear_forward_joins_the_worker_before_reraising(threaded_sample, monkeypatch):
+    finished = threading.Event()
+    fail_on_the_main_thread_while_the_worker_runs(monkeypatch, "_gather", "_sample_slab",
+                                                  finished)
+    with pytest.raises(FloatingPointError, match="caller failed"):
+        trilinear_sample(*sample_pair(np.random.default_rng(23)))
+    assert finished.is_set()
+
+
+def test_trilinear_backward_worker_error_reaches_the_caller_after_it_stopped(
+        threaded_sample, monkeypatch):
+    out = trilinear_sample(*sample_pair(np.random.default_rng(24), requires_grad=True))
+    stopped = threading.Event()
+    fail_off_the_main_thread(monkeypatch, "_field_grad", stopped)
+    with pytest.raises(MemoryError, match="1.0 GiB"):
+        T.sum_all(out).backward()
+    assert stopped.is_set()
+
+
+def test_trilinear_backward_joins_the_worker_before_reraising(threaded_sample, monkeypatch):
+    # the offset gradient fails on the calling thread while the field
+    # scatter still runs on the worker
+    out = trilinear_sample(*sample_pair(np.random.default_rng(25), requires_grad=True))
+    finished = threading.Event()
+    fail_on_the_main_thread_while_the_worker_runs(monkeypatch, "_gather", "_field_grad",
+                                                  finished)
+    with pytest.raises(FloatingPointError, match="caller failed"):
+        T.sum_all(out).backward()
+    assert finished.is_set()
+
+
+def test_trilinear_refuses_mixed_precisions():
+    image = Tensor(np.zeros((1, 4, 4, 4), np.float32))
+    field = Tensor(np.zeros((3, 4, 4, 4), np.float64), requires_grad=True)
+    with pytest.raises(TypeError, match="mixed precisions: float32 vs float64"):
+        warp(image, field)
 
 
 def test_compose_gradcheck():

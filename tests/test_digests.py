@@ -5,8 +5,11 @@ step-0 and step-4 files in both modes, whether the pairs come from the forked
 producer and conv3d's backward has its worker, or everything runs inline on
 one thread. The ablation placements' displacement runs, which take other
 backward paths through conv3d's deferred weight gradients, write the same
-step-4 weights with the producer and the worker. A change that moves a
-training byte on purpose updates the digests in the same diff and says why.
+step-4 weights with the producer and the worker. A 64^3 diffeomorphic
+``register`` of the desk model, whose forward samples on the worker when
+there is one, writes the same field and warped volume either way. A change
+that moves a training or registration byte on purpose updates the digests in
+the same diff and says why.
 
 The digests hold for the environment in PINNED_ENV. Float32 sums can round
 differently with another numpy, BLAS or set of SIMD extensions, so on an
@@ -24,8 +27,9 @@ import pytest
 import scipy
 
 from symtrans import training
-from symtrans.model import ModelConfig
-from symtrans.training import SyntheticSpec, TrainConfig, train
+from symtrans.model import ModelConfig, init_model_params
+from symtrans.training import (SyntheticSpec, TrainConfig, generate_pair, pair_rng,
+                               register, train)
 
 PINNED_ENV = {
     "numpy": "2.4.6",
@@ -60,6 +64,10 @@ PLACEMENT_DIGESTS = {
     "decoder_only": "6947ed6d6f157985",
 }
 
+# sha256[:16] of the field and warped arrays of the 64^3 diffeomorphic
+# register of the desk model (init seed 3, pair pair_rng(3, 0))
+REGISTER_DIGESTS = {"field": "b2b53df93db231f6", "warped": "5e04c9a68bb125d4"}
+
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -79,11 +87,14 @@ def environment() -> dict:
     }
 
 
+def desk_model(mode, placement="symmetric", extent=32) -> ModelConfig:
+    return ModelConfig(input_shape=(extent,) * 3, base_dim=8, encoder_depths=(1, 1, 1),
+                       decoder_depths=(1, 1, 1), mode=mode, placement=placement)
+
+
 def desk_config(mode, placement="symmetric") -> TrainConfig:
-    model = ModelConfig(input_shape=(32, 32, 32), base_dim=8, encoder_depths=(1, 1, 1),
-                        decoder_depths=(1, 1, 1), mode=mode, placement=placement)
     return TrainConfig(lr=5e-3, beta2=0.99, iterations=4, seed=42, checkpoint_every=1000,
-                       model=model, data=SyntheticSpec())
+                       model=desk_model(mode, placement), data=SyntheticSpec())
 
 
 @pytest.mark.parametrize("path", ["forked_training", "inline_training"])
@@ -102,21 +113,40 @@ def test_desk_run_digests(mode, path, request, tmp_path, monkeypatch):
     train(desk_config(mode), out_dir=tmp_path)
     assert len(generated_here) == (0 if path == "forked_training" else 4)
 
-    check_digests(f"{mode} desk run ({path})", tmp_path, DIGESTS[mode])
+    check_digests(f"{mode} desk run ({path})", file_digests(tmp_path, DIGESTS[mode]),
+                  DIGESTS[mode])
 
 
 @pytest.mark.parametrize("placement", sorted(PLACEMENT_DIGESTS))
 def test_placement_desk_run_digests(placement, forked_training, tmp_path):
     train(desk_config("displacement", placement), out_dir=tmp_path)
-    check_digests(f"{placement} desk run", tmp_path,
-                  {"checkpoint_000004.symt": PLACEMENT_DIGESTS[placement]})
+    pinned = {"checkpoint_000004.symt": PLACEMENT_DIGESTS[placement]}
+    check_digests(f"{placement} desk run", file_digests(tmp_path, pinned), pinned)
 
 
-def check_digests(run, out_dir, pinned):
+@pytest.mark.parametrize("path", ["forked_training", "inline_training"])
+def test_register_64_digests(path, request):
+    request.getfixturevalue(path)
+    cfg = desk_model("diffeomorphic", extent=64)
+    _, params = init_model_params(cfg, np.random.default_rng(3))
+    moving, fixed, *_ = generate_pair(SyntheticSpec(extents=cfg.input_shape), pair_rng(3, 0))
+    field, warped, _ = register(moving, fixed, params, cfg)
+    check_digests(f"64^3 register ({path})",
+                  {"field": sha16(field.tobytes()), "warped": sha16(warped.tobytes())},
+                  REGISTER_DIGESTS)
+
+
+def sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def file_digests(out_dir, pinned):
+    return {name: sha16((out_dir / name).read_bytes()) for name in pinned}
+
+
+def check_digests(run, got, pinned):
     """Fail, or on an environment other than the pinned one xfail, naming
-    every file of ``pinned`` whose digest moved."""
-    got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:16]
-           for name in pinned}
+    everything of ``pinned`` whose digest in ``got`` moved."""
     moved = [f"{name}: {got[name]}, pinned {digest}"
              for name, digest in pinned.items() if got[name] != digest]
     if not moved:

@@ -216,7 +216,7 @@ def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
     ran_on = []
     spy_on_thread(monkeypatch, "_weight_grad", ran_on)
     threaded = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
-    monkeypatch.setattr(ops, "_BACKWARD_WORKER", None)
+    monkeypatch.setattr(ops, "_WORKER", None)
     inline = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
     assert ran_on == [False, True]
     expect = windowed_einsum_conv3d_grads(x, w, gy, stride, padding, groups)
@@ -226,7 +226,7 @@ def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
         assert got_threaded.tobytes() == got_inline.tobytes() == want.tobytes()
 
 
-def test_conv3d_backward_runs_small_ops_inline(backward_worker, monkeypatch):
+def test_conv3d_backward_runs_small_ops_inline(worker, monkeypatch):
     ran_on = []
     spy_on_thread(monkeypatch, "_weight_grad", ran_on)
     rng = np.random.default_rng(41)
@@ -353,6 +353,16 @@ def test_conv3d_channel_group_mismatch():
     x = t(np.zeros((3, 4, 4, 4)))
     p = Conv3dParams(t(np.zeros((4, 1, 1, 1, 1))), t(np.zeros(4)), groups=2)
     with pytest.raises(ValueError, match="groups"):
+        conv3d(x, p)
+
+
+@pytest.mark.parametrize("wide", ["weight", "bias"])
+def test_conv3d_refuses_mixed_precisions(wide):
+    x = T.Tensor(np.zeros((2, 4, 4, 4), np.float32))
+    w = np.zeros((2, 2, 3, 3, 3), np.float64 if wide == "weight" else np.float32)
+    b = np.zeros(2, np.float64 if wide == "bias" else np.float32)
+    p = Conv3dParams(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True))
+    with pytest.raises(TypeError, match="mixed precisions: float32 vs float64"):
         conv3d(x, p)
 
 

@@ -151,6 +151,15 @@ def test_backward_rejects_nonscalar():
         t(np.ones(3)).backward()
 
 
+def test_backward_refuses_a_gradient_of_another_dtype():
+    # as it refuses one of another shape: a float32 leaf must not be handed
+    # a float64 gradient, which the optimizer would then mix into float32
+    x = t(np.ones(3, np.float32))
+    y = T.make_op((x,), x.data * 2, lambda g: (g.astype(np.float64),))
+    with pytest.raises(TypeError, match="dtype float64 for parent of dtype float32"):
+        T.sum_all(y).backward()
+
+
 def test_gradient_additivity_over_shared_leaf():
     xv = np.array([0.5, 1.5], dtype=np.float32)
     x = t(xv)

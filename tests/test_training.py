@@ -353,7 +353,7 @@ def test_producer_bytes_match_the_inline_run(kill, forked_training, producers, p
     cfg = tiny_train_cfg(iterations=4, checkpoint_every=1)
     with monkeypatch.context() as m:
         m.setattr(training, "_FORK_PRODUCER", False)
-        m.setattr(ops, "_BACKWARD_WORKER", None)
+        m.setattr(ops, "_WORKER", None)
         inline = train(cfg, out_dir=tmp_path / "inline")
     assert producers == []
     pair_calls.clear()
