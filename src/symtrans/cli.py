@@ -25,6 +25,7 @@ from .configio import ConfigError, from_dict, to_canonical_json
 from .deformation import IntegrationConfig, integrate, jacobian_determinant
 from .losses import LossConfig, metrics_report
 from .model import (
+    PLACEMENTS,
     CheckpointError,
     ModelConfig,
     load_checkpoint,
@@ -361,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="parameter and FLOP accounting")
     p.add_argument("--config", help="ModelConfig JSON (defaults used if omitted)")
-    p.add_argument("--placement",
-                   choices=("symmetric", "encoder_only", "decoder_only",
-                            "bottom_only"))
+    p.add_argument("--placement", choices=PLACEMENTS)
     p.add_argument("--compare-msa", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)

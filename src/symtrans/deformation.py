@@ -14,21 +14,21 @@ interpolation weights from them.
 The forward runs in depth slabs of ``SAMPLE_SLAB_VOXELS`` voxels (one depth
 at least). Each slab computes its own coordinates, clamp, low-corner index,
 fractions and mask and gathers its 8 corners, writing only its slice of the
-output and of the three saved arrays. From ``SAMPLE_THREAD_VOXELS`` voxels,
-when ``ops`` has its worker thread (see the affinity rule there), the slabs
-of the first half of the depths run on the worker while the calling thread
-samples the second half. From ``SCATTER_THREAD_VOXELS`` voxels, when both
-inputs need a gradient, the backward's field scatter runs on the worker
-while the calling thread computes the offset gradient. The worker calls raw
-numpy only, and every job is waited for before the op or its rule returns,
-also when it raises. Every voxel's arithmetic is the same on either thread
-and at any slab size, so the bytes are too; what the backward reads is
-still the 23 bytes per voxel.
+output and of the three saved arrays. The forward and the backward hand
+work to ``ops``' worker with ``ops.side_by_side`` (see the affinity rule
+there). From ``SAMPLE_THREAD_VOXELS`` voxels the slabs of the first half of
+the depths run on the worker while the calling thread samples the second
+half. When
+both inputs need a gradient, the backward's field scatter runs on the worker
+while the calling thread computes the offset gradient, under conv3d's gate
+on the gradient's size, ``ops.BACKWARD_THREAD_VALUES``. The worker calls raw
+numpy only. Every voxel's arithmetic is the same on either thread and at any
+slab size, so the bytes are too; what the backward reads is still the 23
+bytes per voxel.
 """
 
 from __future__ import annotations
 
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +48,6 @@ SAMPLE_SLAB_VOXELS = 1 << 15
 # gains alone but loses within a step, where the pair producer holds the
 # second core.
 SAMPLE_THREAD_VOXELS = 1 << 16
-
-# Voxels from which trilinear_sample's backward scatters the field's
-# gradient on ops' worker; under it the hand-off costs more than it saves.
-SCATTER_THREAD_VOXELS = 1 << 13
 
 
 @dataclass
@@ -191,16 +187,8 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
             _sample_slab(fdat, offsets.data, z0, min(z0 + depth, hi), out, base, frac,
                          inside)
 
-    worker = ops._WORKER
-    if worker is None or n < SAMPLE_THREAD_VOXELS or d < 2:
-        sample(0, d)
-    else:
-        half = worker.submit(sample, 0, d // 2)
-        try:
-            sample(d // 2, d)
-        finally:
-            futures.wait((half,))
-        half.result()
+    ops.side_by_side(lambda: sample(0, d // 2), lambda: sample(d // 2, d),
+                     n >= SAMPLE_THREAD_VOXELS and d > 1)
 
     corners = _corners(spatial)
     flat_base = base.reshape(n)
@@ -237,15 +225,8 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
             return _field_grad(*field_args), None
         if not field.requires_grad:
             return None, offset_grad()
-        worker = ops._WORKER
-        if worker is None or n < SCATTER_THREAD_VOXELS:
-            return _field_grad(*field_args), offset_grad()
-        dfield = worker.submit(_field_grad, *field_args)
-        try:
-            doff = offset_grad()
-        finally:
-            futures.wait((dfield,))
-        return dfield.result(), doff
+        return ops.side_by_side(lambda: _field_grad(*field_args), offset_grad,
+                                gy.size >= ops.BACKWARD_THREAD_VALUES)
 
     return make_op((field, offsets), out.reshape((c,) + spatial), rule)
 

@@ -130,8 +130,6 @@ class ModelConfig:
 
 
 def make_ablation(cfg: ModelConfig, placement: str) -> ModelConfig:
-    if placement not in PLACEMENTS:
-        raise ValueError(f"unknown placement {placement!r}")
     return dataclasses.replace(cfg, placement=placement)
 
 

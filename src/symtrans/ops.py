@@ -13,19 +13,20 @@ which keeps numpy's pairwise voxel sum. Volumes are channel-first
 
 The affinity rule: when the process may run on more than one CPU
 (``usable_cpus``, its ``os.sched_getaffinity`` mask; there is no option),
-the process keeps one worker thread, ``_WORKER``, and it has two users.
-``conv3d``'s backward hands its dw loop to it, when the conv has at least
-``BACKWARD_THREAD_VALUES`` output values and a dx to compute, and returns
-the job's ``Future`` as the weight's gradient; the calling thread computes
-dx and walks on through the tape, and ``Tensor.backward`` waits for the job
-at the end. No later rule reads a weight gradient, so only the optimizer
-waits for it. ``deformation.trilinear_sample`` runs half of its forward's
-depth slabs there on large volumes, and its field scatter beside the offset
-gradient; it waits for its job before it returns. Each loop is the same with
-or without the worker, so results are byte-identical whatever the CPU count.
-The worker runs raw numpy only, never a traced op. conv3d's forward always
-runs on the calling thread. ``training`` applies the same rule to its pair
-producer.
+the process keeps one worker thread, ``_WORKER``, and no other module
+reads it. ``conv3d``'s backward hands its dw loop to it when it has a dx
+to compute, and returns the job's ``Future`` as the weight's gradient; the
+calling thread computes dx and walks on through the tape, and
+``Tensor.backward`` waits for the job at the end. No later rule reads a weight gradient, so only the optimizer waits
+for it. Every other hand-off is a ``side_by_side`` call, which returns only
+after its job has stopped: ``deformation.trilinear_sample`` runs half of its
+forward's depth slabs there on large volumes, and its field scatter beside
+the offset gradient. Backward work goes to the worker from
+``BACKWARD_THREAD_VALUES`` gradient values, forward work from the caller's
+own gate. Each loop is the same with or without the worker, so results are
+byte-identical whatever the CPU count. The worker runs raw numpy only, never
+a traced op. conv3d's forward always runs on the calling thread.
+``training`` applies the same rule to its pair producer, a one-process pool.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from .tensor import Tensor, add_rowvec, make_op, matmul, transpose2d
 # Bytes one depth slab of the flat-grid forward's accumulator may hold.
 GRID_SLAB_BYTES = 1 << 18
 
-# Output values below which conv3d's backward runs its dw loop inline rather
-# than on the worker: under it the per-tap calls are too short to gain from
-# the second core and lose time to handing the GIL back and forth.
+# Gradient values below which a backward rule (conv3d's dw, trilinear_sample's
+# field scatter) runs inline rather than on the worker: under it the calls
+# are too short to gain from the second core and lose time to handing the
+# GIL back and forth.
 BACKWARD_THREAD_VALUES = 1 << 15
 
 
@@ -69,6 +71,22 @@ def _start_worker():
 _start_worker()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_worker)
+
+
+def side_by_side(job, own_job, threaded):
+    """``(job(), own_job())``: ``job`` on the worker while this thread runs
+    ``own_job`` when ``threaded`` and the process has a worker, else both
+    here, ``job`` first. The job is waited for on every exit path, so
+    ``own_job``'s error, or else the job's, is raised only after it stopped.
+    """
+    if _WORKER is None or not threaded:
+        return job(), own_job()
+    future = _WORKER.submit(job)
+    try:
+        own = own_job()
+    finally:
+        futures.wait((future,))
+    return future.result(), own
 
 
 @dataclass

@@ -32,9 +32,6 @@ class ParamBag:
     def items(self):
         return self.tensors.items()
 
-    def total_size(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
     def zero_grads(self):
         for t in self.tensors.values():
             t.grad = None

@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Populate ``grad`` on every reachable node with ``requires_grad``.
 

@@ -6,10 +6,12 @@ pair comes with its ground-truth correspondence. One pair per iteration,
 batch size 1.
 
 ``train`` follows ``ops``' affinity rule: when the process may run on more
-than one CPU (``ops.usable_cpus``; there is no option) and can fork, a forked
-child generates pair k + 1 while the parent runs step k's forward and loss.
-The child runs the same ``generate_pair`` on the same seeded stream, so the
-bytes are those of the inline loop, which one CPU runs.
+than one CPU (``ops.usable_cpus``; there is no option) and can fork, a
+one-process ``concurrent.futures`` pool, forked, generates pair k + 1 while
+the parent runs step k's forward and loss. The child runs the same
+``generate_pair`` on the same seeded stream, so the bytes are those of the
+inline loop, which one CPU runs. A failed fork or a dead child ends the pool,
+and the call generates its remaining pairs inline from the same Generators.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import multiprocessing
 import signal
 import struct
+from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -268,95 +271,16 @@ def pair_rng(seed: int, iteration: int) -> np.random.Generator:
 _FORK_PRODUCER = usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()
 
 
-def _produce_pairs(spec: SyntheticSpec, conn, parent_end):
-    """The child's loop: each Generator received becomes ``(moving, fixed)``,
-    or the exception ``generate_pair`` raised. Ends when the parent closes
-    its end of the pipe."""
+def _pair_images(spec: SyntheticSpec, rng: np.random.Generator):
+    """The moving and fixed volumes of ``generate_pair``: what a step reads."""
+    return generate_pair(spec, rng)[:2]
+
+
+def _ignore_sigint():
+    """The pair producer's initializer: Ctrl-C interrupts the parent only.
+    The child is forked with SIGINT blocked and unblocks it once ignored."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    parent_end.close()
-    try:
-        while True:
-            rng = conn.recv()
-            try:
-                result = generate_pair(spec, rng)[:2]
-            except Exception as exc:  # raised in the parent, where the pair is used
-                result = exc
-            conn.send(result)
-    except (EOFError, OSError):
-        pass
-
-
-class _PairProducer:
-    """A forked child that generates the next training pair while a step runs.
-
-    ``send`` hands the child a pair's Generator, ``receive`` collects the
-    pair, and ``take`` returns it, raising there what ``generate_pair``
-    raised. Once the child is gone, ``take`` generates each pair here from
-    the Generator it was sent, so the stream is drawn once either way.
-
-    Forked, not spawned: the child starts with numpy and scipy imported and
-    runs ``generate_pair`` only. ``train`` forks at its top, where ``ops``' worker
-    and the BLAS threads are idle.
-    """
-
-    def __init__(self, spec: SyntheticSpec):
-        self.spec = spec
-        self.rng = self.result = None
-        self.in_flight = False
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child_end = ctx.Pipe()
-        self.child = ctx.Process(target=_produce_pairs, args=(spec, child_end, self.conn))
-        # SIGINT stays blocked until the child ignores it, so Ctrl-C cannot
-        # interrupt the child and print its traceback
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            self.child.start()
-        except OSError:  # fork failed (no memory or process slots): all inline
-            self.child = None
-            self.conn.close()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            child_end.close()
-
-    def send(self, rng: np.random.Generator):
-        self.rng = rng
-        if self.child is None:
-            return
-        try:
-            self.conn.send(rng)
-            self.in_flight = True
-        except OSError:
-            self.stop()
-
-    def receive(self):
-        if not self.in_flight:
-            return
-        self.in_flight = False
-        try:
-            self.result = self.conn.recv()
-        except (EOFError, OSError):
-            self.stop()
-
-    def take(self):
-        self.receive()
-        rng, result = self.rng, self.result
-        self.rng = self.result = None
-        if result is None:
-            result = generate_pair(self.spec, rng)[:2]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def stop(self):
-        """Close the pipe and join the child. A pair it is still sending fails
-        with a broken pipe, so the join cannot wait on a full pipe."""
-        if self.child is None:
-            return
-        self.conn.close()
-        self.child.join()
-        self.child.close()
-        self.child = None
 
 
 @dataclass
@@ -426,7 +350,7 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
 
     ``pair_rng`` is called on this thread once per iteration, in order. With
     a pair producer (see the module docstring), the call for pair k + 1 comes
-    at the top of step k, and the pair is collected before step k's backward,
+    at the top of step k, and the pair is waited for before step k's backward,
     so the child never competes with the backward's jobs on ``ops``' worker.
     """
     if log is not None:
@@ -436,15 +360,56 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
         out_path.mkdir(parents=True, exist_ok=True)
 
     first = 0 if resume is None else _resume_step(resume)
-    producer = None
-    # forked before the model exists, so that the two processes share few
-    # pages; a daemonic process (a multiprocessing pool worker) may not fork
+    pool = None
+    # Forked, not spawned: the child starts with numpy and scipy imported.
+    # It forks at the first submit, at the top of ``train``, where ``ops``'
+    # worker and the BLAS threads are idle. A daemonic process (a
+    # multiprocessing pool worker) may not fork.
     if (_FORK_PRODUCER and first is not None and cfg.iterations - first >= 2
             and not multiprocessing.current_process().daemon):
-        producer = _PairProducer(cfg.data)
+        fork = multiprocessing.get_context("fork")
+        pool = futures.ProcessPoolExecutor(1, mp_context=fork, initializer=_ignore_sigint)
+
+    def stop():
+        nonlocal pool
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+            pool = None
+
+    def submit(it):
+        """Pair ``it``'s Generator and its job in the pool. A failed fork or
+        a dead child ends the pool for the rest of the call (the job is then
+        None): the pool queued the job before it forked, so a live pool would
+        fork again at the next submit and run that stale job."""
+        rng = pair_rng(cfg.seed, it)
+        # SIGINT stays blocked until the child ignores it, so Ctrl-C cannot
+        # interrupt the child and print its traceback
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            return rng, pool.submit(_pair_images, cfg.data, rng)
+        except (OSError, futures.BrokenExecutor):
+            stop()
+            return rng, None
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def take(rng, job):
+        """The pair of ``rng``: the job's result, which raises what
+        ``generate_pair`` raised, or generated here when there is no job or
+        its child died."""
+        if job is not None:
+            try:
+                return job.result()
+            except futures.BrokenExecutor:
+                stop()
+        return _pair_images(cfg.data, rng)
+
     try:
-        if producer is not None:
-            producer.send(pair_rng(cfg.seed, first))
+        rng = job = None  # the next pair's Generator and its job in the pool
+        if pool is not None:
+            # forked before the model exists, so that the two processes
+            # share few pages
+            rng, job = submit(first)
 
         if resume is not None:
             ckpt_cfg, bag, params = load_checkpoint(str(resume) + ".symt")
@@ -477,20 +442,20 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
 
         start = adam.t
         for it in range(start, cfg.iterations):
-            if producer is None:
-                moving, fixed, _, _, _ = generate_pair(cfg.data, pair_rng(cfg.seed, it))
-            else:
-                moving, fixed = producer.take()
-                if it + 1 < cfg.iterations:
-                    producer.send(pair_rng(cfg.seed, it + 1))
+            if rng is None:
+                rng = pair_rng(cfg.seed, it)
+            moving, fixed = take(rng, job)
+            rng = job = None
+            if pool is not None and it + 1 < cfg.iterations:
+                rng, job = submit(it + 1)
             bag.zero_grads()
             raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
             loss, comp, _, _ = total_loss(Tensor(moving), Tensor(fixed), raw,
                                           cfg.loss, cfg.model.mode)
             if not np.isfinite(comp["loss"]):
                 raise TrainingDiverged(it, comp)
-            if producer is not None:
-                producer.receive()
+            if job is not None:
+                futures.wait((job,))
             loss.backward()
             if cfg.grad_clip > 0:
                 clip_gradients(bag.tensors, cfg.grad_clip)
@@ -512,8 +477,7 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
             if (it + 1) % cfg.checkpoint_every == 0 or it + 1 == cfg.iterations:
                 write_checkpoint(it + 1)
     finally:
-        if producer is not None:
-            producer.stop()
+        stop()
 
     if out_path is not None:
         write_curve(out_path / "loss.csv", curve)

@@ -30,10 +30,10 @@ def threaded_sample(worker, monkeypatch):
     """trilinear_sample uses the worker whatever the volume's size: its
     forward runs in one-depth slabs, the first half of the depths there, and
     its backward's field scatter runs there when the offsets need a gradient
-    too."""
+    too. The backward gate is conv3d's too, so its dw goes there as well."""
     monkeypatch.setattr(deformation, "SAMPLE_SLAB_VOXELS", 1)
     monkeypatch.setattr(deformation, "SAMPLE_THREAD_VOXELS", 0)
-    monkeypatch.setattr(deformation, "SCATTER_THREAD_VOXELS", 0)
+    monkeypatch.setattr(ops, "BACKWARD_THREAD_VALUES", 0)
 
 
 @pytest.fixture

@@ -322,7 +322,7 @@ def test_block_gradcheck():
 def test_count_parameters_matches_built_block():
     cfg = toy_cfg(shape=(2, 2, 2), dim=8, heads=2, s=3)
     bag, _ = build_block(cfg)
-    assert bag.total_size() == count_parameters(cfg)
+    assert sum(t.size for _, t in bag.items()) == count_parameters(cfg)
 
 
 def test_msa_closed_form_count():

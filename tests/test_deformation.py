@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from symtrans import deformation
+from symtrans import deformation, ops
 from symtrans import tensor as T
 from symtrans.deformation import (
     FoldingStats,
@@ -306,6 +306,34 @@ def test_trilinear_bytes_do_not_depend_on_slabs_or_the_worker(path, slab, dtype,
     threaded = path == "threaded_sample"
     assert (not all(slabs_on)) == threaded
     assert (not all(scatters_on)) == threaded
+
+
+def test_trilinear_forward_samples_small_volumes_inline(worker, monkeypatch):
+    slabs_on, inline = [], []
+    spy_on_thread(monkeypatch, "_sample_slab", slabs_on)
+    rng = np.random.default_rng(26)
+    for voxels in (deformation.SAMPLE_THREAD_VOXELS - 1, deformation.SAMPLE_THREAD_VOXELS):
+        # at least two depths, so that only the voxel count decides
+        d = next(k for k in range(2, voxels + 1) if voxels % k == 0)
+        off = rng.uniform(-1.0, 1.0, size=(3, d, 1, voxels // d)).astype(np.float32)
+        trilinear_sample(Tensor(np.ones((1,) + off.shape[1:], np.float32)), Tensor(off))
+        inline.append(all(slabs_on))
+        slabs_on.clear()
+    assert inline == [True, False]
+
+
+def test_trilinear_backward_scatters_small_gradients_inline(worker, monkeypatch):
+    # the field scatter follows conv3d's gate on the gradient's size
+    scatters_on = []
+    spy_on_thread(monkeypatch, "_field_grad", scatters_on)
+    rng = np.random.default_rng(27)
+    for values in (ops.BACKWARD_THREAD_VALUES - 1, ops.BACKWARD_THREAD_VALUES):
+        field = rng.normal(size=(1, 1, 1, values)).astype(np.float32)
+        off = rng.uniform(-1.0, 1.0, size=(3, 1, 1, values)).astype(np.float32)
+        out = trilinear_sample(Tensor(field, requires_grad=True),
+                               Tensor(off, requires_grad=True))
+        out._backward_rule(np.ones_like(field))
+    assert scatters_on == [True, False]
 
 
 def fail_off_the_main_thread(monkeypatch, name, stopped):

@@ -409,7 +409,7 @@ def test_count_parameters_additive_and_matches_bag():
     cfg = tiny_cfg()
     bag, _ = init_model_params(cfg, np.random.default_rng(9))
     total = model_count_parameters(cfg)
-    assert total == bag.total_size()
+    assert total == sum(t.size for _, t in bag.items())
     by_module = model_count_parameters(cfg, by_module=True)
     assert sum(by_module.values()) == total
 

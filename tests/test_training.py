@@ -1,8 +1,10 @@
 import errno
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -305,15 +307,15 @@ def test_train_refuses_a_log_interval_below_one(log):
 
 @pytest.fixture
 def producers(monkeypatch):
-    """Every pair producer ``train`` starts, in order."""
+    """Every pair producer pool ``train`` starts, in order."""
     started = []
 
-    class Recorded(training._PairProducer):
-        def __init__(self, spec):
-            super().__init__(spec)
+    class Recorded(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             started.append(self)
 
-    monkeypatch.setattr(training, "_PairProducer", Recorded)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Recorded)
     return started
 
 
@@ -347,7 +349,8 @@ def test_producer_draws_each_pair_once_in_order(forked_training, producers, pair
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("kill", [None, "no_fork", "before_send", "in_flight", "sigint"])
+@pytest.mark.parametrize("kill", [None, "no_fork", "fork_fails_once", "before_send",
+                                  "in_flight", "sigint"])
 def test_producer_bytes_match_the_inline_run(kill, forked_training, producers, pair_calls,
                                              tmp_path, monkeypatch, capfd):
     cfg = tiny_train_cfg(iterations=4, checkpoint_every=1)
@@ -360,18 +363,21 @@ def test_producer_bytes_match_the_inline_run(kill, forked_training, producers, p
 
     recorded_rng = training.pair_rng
     recorded_forward = training.forward
+    recorded_fork = os.fork
 
     def child():
-        return producers[0].child
+        (process,) = multiprocessing.active_children()
+        return process
 
     def before_send(seed, iteration):
         if iteration == 2:
-            # SIGKILL: the send fails or the receive finds no pair;
+            # SIGKILL: the submit fails or the job finds the pool broken;
             # SIGINT: the child ignores it and makes the pair
-            os.kill(child().pid, {"before_send": signal.SIGKILL,
+            process = child()
+            os.kill(process.pid, {"before_send": signal.SIGKILL,
                                   "sigint": signal.SIGINT}[kill])
             if kill == "before_send":
-                child().join(60)
+                assert multiprocessing.connection.wait([process.sentinel], 60)
         return recorded_rng(seed, iteration)
 
     calls = []
@@ -379,15 +385,20 @@ def test_producer_bytes_match_the_inline_run(kill, forked_training, producers, p
     def in_flight(*args):
         calls.append(None)
         if len(calls) == 2:
-            # pair 2 was sent; the receive gets it, a broken one, or nothing
+            # pair 2 was submitted; its job gets the pair or finds the pool broken
             os.kill(child().pid, signal.SIGKILL)
         return recorded_forward(*args)
 
-    def no_fork():
+    forks = []
+
+    def failing_fork():
+        forks.append(None)
+        if kill == "fork_fails_once" and len(forks) > 1:
+            return recorded_fork()
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    if kill == "no_fork":
-        monkeypatch.setattr(os, "fork", no_fork)
+    if kill in ("no_fork", "fork_fails_once"):
+        monkeypatch.setattr(os, "fork", failing_fork)
     elif kill in ("before_send", "sigint"):
         monkeypatch.setattr(training, "pair_rng", before_send)
     elif kill == "in_flight":
@@ -395,6 +406,8 @@ def test_producer_bytes_match_the_inline_run(kill, forked_training, producers, p
     forked = train(cfg, out_dir=tmp_path / "forked")
 
     assert len(producers) == 1
+    # a failed fork ends the producer: the pool is not asked to fork again
+    assert len(forks) == (kill in ("no_fork", "fork_fails_once"))
     assert pair_calls == [(7, k, True) for k in range(4)]
     assert forked.curve == inline.curve
     assert checkpoint_bytes(tmp_path / "forked") == checkpoint_bytes(tmp_path / "inline")
