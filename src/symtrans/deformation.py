@@ -165,8 +165,6 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
         raise ValueError(
             f"trilinear_sample: spatial mismatch {field.shape} vs {offsets.shape}"
         )
-    if field.dtype != offsets.dtype:
-        raise TypeError(f"mixed precisions: {field.dtype} vs {offsets.dtype}")
     if not np.isfinite(offsets.data).all():
         raise ValueError("trilinear_sample: offsets contain non-finite values")
     c = field.shape[0]

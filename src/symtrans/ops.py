@@ -125,9 +125,6 @@ def _validate_conv(x: Tensor, p: Conv3dParams):
         )
     if p.bias.shape != (out_ch,):
         raise ValueError(f"conv3d: bias shape {p.bias.shape} != ({out_ch},)")
-    for param in (p.weight, p.bias):
-        if param.dtype != x.dtype:
-            raise TypeError(f"mixed precisions: {x.dtype} vs {param.dtype}")
     spatial = x.shape[1:]
     for e in spatial:
         if e + 2 * p.padding < k:

@@ -2,7 +2,10 @@
 
 These are deliberately written the slow, obvious way (fully nested loops,
 direct formulas) and stay independent of the vectorized forward paths they
-check. The verify command and the test suite both run them.
+check. Each one backs a check of ``verify --suite oracles`` (acceptance
+criterion A2): convolution, attention, trilinear warping and composition,
+Adam, and the objective's similarity and smoothness terms. The test suite
+runs them too.
 """
 
 from __future__ import annotations
@@ -73,13 +76,6 @@ def attention_reference(q, k, v, heads):
                 weights[j] * vs[j] for j in range(m)
             )
     return out
-
-
-def softmax_reference(row):
-    """Direct exp/normalize of one vector in float64."""
-    row = np.asarray(row, dtype=np.float64)
-    e = np.exp(row - row.max())
-    return e / e.sum()
 
 
 def trilinear_reference(field, offsets):

@@ -4,9 +4,10 @@ Every learnable operation in the package is built from the ops here (or
 registers its own forward/backward pair through :func:`make_op`). Two scalar
 precisions are supported as a tensor-level attribute: ``float32`` (standard,
 used for training) and ``float64`` (wide, used for gradient checks and
-oracles). Binary ops require matching dtypes and matching shapes; the only
-implicit broadcast is scalar-with-tensor. Inside :func:`no_grad` the ops
-compute the same values but record no tape.
+oracles). Every op refuses parents of different dtypes (:func:`make_op`
+checks), and ``add``, ``sub`` and ``mul`` take two Tensors of one shape:
+nothing is broadcast or coerced. Inside :func:`no_grad` the ops compute the
+same values but record no tape.
 """
 
 from __future__ import annotations
@@ -147,23 +148,6 @@ class Tensor:
         else:
             self.grad += g
 
-    # operator sugar (scalars allowed, full broadcasting is not)
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -190,9 +174,14 @@ def no_grad():
 def make_op(parents, out_data, backward_rule) -> Tensor:
     """Wrap an op result into the graph.
 
+    Parents of different dtypes are refused, with taping on or off.
     ``backward_rule(out_grad) -> tuple of parent grads (or None)`` is only
     attached when some parent requires a gradient and taping is on.
     """
+    dtype = parents[0].dtype
+    for p in parents[1:]:
+        if p.dtype != dtype:
+            raise TypeError(f"mixed precisions: {dtype} vs {p.dtype}")
     out = Tensor(out_data)
     if _taping and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -201,66 +190,40 @@ def make_op(parents, out_data, backward_rule) -> Tensor:
     return out
 
 
-def _as_pair(a, b):
-    """Coerce a python scalar operand to a constant Tensor of matching dtype."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        raise TypeError("at least one operand must be a Tensor")
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.dtype))
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.dtype))
-    if a.dtype != b.dtype:
-        raise TypeError(f"mixed precisions: {a.dtype} vs {b.dtype}")
-    return a, b
+def _check_binary(a, b, opname: str):
+    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
+        raise TypeError(f"{opname}: operands must be Tensors, got "
+                        f"{type(a).__name__} and {type(b).__name__}")
+    if a.shape != b.shape:
+        raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def _check_binary_shapes(a: Tensor, b: Tensor, opname: str):
-    if a.shape == b.shape:
-        return
-    if a.size == 1 or b.size == 1:
-        return  # scalar-with-tensor is the one permitted broadcast
-    raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to a scalar operand's shape."""
-    if g.shape == tuple(shape):
-        return g
-    return np.sum(g).reshape(shape).astype(g.dtype)
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_pair(a, b)
-    _check_binary_shapes(a, b, "add")
-    out = a.data + b.data
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_binary(a, b, "add")
 
     def rule(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return g, g
 
-    return make_op((a, b), out, rule)
+    return make_op((a, b), a.data + b.data, rule)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_pair(a, b)
-    _check_binary_shapes(a, b, "sub")
-    out = a.data - b.data
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_binary(a, b, "sub")
 
     def rule(g):
-        return _reduce_to(g, a.shape), _reduce_to(np.negative(g), b.shape)
+        return g, np.negative(g)
 
-    return make_op((a, b), out, rule)
+    return make_op((a, b), a.data - b.data, rule)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_pair(a, b)
-    _check_binary_shapes(a, b, "mul")
-    out = a.data * b.data
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_binary(a, b, "mul")
     ad, bd = a.data, b.data
 
     def rule(g):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return g * bd, g * ad
 
-    return make_op((a, b), out, rule)
+    return make_op((a, b), ad * bd, rule)
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -301,8 +264,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
-    if a.dtype != b.dtype:
-        raise TypeError(f"mixed precisions: {a.dtype} vs {b.dtype}")
     out = a.data @ b.data
     ad, bd = a.data, b.data
 
@@ -387,10 +348,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of zero tensors")
-    dt = tensors[0].dtype
-    for t in tensors[1:]:
-        if t.dtype != dt:
-            raise TypeError("concat: mixed precisions")
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -444,8 +401,6 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """Add a vector to every row of a (rows, dim) tensor."""
     if x.ndim != 2 or b.shape != (x.shape[1],):
         raise ValueError(f"add_rowvec: {x.shape} + {b.shape}")
-    if x.dtype != b.dtype:
-        raise TypeError(f"mixed precisions: {x.dtype} vs {b.dtype}")
 
     def rule(g):
         return g, g.sum(axis=0)

@@ -48,27 +48,34 @@ class TrainingDiverged(RuntimeError):
         )
 
 
+# The base volume: one sphere per anchor, its center jittered by up to
+# CENTER_JITTER voxels per axis, its intensity drawn from INTENSITY_RANGE, the
+# image blurred with BLUR_SIGMA; the affine part scales by up to SCALE_JITTER.
+ANCHORS = np.array([(0.32, 0.34, 0.32), (0.68, 0.52, 0.40), (0.45, 0.68, 0.68)])
+CENTER_JITTER = 1.5
+INTENSITY_RANGE = (0.55, 1.0)
+BLUR_SIGMA = 1.0
+SCALE_JITTER = 0.05
+
+
 @dataclass
 class SyntheticSpec:
-    """Generator settings for labeled shape volumes and their deformations.
+    """Generator settings for labeled sphere volumes and their deformations.
 
-    The ground-truth field is a smooth random component (peak-normalized to
-    ``warp_amplitude``) plus a global translation and a mild isotropic scaling
-    about the volume center; the latter two move structures without risking
-    folds, keeping the pre-registration overlap well below 1.
+    The base volume holds one labeled sphere per ``ANCHORS`` row, its radius
+    drawn from ``radius_range``. The ground-truth field is a smooth random
+    component (peak-normalized to ``warp_amplitude``, smoothed with
+    ``warp_sigma``) plus a global translation of up to ``translation_max``
+    voxels per axis and a mild isotropic scaling about the volume center; the
+    latter two move structures without risking folds, keeping the
+    pre-registration overlap well below 1.
     """
 
     extents: tuple = (32, 32, 32)
-    num_labels: int = 3
-    shapes: str = "spheres"  # spheres | boxes | mixed
     radius_range: tuple = (4.5, 7.0)
-    center_jitter: float = 1.5
-    intensity_range: tuple = (0.55, 1.0)
     warp_amplitude: float = 3.0
     warp_sigma: float = 4.0
     translation_max: float = 3.25
-    scale_jitter: float = 0.05
-    blur_sigma: float = 1.0
     max_retries: int = 6
 
     def __post_init__(self):
@@ -78,18 +85,11 @@ class SyntheticSpec:
         self.extents = sequence("extents", self.extents,
                                 functools.partial(integer, minimum=1), 3)
         self.radius_range = sequence("radius_range", self.radius_range, real, 2)
-        self.intensity_range = sequence("intensity_range", self.intensity_range, real, 2)
-        self.num_labels = integer("num_labels", self.num_labels, 1)
         self.max_retries = integer("max_retries", self.max_retries, 1)
-        for name in ("center_jitter", "warp_amplitude", "warp_sigma",
-                     "translation_max", "scale_jitter", "blur_sigma"):
+        for name in ("warp_amplitude", "warp_sigma", "translation_max"):
             finite(name, getattr(self, name))
-        if self.shapes not in ("spheres", "boxes", "mixed"):
-            raise ValueError(f"unknown shape family {self.shapes!r}")
         if self.warp_amplitude < 0:
             raise ValueError("warp_amplitude must be >= 0")
-        if not 0 <= self.scale_jitter < 0.3:
-            raise ValueError("scale_jitter must lie in [0, 0.3)")
 
 
 @dataclass
@@ -101,13 +101,12 @@ class TrainConfig:
     iterations: int = 200
     seed: int = 0
     checkpoint_every: int = 100
-    grad_clip: float = 0.0  # max global grad norm; 0 disables
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self):
-        for name in ("lr", "beta1", "beta2", "eps", "grad_clip"):
+        for name in ("lr", "beta1", "beta2", "eps"):
             finite(name, getattr(self, name))
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
@@ -157,56 +156,20 @@ def adam_step(params, state: AdamState, cfg: TrainConfig) -> AdamState:
     return state
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    total = 0.0
-    for tns in params.values():
-        if tns.grad is not None:
-            total += float(np.sum(tns.grad.astype(np.float64) ** 2))
-    norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for tns in params.values():
-            if tns.grad is not None:
-                tns.grad *= np.float32(scale)
-    return norm
-
-
-def _canonical_centers(extents, count, rng, jitter):
-    """Well-separated anchor points, jittered per sample."""
-    anchors = np.array([
-        (0.32, 0.34, 0.32),
-        (0.68, 0.52, 0.40),
-        (0.45, 0.68, 0.68),
-        (0.65, 0.30, 0.66),
-        (0.30, 0.62, 0.42),
-    ])
-    if count > len(anchors):
-        extra = rng.uniform(0.25, 0.75, size=(count - len(anchors), 3))
-        anchors = np.vstack([anchors, extra])
-    centers = anchors[:count] * np.asarray(extents)
-    return centers + rng.uniform(-jitter, jitter, size=centers.shape)
-
-
 def _render_base(spec: SyntheticSpec, rng: np.random.Generator):
     grid = np.indices(spec.extents).astype(np.float64)
     image = np.zeros(spec.extents)
     labels = np.zeros(spec.extents, dtype=np.int64)
-    centers = _canonical_centers(spec.extents, spec.num_labels, rng,
-                                 spec.center_jitter)
+    centers = ANCHORS * np.asarray(spec.extents)
+    centers += rng.uniform(-CENTER_JITTER, CENTER_JITTER, size=centers.shape)
     for lab, center in enumerate(centers, start=1):
         radius = rng.uniform(*spec.radius_range)
-        intensity = rng.uniform(*spec.intensity_range)
-        if spec.shapes == "boxes" or (spec.shapes == "mixed" and lab % 2 == 0):
-            inside = np.all(
-                np.abs(grid - center[:, None, None, None]) <= radius * 0.8, axis=0
-            )
-        else:
-            r2 = sum((grid[i] - center[i]) ** 2 for i in range(3))
-            inside = r2 <= radius ** 2
+        intensity = rng.uniform(*INTENSITY_RANGE)
+        r2 = sum((grid[i] - center[i]) ** 2 for i in range(3))
+        inside = r2 <= radius ** 2
         image[inside] = intensity
         labels[inside] = lab
-    if spec.blur_sigma > 0:
-        image = gaussian_filter(image, spec.blur_sigma)
+    image = gaussian_filter(image, BLUR_SIGMA)
     return image.astype(np.float32), labels
 
 
@@ -222,7 +185,7 @@ def _smooth_random_field(spec: SyntheticSpec, rng: np.random.Generator,
 
 def _affine_component(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     translation = rng.uniform(-spec.translation_max, spec.translation_max, size=3)
-    scale = rng.uniform(-spec.scale_jitter, spec.scale_jitter)
+    scale = rng.uniform(-SCALE_JITTER, SCALE_JITTER)
     grid = np.indices(spec.extents).astype(np.float64)
     center = (np.asarray(spec.extents, dtype=np.float64) - 1.0) / 2.0
     u = scale * (grid - center[:, None, None, None])
@@ -457,8 +420,6 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
             if job is not None:
                 futures.wait((job,))
             loss.backward()
-            if cfg.grad_clip > 0:
-                clip_gradients(bag.tensors, cfg.grad_clip)
             adam_step(bag.tensors, adam, cfg)
             curve.append((it + 1, comp["loss"], comp["loss_sim"], comp["loss_reg"]))
             if log is not None and (it + 1) % log == 0:

@@ -20,12 +20,16 @@ from .model import (DeconvParams, ModelConfig, bind_model_params, deconv_upsampl
                     forward, model_param_shapes)
 from .ops import Conv3dParams, LinearParams, conv3d, linear
 from .oracles import (
+    adam_reference,
     attention_reference,
     compose_reference,
     conv3d_reference,
+    mse_reference,
+    smoothness_reference,
     trilinear_reference,
 )
 from .tensor import Tensor, grad_check
+from .training import TrainConfig, adam_step, init_adam
 
 OP_TOL_STD = 1e-4
 OP_TOL_WIDE = 1e-6
@@ -355,6 +359,47 @@ def oracle_suite(instances: int = 20):
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.compose", worst < ORACLE_TOL,
                    f"{instances} instances, max abs diff {worst:.2e}"))
+
+    # ten Adam steps on a random least-squares problem, every iterate compared
+    worst = 0.0
+    for i in range(instances):
+        cfg = TrainConfig(lr=(5e-2, 1e-3)[i % 2], beta2=(0.999, 0.99)[i // 2 % 2])
+        m = rng.normal(size=(4, 6))
+        y = rng.normal(size=4)
+        x0 = rng.normal(size=6)
+
+        def grad_fn(x):
+            return m.T @ (m @ x - y)
+
+        params = {"x": Tensor(x0, requires_grad=True, dtype=np.float64)}
+        state = init_adam(params)
+        traj = [params["x"].data]
+        for _ in range(10):
+            params["x"].grad = grad_fn(params["x"].data)
+            adam_step(params, state, cfg)
+            traj.append(params["x"].data)
+        ref = adam_reference(x0, grad_fn, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, steps=10)
+        worst = max(worst, float(np.max(np.abs(np.array(traj) - np.array(ref)))))
+    checks.append(("oracle.adam", worst < ORACLE_TOL,
+                   f"{instances} instances of 10 steps, max abs diff {worst:.2e}"))
+
+    # the objective's two terms, recomputed from the displacement it warped by
+    worst = 0.0
+    loss_cfg = LossConfig()
+    for i in range(instances):
+        mode = ("displacement", "diffeomorphic")[i % 2]
+        moving = rng.normal(size=(1, 5, 5, 5))
+        fixed = rng.normal(size=(1, 5, 5, 5))
+        raw = _smooth_offsets((5, 5, 5), rng, amplitude=(1.5, 0.5)[i % 2], bias=0.0)
+        _, comp, u, _ = total_loss(Tensor(moving), Tensor(fixed), Tensor(raw),
+                                   loss_cfg, mode)
+        sim = mse_reference(trilinear_reference(moving, u.data), fixed)
+        reg = smoothness_reference(u.data)
+        errors = (comp["loss_sim"] - sim, comp["loss_reg"] - reg,
+                  comp["loss"] - (sim + loss_cfg.lambda_reg * reg))
+        worst = max(worst, float(np.max(np.abs(errors))))
+    checks.append(("oracle.total_loss", worst < ORACLE_TOL,
+                   f"{instances} instances, both modes, max abs diff {worst:.2e}"))
     return checks
 
 

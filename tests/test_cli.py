@@ -203,7 +203,7 @@ def test_train_invalid_lambda_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("iterations", 1.5), ("seed", "x"), ("checkpoint_every", 2.0),
-    ("lr", float("nan")), ("eps", float("inf")), ("grad_clip", float("nan")),
+    ("lr", float("nan")), ("eps", float("inf")),
     ("beta1", 1.0), ("beta2", -0.1),
 ])
 def test_train_config_bad_value_exit_2(tmp_path, capsys, field, value):

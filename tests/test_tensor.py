@@ -1,3 +1,4 @@
+import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from symtrans import tensor as T
-from symtrans.oracles import softmax_reference
 
 
 def t(data, grad=True, wide=False):
@@ -24,14 +24,26 @@ def test_add_shape_mismatch_names_both_shapes():
         T.add(t([1.0, 2.0]), t([1.0, 2.0, 3.0]))
 
 
-def test_scalar_broadcast_allowed():
-    out = T.mul(t([[1.0, 2.0], [3.0, 4.0]]), 2.0)
-    np.testing.assert_allclose(out.data, [[2, 4], [6, 8]])
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+def test_scalar_operand_is_a_type_error_naming_the_op(op):
+    x = t([[1.0, 2.0], [3.0, 4.0]])
+    for a, b in ((x, 2.0), (2.0, x), (x, x.data)):
+        with pytest.raises(TypeError, match=rf"^{op.__name__}: operands must be Tensors"):
+            op(a, b)
 
 
 def test_mixed_precision_rejected():
     with pytest.raises(TypeError, match="precision"):
         T.add(t([1.0]), t([1.0], wide=True))
+
+
+@pytest.mark.parametrize("taping", [True, False])
+def test_layer_norm_refuses_mixed_precisions_in_the_forward(taping):
+    x = t(np.ones((2, 4)))
+    gamma, beta = t(np.ones(4), wide=True), t(np.zeros(4), wide=True)
+    with contextlib.nullcontext() if taping else T.no_grad():
+        with pytest.raises(TypeError, match="mixed precisions: float32 vs float64"):
+            T.layer_norm(x, gamma, beta)
 
 
 def test_leaky_relu_values():
@@ -79,6 +91,13 @@ def test_softmax_shift_invariance():
     a = T.softmax_lastdim(t(x, wide=True)).data
     b = T.softmax_lastdim(t(x + 17.5, wide=True)).data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def softmax_reference(row):
+    """Direct exp/normalize of one vector in float64."""
+    row = np.asarray(row, dtype=np.float64)
+    e = np.exp(row - row.max())
+    return e / e.sum()
 
 
 def test_softmax_matches_direct_formula():
@@ -184,7 +203,7 @@ def test_grad_check_linear_layer_wide():
 
 def test_grad_check_constant_function():
     def build(leaves):
-        return T.sum_all(T.mul(leaves["x"], 0.0))
+        return T.sum_all(T.scalar_mul(leaves["x"], 0.0))
 
     rep = T.grad_check(build, {"x": np.ones(4)}, wide=True)
     assert rep.max_err() == 0.0

@@ -21,7 +21,6 @@ from symtrans.training import (
     TrainingDiverged,
     TrainConfig,
     adam_step,
-    clip_gradients,
     generate_pair,
     init_adam,
     load_opt_state,
@@ -100,14 +99,6 @@ def test_adam_missing_grad_raises():
     state = init_adam(params)
     with pytest.raises(ValueError, match="missing gradient"):
         adam_step(params, state, tiny_train_cfg())
-
-
-def test_clip_gradients():
-    params = params_dict({"w": np.zeros(3, np.float32)})
-    params["w"].grad = np.array([3.0, 0.0, 4.0], np.float32)
-    norm = clip_gradients(params, max_norm=1.0)
-    assert abs(norm - 5.0) < 1e-6
-    np.testing.assert_allclose(np.linalg.norm(params["w"].grad), 1.0, rtol=1e-5)
 
 
 def test_generate_pair_zero_amplitude():
@@ -283,7 +274,7 @@ def test_train_config_validation():
         tiny_train_cfg(seed=-1)
     with pytest.raises(ValueError, match="checkpoint_every must be an integer"):
         tiny_train_cfg(checkpoint_every=True)
-    for name in ("lr", "eps", "grad_clip"):
+    for name in ("lr", "eps"):
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be a finite number"):
                 tiny_train_cfg(**{name: bad})
