@@ -29,8 +29,9 @@ class Tensor:
     """Array value participating in a reverse-mode differentiation graph.
 
     ``data`` is a numpy array (float32 or float64), ``grad`` is populated by
-    :meth:`backward` for every node with ``requires_grad``. Non-leaf tensors
-    keep references to their parents and a backward rule closure.
+    :meth:`backward` for every leaf with ``requires_grad``. Non-leaf tensors
+    keep references to their parents and a backward rule closure until a
+    :meth:`backward` walk consumes them.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule")
@@ -67,12 +68,18 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
-        """Populate ``grad`` on every reachable node with ``requires_grad``.
+        """Populate ``grad`` on every reachable leaf with ``requires_grad``.
 
         The graph is traversed in exact reverse execution order (reverse
         topological order); gradients flowing into a node reached through
         several paths accumulate additively, in the order the rules produce
         them: the first is copied, the rest are added in place.
+
+        The walk consumes the graph: once a node's rule has run, the node
+        drops its gradient, its parents and its rule, and with the rule the
+        arrays the rule's closure saved. Only leaves keep their gradients. A
+        second ``backward()`` through a consumed node raises a
+        ``RuntimeError``; build the graph again instead.
 
         A rule may return a ``concurrent.futures.Future`` as the gradient of
         a leaf (a parent with no backward rule), for work another thread
@@ -108,11 +115,16 @@ class Tensor:
         # leaf -> its contributions from its first Future on
         deferred: dict[Tensor, list] = {}
         try:
-            for node in reversed(order):
-                if node._backward_rule is None or node.grad is None:
+            while order:
+                node = order.pop()  # the walk holds no node it has passed
+                rule, parents, g_out = node._backward_rule, node._parents, node.grad
+                if rule is None:
+                    continue  # a leaf keeps its gradient
+                node._backward_rule, node._parents, node.grad = _consumed, (), None
+                if g_out is None:
                     continue
-                grads = node._backward_rule(node.grad)
-                for parent, g in zip(node._parents, grads):
+                grads = rule(g_out)
+                for parent, g in zip(parents, grads):
                     if isinstance(g, futures.Future):
                         pending.append(g)
                         if parent._backward_rule is not None:
@@ -150,6 +162,12 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g):
+    """The rule of a node whose graph a ``backward()`` walk has consumed."""
+    raise RuntimeError("an earlier backward() consumed this graph and freed what its "
+                       "rules saved; build the graph again to differentiate it again")
 
 
 _taping = True

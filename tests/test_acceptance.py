@@ -58,8 +58,9 @@ def test_a2_oracle_equivalence():
     failed = [c for c in checks if not c[1]]
     criterion(
         "A2", not failed,
-        "conv3d (dense/grouped/depthwise), attention, warp, compose each match "
-        "their wide-precision brute-force oracle on 20 random instances at "
+        "conv3d (dense/grouped/depthwise), attention, warp, compose, Adam and "
+        "the objective each match their wide-precision brute-force oracle on "
+        "20 random instances at "
         "max abs diff < 1e-5" + (f"; failures: {failed}" if failed else ""),
     )
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy
 
-from symtrans import deformation, ops
+from symtrans import deformation, ops, training
+from symtrans import tensor as T
 from symtrans.cli import main
+from symtrans.model import load_checkpoint
 from symtrans.svol import (
     KIND_DISPLACEMENT,
     KIND_IMAGE,
@@ -581,3 +583,55 @@ def test_verify_diffeo_suite_via_cli(capsys):
     assert "PASS diffeo.zero_velocity" in stdout
     summary = json.loads(stdout.strip().splitlines()[-1])
     assert summary["failed"] == 0
+
+
+def train_config(tmp, trained, **overrides):
+    _, cfg, _ = trained
+    path = tmp / "train.json"
+    path.write_text(json.dumps(dict(cfg, **overrides)))
+    return str(path)
+
+
+def test_train_non_finite_gradient_exit_4_names_it(trained, tmp_path, capsys,
+                                                   monkeypatch):
+    forward, forwards = training.forward, []
+
+    def poisoned(moving, fixed, params, cfg):
+        # from step 1 on, a finite loss hands enc1's patch embedding a NaN
+        forwards.append(None)
+        raw = forward(moving, fixed, params, cfg)
+        if len(forwards) < 2:
+            return raw
+        weight = params.enc[0].embed.weight
+        return T.make_op((raw, weight), raw.data,
+                         lambda g: (g, np.full(weight.shape, np.nan, weight.dtype)))
+
+    monkeypatch.setattr(training, "forward", poisoned)
+    out = tmp_path / "run"
+    code, _, err = run(["train", "--config",
+                        train_config(tmp_path, trained, iterations=4, checkpoint_every=1),
+                        "--out", str(out)], capsys)
+    assert code == 4
+    assert "iteration 1: gradient of enc1.embed.weight is not finite" in err
+    assert "Traceback" not in err
+    # the step the gradient appeared in stopped before Adam read it
+    assert len(forwards) == 2
+    assert sorted(p.name for p in out.glob("*.symt")) == [
+        "checkpoint_000000.symt", "checkpoint_000001.symt"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_train_non_finite_parameter_exit_4_names_it(trained, tmp_path, capsys):
+    # a learning rate no float32 update survives: the first Adam step
+    # overflows, and the step stops before a checkpoint holds the result
+    _, _, out = trained
+    first = next(iter(load_checkpoint(out / "checkpoint_000002.symt")[1].tensors))
+    run_dir = tmp_path / "run"
+    code, _, err = run(["train", "--config",
+                        train_config(tmp_path, trained, lr=1e300, checkpoint_every=1),
+                        "--out", str(run_dir)], capsys)
+    assert code == 4
+    assert f"iteration 0: parameter {first} is not finite" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in run_dir.glob("*.symt")) == ["checkpoint_000000.symt"]

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import multiprocessing
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -545,3 +547,48 @@ def test_conv3d_stride2_gradcheck():
     rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
                        coords_per_leaf=6, rng=np.random.default_rng(1))
     assert rep.max_err() < 1e-6, rep
+
+
+def closure_arrays(rule):
+    """The arrays that own the memory of the ndarrays in ``rule``'s cells."""
+    owners = {}
+    for cell in rule.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value
+    return owners
+
+
+def test_backward_consumes_the_graph_and_frees_what_conv3d_saved():
+    rng = np.random.default_rng(47)
+    x = t(rng.normal(size=(2, 6, 6, 6)), grad=True)
+    weight = t(rng.normal(size=(3, 2, 3, 3, 3)), grad=True)
+    bias = t(np.zeros(3), grad=True)
+    out = conv3d(T.leaky_relu(x), Conv3dParams(weight, bias, padding=1))
+    loss = T.mean_all(T.mul(out, out))
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward_rule is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    saved = closure_arrays(out._backward_rule)
+    for parent in (x.data, weight.data, bias.data):
+        saved.pop(id(parent), None)
+    assert saved  # the padded input, at least
+    refs = [weakref.ref(a) for a in saved.values()]
+    del saved
+    gc.disable()  # freed by reference counts alone, not a collector pass
+    try:
+        loss.backward()
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(nodes) == 4
+    for node in nodes.values():
+        assert node.grad is None and node._parents == ()
+        assert node._backward_rule is T._consumed
+    for leaf in (x, weight, bias):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape

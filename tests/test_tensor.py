@@ -358,3 +358,18 @@ def test_backward_raises_a_rule_error_only_after_the_worker_finished():
             T.sum_all(v).backward()
         assert finished.is_set()
         assert x.grad is None
+
+
+def test_a_second_backward_through_a_consumed_graph_raises():
+    w = t([2.0, 3.0])
+    loss = T.sum_all(T.mul(T.scalar_mul(w, 1.0), w))
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, [4.0, 6.0])
+    with pytest.raises(RuntimeError, match="earlier backward"):
+        loss.backward()
+    np.testing.assert_array_equal(w.grad, [4.0, 6.0])
+    # as does a new graph built on a node the first walk consumed
+    hidden = T.scalar_mul(w, 2.0)
+    T.sum_all(hidden).backward()
+    with pytest.raises(RuntimeError, match="earlier backward"):
+        T.sum_all(T.mul(hidden, hidden)).backward()

@@ -1,9 +1,11 @@
 import errno
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
 import signal
 import threading
+import weakref
 from concurrent import futures
 
 import numpy as np
@@ -480,3 +482,28 @@ def test_no_producer_in_a_daemonic_process(forked_training, tmp_path):
     assert here.recv() == []
     train(cfg, out_dir=tmp_path / "here")
     assert checkpoint_bytes(tmp_path / "daemon") == checkpoint_bytes(tmp_path / "here")
+
+
+def test_step_graph_is_freed_before_the_next_forward(monkeypatch):
+    # Step k's loss, field and warped image are gone, by reference counts
+    # alone, when step k + 1's forward starts: one graph is alive at a time
+    forward, scored = training.forward, training.total_loss
+    refs, entered = [], []
+
+    def checked_forward(*args):
+        entered.append([ref() is None for ref in refs])
+        return forward(*args)
+
+    def recorded_loss(*args):
+        result = scored(*args)
+        refs.extend(weakref.ref(x.data) for x in (args[2],) + result[:1] + result[2:])
+        return result
+
+    monkeypatch.setattr(training, "forward", checked_forward)
+    monkeypatch.setattr(training, "total_loss", recorded_loss)
+    gc.disable()
+    try:
+        train(tiny_train_cfg(iterations=3))
+    finally:
+        gc.enable()
+    assert entered == [[], [True] * 4, [True] * 8]
