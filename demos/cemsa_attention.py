@@ -5,7 +5,8 @@ CEMSA swaps the learned Q/K/V linear projections of standard attention for
 convolutional ones: one shared depthwise conv over the token volume gives Q
 directly (its spatial structure is what replaces the positional embedding),
 and the same trunk feeds a grouped 1x1x1 conv + layer norm + two linears for
-K and V.
+K and V. The grouped conv has one group per channel, and the feed-forward is
+4x the dim; neither is configurable.
 """
 
 import math
@@ -50,8 +51,8 @@ identity = cemsa_block(x, cfg, params)
 print("zero-weight block is identity:", np.array_equal(identity.data, x.data))
 
 # Parameter economics: the depthwise kernel costs dim * s^3 instead of the
-# dim^2 of a learned Q projection, and the grouped conv shrinks its weight
-# by exactly 1/groups.
+# dim^2 of a learned Q projection, and the grouped conv, with one group per
+# channel, has dim weights where a dense 1x1x1 conv would have dim^2.
 print(f"\n{'dim':>5} {'s_eff':>6} {'CEMSA':>9} {'MSA':>9} {'saving':>8}")
 for dim, heads, s, shape in ((48, 2, 24, (4, 4, 4)), (96, 4, 16, (2, 2, 2)),
                              (192, 8, 12, (1, 1, 1))):

@@ -3,7 +3,6 @@
 from .cemsa import CemsaConfig, cemsa_block, multi_head_attention
 from .deformation import (
     FoldingStats,
-    IntegrationConfig,
     compose,
     integrate,
     jacobian_determinant,

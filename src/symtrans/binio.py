@@ -2,8 +2,10 @@
 
 Every read is checked against the bytes left in the file before it is made,
 so no length, rank or extent read from a file can drive a read or allocation
-past its end. Errors name the file and the field, in the format's own
-``ValueError`` subclass.
+past its end. Every float read must be finite: a volume, parameter or moment
+holding NaN or Inf is refused where it is read rather than failing a later
+warp. Errors name the file and the field, in the format's own ``ValueError``
+subclass.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ class Reader:
 
     def float32(self, shape, field: str) -> np.ndarray:
         data = np.frombuffer(self.bytes(4 * math.prod(shape), field), dtype="<f4")
+        if not np.isfinite(data).all():
+            raise self.fail(f"{field} holds non-finite values "
+                            f"({np.count_nonzero(~np.isfinite(data))} of {data.size})")
         try:  # over 64 axes, or zero-size extents whose product overflows
             return data.reshape(shape).copy()
         except ValueError:

@@ -5,9 +5,13 @@ standard attention block with convolutional ones: a single depthwise conv over
 the token volume produces Q directly (no linear afterwards, which is what
 carries positional information in place of a positional embedding), and the
 same depthwise output feeds a grouped 1x1x1 conv, a layer norm, and two linear
-maps to produce K and V. Attention itself is the usual per-head
-softmax(Q K^T / sqrt(d_k)) V followed by an output projection, and the block
-wraps attention and a 4x-expansion feed-forward in a pre-norm residual pair.
+maps to produce K and V. The grouped conv has one group per channel, so its
+weight is dim scalars where a dense 1x1x1 conv would have dim^2. Attention
+itself is the usual per-head softmax(Q K^T / sqrt(d_k)) V followed by an
+output projection, and the block wraps attention and a feed-forward of 4x the
+dim in a pre-norm residual pair. The group count and the feed-forward width
+are fixed; what varies per stage is the dim, the heads and the depthwise
+kernel in ``CemsaConfig``.
 
 Initialization follows what each weight feeds. The projections that write
 into the residual stream (V, output, feed-forward) start small, std 0.02, so
@@ -57,17 +61,11 @@ class CemsaConfig:
     heads: int
     dw_kernel: int
     spatial_shape: tuple
-    groups: int = 0  # 0 means groups == dim
-    ffn_expansion: int = 4
 
     def __post_init__(self):
         self.spatial_shape = tuple(int(e) for e in self.spatial_shape)
-        if self.groups == 0:
-            self.groups = self.dim
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.dim % self.groups:
-            raise ValueError(f"dim {self.dim} not divisible by groups {self.groups}")
 
     @property
     def tokens(self) -> int:
@@ -82,7 +80,7 @@ class CemsaConfig:
 @dataclass
 class CemsaParams:
     dw: Conv3dParams        # shared depthwise trunk, kernel s
-    g_kv: Conv3dParams      # grouped 1x1x1 reduction on the K/V path
+    g_kv: Conv3dParams      # per-channel 1x1x1 conv on the K/V path
     ln_kv: LayerNormParams
     ln1: LayerNormParams
     ln2: LayerNormParams
@@ -101,15 +99,15 @@ def cemsa_params(cfg: CemsaConfig, param) -> CemsaParams:
     fills the slot the forward pass reads. Call arguments are evaluated left
     to right, so the order below is the declaration order.
     """
-    d, s, g, e = cfg.dim, cfg.kernel, cfg.groups, cfg.ffn_expansion
+    d, s = cfg.dim, cfg.kernel
 
     def pair(name, shape, kind):  # a weight and its bias
         return (param(f"{name}.weight", shape, kind),
                 param(f"{name}.bias", shape[:1], "zeros"))
 
-    def conv(name, in_per_group, k, groups):
-        return Conv3dParams(*pair(name, (d, in_per_group, k, k, k), "conv"),
-                            padding=k // 2, groups=groups)
+    def conv(name, k):  # one input channel per output channel
+        return Conv3dParams(*pair(name, (d, 1, k, k, k), "conv"),
+                            padding=k // 2, groups=d)
 
     def ln(name):
         return LayerNormParams(param(f"{name}.gamma", (d,), "ones"),
@@ -119,11 +117,11 @@ def cemsa_params(cfg: CemsaConfig, param) -> CemsaParams:
         return LinearParams(*pair(name, (out_dim, in_dim), kind))
 
     return CemsaParams(
-        dw=conv("dw", 1, s, d), g_kv=conv("g_kv", d // g, 1, g),
+        dw=conv("dw", s), g_kv=conv("g_kv", 1),
         ln_kv=ln("ln_kv"), ln1=ln("ln1"), ln2=ln("ln2"),
         proj_k=lin("proj_k", d, d, "key"), proj_v=lin("proj_v", d, d),
         proj_out=lin("proj_out", d, d),
-        ffn1=lin("ffn1", e * d, d), ffn2=lin("ffn2", d, e * d),
+        ffn1=lin("ffn1", 4 * d, d), ffn2=lin("ffn2", d, 4 * d),
     )
 
 
@@ -197,8 +195,9 @@ def cemsa_qkv(x: Tensor, cfg: CemsaConfig, p: CemsaParams):
 SCORE_BLOCK_BYTES = 4 << 20
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                         proj_out: LinearParams | None = None) -> Tensor:
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Per-head softmax(Q K^T / sqrt(d_k)) V, heads concatenated along the
+    channels; the output projection is the caller's."""
     n, dm = q.shape
     if dm % heads:
         raise ValueError(f"dim {dm} not divisible by heads {heads}")
@@ -217,8 +216,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             scores = T.scalar_mul(T.matmul(qb, kt), scale)
             blocks.append(T.matmul(T.softmax_lastdim(scores), vh))
         outputs.append(blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0))
-    merged = outputs[0] if heads == 1 else T.concat(outputs, axis=1)
-    return merged if proj_out is None else linear(merged, proj_out)
+    return outputs[0] if heads == 1 else T.concat(outputs, axis=1)
 
 
 def cemsa_block(x: Tensor, cfg: CemsaConfig, p: CemsaParams) -> Tensor:
@@ -228,7 +226,7 @@ def cemsa_block(x: Tensor, cfg: CemsaConfig, p: CemsaParams) -> Tensor:
     positional information.
     """
     q, k, v = cemsa_qkv(T.layer_norm(x, p.ln1.gamma, p.ln1.beta), cfg, p)
-    y = T.add(x, multi_head_attention(q, k, v, cfg.heads, p.proj_out))
+    y = T.add(x, linear(multi_head_attention(q, k, v, cfg.heads), p.proj_out))
     h = T.layer_norm(y, p.ln2.gamma, p.ln2.beta)
     h = linear(T.gelu(linear(h, p.ffn1)), p.ffn2)
     return T.add(y, h)
@@ -252,11 +250,11 @@ def count_flops(cfg: CemsaConfig) -> int:
     return n * weights + 2 * n * n * cfg.dim
 
 
-def msa_count_parameters(dim: int, ffn_expansion: int = 4) -> int:
+def msa_count_parameters(dim: int) -> int:
     """Companion count for a standard MSA block at the same embedding dim.
 
-    Three dim x dim input projections, one output projection, the
+    Three dim x dim input projections, one output projection, the 4x
     feed-forward pair, and two layer norms.
     """
-    d, e = dim, ffn_expansion
-    return 4 * (d * d + d) + (e * d * d + e * d) + (d * e * d + d) + 4 * d
+    d = dim
+    return 4 * (d * d + d) + (4 * d * d + 4 * d) + (d * 4 * d + d) + 4 * d

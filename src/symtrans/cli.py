@@ -22,7 +22,7 @@ import scipy
 
 from . import __version__
 from .configio import ConfigError, from_dict, to_canonical_json
-from .deformation import IntegrationConfig, integrate, jacobian_determinant
+from .deformation import integrate, jacobian_determinant
 from .losses import LossConfig, metrics_report
 from .model import (
     PLACEMENTS,
@@ -230,7 +230,7 @@ def cmd_eval(args) -> int:
     u, kind = read_field(args.field)
     labels = _read_label_pair(args, u.shape[1:], "field")
     if kind == KIND_VELOCITY:
-        u = integrate(Tensor(u), IntegrationConfig()).data
+        u = integrate(Tensor(u)).data
     metrics = metrics_report(u, None, **labels)
     det, _ = jacobian_determinant(u)
     metrics["det_interior_mean"] = float(det[1:-1, 1:-1, 1:-1].mean())
@@ -280,7 +280,7 @@ def cmd_count(args) -> int:
             blk = cfg.cemsa_config(i)
             cemsa_total = count_parameters(blk)
             gconv_shape, _ = cemsa_param_shapes(blk)["g_kv.weight"]
-            msa_total = msa_count_parameters(blk.dim, blk.ffn_expansion)
+            msa_total = msa_count_parameters(blk.dim)
             stages.append({
                 "stage": i + 1,
                 "dim": blk.dim,

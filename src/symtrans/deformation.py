@@ -35,7 +35,6 @@ import numpy as np
 
 from . import ops
 from . import tensor as T
-from .configio import integer
 from .tensor import Tensor, make_op
 
 # Voxels in one depth slab of trilinear_sample's forward, so that a slab's
@@ -48,16 +47,6 @@ SAMPLE_SLAB_VOXELS = 1 << 15
 # gains alone but loses within a step, where the pair producer holds the
 # second core.
 SAMPLE_THREAD_VOXELS = 1 << 16
-
-
-@dataclass
-class IntegrationConfig:
-    steps: int = 7
-
-    def __post_init__(self):
-        self.steps = integer("integration steps", self.steps)
-        if not 1 <= self.steps <= 12:
-            raise ValueError(f"integration steps must be in [1, 12], got {self.steps}")
 
 
 @dataclass
@@ -241,14 +230,13 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     return T.add(b, trilinear_sample(a, b))
 
 
-def integrate(v: Tensor, cfg: IntegrationConfig | None = None) -> Tensor:
-    """Exponentiate a stationary velocity field by scaling and squaring."""
-    if cfg is None:
-        cfg = IntegrationConfig()
+def integrate(v: Tensor, steps: int = 7) -> Tensor:
+    """Exponentiate a stationary velocity field by scaling and squaring:
+    halve it ``steps`` times, then self-compose it as often."""
     if not np.isfinite(v.data).all():
         raise ValueError("integrate: velocity field contains non-finite values")
-    u = T.scalar_mul(v, 1.0 / float(2 ** cfg.steps))
-    for _ in range(cfg.steps):
+    u = T.scalar_mul(v, 1.0 / float(2 ** steps))
+    for _ in range(steps):
         u = compose(u, u)
     return u
 

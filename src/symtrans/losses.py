@@ -9,20 +9,19 @@ Jacobian determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .configio import finite
-from .deformation import IntegrationConfig, integrate, warp
+from .deformation import integrate, warp
 from .tensor import Tensor
 
 
 @dataclass
 class LossConfig:
     lambda_reg: float = 0.02
-    integration: IntegrationConfig = field(default_factory=IntegrationConfig)
 
     def __post_init__(self):
         finite("lambda_reg", self.lambda_reg)
@@ -65,7 +64,7 @@ def total_loss(moving: Tensor, fixed: Tensor, raw_field: Tensor,
     if mode == "displacement":
         u = raw_field
     elif mode == "diffeomorphic":
-        u = integrate(raw_field, cfg.integration)
+        u = integrate(raw_field)
     else:
         raise ValueError(f"unknown registration mode {mode!r}")
     warped = warp(moving, u)

@@ -47,7 +47,7 @@ from .cemsa import (
     tokens_to_volume,
     volume_to_tokens,
 )
-from .configio import finite, from_dict, integer, sequence, to_canonical_json
+from .configio import from_dict, integer, sequence, to_canonical_json
 from .ops import Conv3dParams, LinearParams, conv3d, linear
 from .params import ParamBag
 from .tensor import Tensor
@@ -56,7 +56,13 @@ PLACEMENTS = ("symmetric", "encoder_only", "decoder_only", "bottom_only")
 MODES = ("displacement", "diffeomorphic")
 
 CHECKPOINT_MAGIC = b"SYMT"
-CHECKPOINT_VERSION = 3  # 2: layer norms after embedding/expanding; 3: no kv_stride
+# 2: layer norms after embedding/expanding; 3: no kv_stride; 4: the patch
+# kernel, feed-forward width and LeakyReLU slope left the config
+CHECKPOINT_VERSION = 4
+
+# kernel extent of every patch embedding; it pads by PATCH_KERNEL // 2, which
+# keeps the stride-2 token grid because the extent is odd
+PATCH_KERNEL = 3
 
 
 @dataclass
@@ -67,11 +73,8 @@ class ModelConfig:
     decoder_depths: tuple = (2, 1, 1)
     stage_kernels: tuple = (24, 16, 12)
     stage_heads: tuple = (2, 4, 8)
-    patch_kernel: int = 3
-    ffn_expansion: int = 4
     placement: str = "symmetric"
     mode: str = "displacement"
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         count = functools.partial(integer, minimum=0)
@@ -82,13 +85,6 @@ class ModelConfig:
         self.stage_kernels = sequence("stage_kernels", self.stage_kernels, size, 3)
         self.stage_heads = sequence("stage_heads", self.stage_heads, integer, 3)
         self.base_dim = integer("base_dim", self.base_dim)
-        self.patch_kernel = integer("patch_kernel", self.patch_kernel, 1)
-        self.ffn_expansion = integer("ffn_expansion", self.ffn_expansion, 1)
-        finite("leaky_slope", self.leaky_slope)
-        if self.patch_kernel % 2 == 0:
-            # the embedding pads by patch_kernel // 2, which keeps the
-            # stride-2 token grid only for an odd kernel
-            raise ValueError(f"patch_kernel must be odd, got {self.patch_kernel}")
         for e in self.input_shape:
             if e <= 0 or e % 16:
                 raise ValueError(f"input extents must be positive and divisible "
@@ -125,7 +121,6 @@ class ModelConfig:
             heads=self.stage_heads[stage],
             dw_kernel=self.stage_kernels[stage],
             spatial_shape=self.stage_shapes()[stage],
-            ffn_expansion=self.ffn_expansion,
         )
 
 
@@ -289,8 +284,8 @@ def _model_layout(cfg: ModelConfig, source) -> _Layout:
         stem_down1=conv("stem.down1", c, c // 2, 3, half, stride=2),
         stem_conv1=conv("stem.conv1", c, c, 3, half),
         enc=[EncoderStage(
-            embed=conv(f"{name}.embed", dims[i], embed_in[i], cfg.patch_kernel,
-                       stages[i], stride=2, kind="weight"),
+            embed=conv(f"{name}.embed", dims[i], embed_in[i], PATCH_KERNEL, stages[i],
+                       stride=2, kind="weight"),
             embed_norm=norm(f"{name}.embed_norm", dims[i]),
             **stage_blocks(name, i, enc_tf[i], enc_cv[i]),
         ) for i, name in enumerate(enc_names)],
@@ -400,11 +395,11 @@ def deconv_upsample(vol: Tensor, p: DeconvParams) -> Tensor:
     return tokens_to_volume(y, (2 * d, 2 * h, 2 * w))
 
 
-def _expand_volume(vol: Tensor, p, slope: float) -> Tensor:
+def _expand_volume(vol: Tensor, p) -> Tensor:
     """Upsample a volume 2x: patch expanding then its layer norm, or a
     transposed conv then LeakyReLU in the conv-variant decoders."""
     if isinstance(p, DeconvParams):
-        return T.leaky_relu(deconv_upsample(vol, p), slope)
+        return T.leaky_relu(deconv_upsample(vol, p))
     c, d, h, w = vol.shape
     tokens = patch_expand(volume_to_tokens(vol), (d, h, w), p)
     tokens = T.layer_norm(tokens, p.norm.gamma, p.norm.beta)
@@ -417,16 +412,15 @@ def _norm_volume(vol: Tensor, p: LayerNormParams) -> Tensor:
     return tokens_to_volume(tokens, vol.shape[1:])
 
 
-def _fuse_volumes(dec_vol: Tensor, enc_vol: Tensor, p: Conv3dParams,
-                  slope: float) -> Tensor:
+def _fuse_volumes(dec_vol: Tensor, enc_vol: Tensor, p: Conv3dParams) -> Tensor:
     if dec_vol.shape[1:] != enc_vol.shape[1:]:
         raise ValueError(
             f"fuse: spatial mismatch {dec_vol.shape} vs {enc_vol.shape}"
         )
-    return T.leaky_relu(conv3d(T.concat([dec_vol, enc_vol], axis=0), p), slope)
+    return T.leaky_relu(conv3d(T.concat([dec_vol, enc_vol], axis=0), p))
 
 
-def _run_stage_blocks(vol: Tensor, stage, slope: float) -> Tensor:
+def _run_stage_blocks(vol: Tensor, stage) -> Tensor:
     """Apply a stage's CEMSA blocks (token form) or conv blocks (volume form)."""
     if stage.blocks:
         tokens = volume_to_tokens(vol)
@@ -434,7 +428,7 @@ def _run_stage_blocks(vol: Tensor, stage, slope: float) -> Tensor:
             tokens = cemsa_block(tokens, stage.cemsa, bp)
         vol = tokens_to_volume(tokens, stage.cemsa.spatial_shape)
     for cp in stage.convs:
-        vol = T.leaky_relu(conv3d(vol, cp), slope)
+        vol = T.leaky_relu(conv3d(vol, cp))
     return vol
 
 
@@ -446,36 +440,35 @@ def forward(moving: Tensor, fixed: Tensor, params: SymTransParams,
     for name, v in (("moving", moving), ("fixed", fixed)):
         if v.shape != expected:
             raise ValueError(f"{name} volume shape {v.shape} != {expected}")
-    slope = cfg.leaky_slope
 
     x = T.concat([moving, fixed], axis=0)
-    skip_full = T.leaky_relu(conv3d(x, params.stem_conv0), slope)
-    x = T.leaky_relu(conv3d(skip_full, params.stem_down1), slope)
-    skip_half = T.leaky_relu(conv3d(x, params.stem_conv1), slope)
+    skip_full = T.leaky_relu(conv3d(x, params.stem_conv0))
+    x = T.leaky_relu(conv3d(skip_full, params.stem_down1))
+    skip_half = T.leaky_relu(conv3d(x, params.stem_conv1))
 
     skips = []
     vol = skip_half
     for i, stage in enumerate(params.enc):
         vol = _norm_volume(conv3d(vol, stage.embed), stage.embed_norm)
         if stage.convs:
-            vol = T.leaky_relu(vol, slope)
-        vol = _run_stage_blocks(vol, stage, slope)
+            vol = T.leaky_relu(vol)
+        vol = _run_stage_blocks(vol, stage)
         skips.append(vol)
 
     vol = skips[2]
     # 1/16 decoder stage sits right on the bottleneck (no fusion)
-    vol = _run_stage_blocks(vol, params.dec[0], slope)
-    vol = _expand_volume(vol, params.dec[0].expand, slope)
+    vol = _run_stage_blocks(vol, params.dec[0])
+    vol = _expand_volume(vol, params.dec[0].expand)
 
     for j, enc_skip in ((1, skips[1]), (2, skips[0])):
         stage = params.dec[j]
-        vol = _fuse_volumes(vol, enc_skip, stage.fuse, slope)
-        vol = _run_stage_blocks(vol, stage, slope)
-        vol = _expand_volume(vol, stage.expand, slope)
+        vol = _fuse_volumes(vol, enc_skip, stage.fuse)
+        vol = _run_stage_blocks(vol, stage)
+        vol = _expand_volume(vol, stage.expand)
 
-    vol = _fuse_volumes(vol, skip_half, params.fuse_half, slope)
-    vol = _expand_volume(vol, params.expand_half, slope)
-    vol = _fuse_volumes(vol, skip_full, params.fuse_full, slope)
+    vol = _fuse_volumes(vol, skip_half, params.fuse_half)
+    vol = _expand_volume(vol, params.expand_half)
+    vol = _fuse_volumes(vol, skip_full, params.fuse_full)
     return conv3d(vol, params.flow)
 
 
@@ -497,7 +490,8 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (config, bag, structured params)."""
+    """Read a checkpoint back into (config, bag, structured params). A
+    parameter holding NaN or Inf is refused, by name (see ``binio``)."""
     with open(path, "rb") as f:
         r = Reader(f, path, CheckpointError)
         r.magic(CHECKPOINT_MAGIC, "checkpoint")

@@ -47,8 +47,7 @@ def write_svol(path, data: np.ndarray, kind: int):
 
 
 def read_svol(path):
-    """Read a volume back as (array (C,D,H,W) float32, kind); a payload
-    holding NaN or Inf is refused here rather than failing a later warp."""
+    """Read a volume back as (array (C,D,H,W) float32, kind)."""
     with open(path, "rb") as f:
         r = Reader(f, path, SvolError)
         r.magic(MAGIC, "SVOL")
@@ -58,9 +57,6 @@ def read_svol(path):
             raise r.fail(f"unknown SVOL kind {kind}")
         data = r.float32(r.unpack("4I", "channels and extents"), "payload")
         r.end("the payload")
-    if not np.isfinite(data).all():
-        raise SvolError(f"{path}: payload holds non-finite values "
-                        f"({np.count_nonzero(~np.isfinite(data))} of {data.size})")
     return data, kind
 
 

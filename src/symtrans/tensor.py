@@ -254,12 +254,14 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return make_op((a,), out, rule)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    out = np.where(x.data >= 0, x.data, x.dtype.type(slope) * x.data)
+def leaky_relu(x: Tensor) -> Tensor:
+    """LeakyReLU with the model's negative slope, 0.2."""
+    slope = x.dtype.type(0.2)
+    out = np.where(x.data >= 0, x.data, slope * x.data)
     xd = x.data
 
     def rule(g):
-        return (np.where(xd >= 0, g, x.dtype.type(slope) * g),)
+        return (np.where(xd >= 0, g, slope * g),)
 
     return make_op((x,), out, rule)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from symtrans.cli import main
-from symtrans.deformation import IntegrationConfig, compose, integrate, jacobian_determinant
+from symtrans.deformation import compose, integrate, jacobian_determinant
 from symtrans.losses import dice
 from symtrans.model import ModelConfig, bind_model_params, make_ablation, model_count_parameters
 from symtrans.svol import KIND_IMAGE, SvolError, read_svol, write_svol
@@ -158,8 +158,8 @@ def test_a5_integration_invariants():
         rng = np.random.default_rng(700 + seed)
         v = gaussian_filter(rng.normal(size=(3, 12, 12, 12)), (0, 3, 3, 3))
         v = v / np.max(np.abs(v)) * 2.0
-        fwd = integrate(Tensor(v), IntegrationConfig(steps=7))
-        bwd = integrate(Tensor(-v), IntegrationConfig(steps=7))
+        fwd = integrate(Tensor(v), steps=7)
+        bwd = integrate(Tensor(-v), steps=7)
         rt = compose(fwd, bwd).data
         inv_err = max(inv_err, float(np.max(np.abs(rt[:, 2:-2, 2:-2, 2:-2]))))
 

@@ -427,27 +427,32 @@ def test_manifests_record_the_environment(trained, tmp_path, capsys):
 
 @pytest.mark.parametrize("kv_stride", [None, 1])
 def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_stride):
-    # version 2 predates the removal of ModelConfig.kv_stride; its config
-    # blob may still carry the field
+    # versions 1 to 3 are refused by number. Version 3 predates the removal of
+    # ModelConfig's patch_kernel, ffn_expansion and leaky_slope, and versions
+    # 1 and 2 that of kv_stride too; with kv_stride set, each blob carries
+    # the fields its version had
     tmp, cfg, out = trained
     blob = (out / "checkpoint_000002.symt").read_bytes()
     (blob_len,) = struct.unpack("<I", blob[8:12])
     config = json.loads(blob[12:12 + blob_len])
     if kv_stride is not None:
-        config["kv_stride"] = kv_stride
-    config_blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    old = tmp_path / "v2.symt"
-    old.write_bytes(blob[:4] + struct.pack("<II", 2, len(config_blob))
-                    + config_blob + blob[12 + blob_len:])
+        config.update(patch_kernel=3, ffn_expansion=4, leaky_slope=0.2)
     vol = tmp_path / "vol.svol"
     write_svol(vol, np.zeros((1, 16, 16, 16), np.float32), KIND_IMAGE)
-    code, _, err = run(["register", "--moving", str(vol), "--fixed", str(vol),
-                        "--checkpoint", str(old)], capsys)
-    assert code == 2
-    assert "checkpoint version 2" in err
-    assert "reads version 3" in err
-    assert str(old) in err
-    assert "Traceback" not in err
+    for version in (3, 2, 1):
+        config_blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+        old = tmp_path / f"v{version}.symt"
+        old.write_bytes(blob[:4] + struct.pack("<II", version, len(config_blob))
+                        + config_blob + blob[12 + blob_len:])
+        code, _, err = run(["register", "--moving", str(vol), "--fixed", str(vol),
+                            "--checkpoint", str(old)], capsys)
+        assert code == 2
+        assert f"checkpoint version {version}" in err
+        assert "reads version 4" in err
+        assert str(old) in err
+        assert "Traceback" not in err
+        if kv_stride is not None:
+            config["kv_stride"] = kv_stride
 
 
 def test_register_defaults_to_the_checkpoint_mode(trained, tmp_path, capsys):
@@ -552,21 +557,6 @@ def test_count_compare_msa(capsys):
             stage["gconv_weight_params_dense"]
 
 
-def test_count_compare_msa_follows_ffn_expansion(tmp_path, capsys):
-    # the MSA block compared against must use the config's expansion too
-    cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps({"ffn_expansion": 2}))
-    code, stdout, _ = run(["count", "--config", str(cfg), "--compare-msa", "--json"],
-                          capsys)
-    assert code == 0
-    stages = json.loads(stdout.strip().splitlines()[-1])["msa_comparison"]
-    # 4*(8*8+8) + (8*16+16) + (16*8+8) + 4*8 at dim 8, expansion 2
-    assert stages[0]["msa_params"] == 600
-    for stage in stages:
-        d = stage["dim"]
-        assert stage["msa_params"] == 4 * (d * d + d) + (4 * d * d + 3 * d) + 4 * d
-
-
 def test_count_placements_differ(capsys):
     totals = {}
     for placement in ("symmetric", "bottom_only"):
@@ -635,3 +625,45 @@ def test_train_non_finite_parameter_exit_4_names_it(trained, tmp_path, capsys):
     assert f"iteration 0: parameter {first} is not finite" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in run_dir.glob("*.symt")) == ["checkpoint_000000.symt"]
+
+
+def first_value_offset(blob, suffix):
+    """Offset of the first float of the first parameter in a SYMT file, or of
+    the first parameter's second moment in a SYMO file."""
+    pos = 12 + struct.unpack_from("<I", blob, 8)[0] if suffix == ".symt" else 20
+    pos += 4 + struct.unpack_from("<I", blob, pos)[0]  # the name
+    for moment in range(1 if suffix == ".symt" else 2):
+        (rank,) = struct.unpack_from("<I", blob, pos)
+        extents = struct.unpack_from(f"<{rank}I", blob, pos + 4)
+        pos += 4 + 4 * rank
+        if moment == 0 and suffix == ".opt":
+            pos += 4 * int(np.prod(extents))
+    return pos
+
+
+@pytest.mark.parametrize("command,suffix,tensor", [
+    ("register", ".symt", "parameter 'stem.conv0.weight' data"),
+    ("train", ".symt", "parameter 'stem.conv0.weight' data"),
+    ("train", ".opt", "'stem.conv0.weight' v data"),
+])
+def test_non_finite_checkpoint_tensor_exit_2_names_it(trained, tmp_path, capsys,
+                                                      command, suffix, tensor):
+    # a copy of the step-2 checkpoint with one inf written into a parameter
+    # or a second moment
+    _, _, out = trained
+    stem = tmp_path / "bad"
+    for ext in (".symt", ".opt"):
+        blob = bytearray((out / f"checkpoint_000002{ext}").read_bytes())
+        if ext == suffix:
+            struct.pack_into("<f", blob, first_value_offset(blob, ext), np.inf)
+        stem.with_suffix(ext).write_bytes(bytes(blob))
+    if command == "register":
+        argv, _ = register_argv(tmp_path, out)
+        argv[-1] = str(stem.with_suffix(".symt"))
+    else:
+        argv = ["train", "--config", train_config(tmp_path, trained, iterations=4),
+                "--out", str(tmp_path / "run"), "--resume", str(stem)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert f"{stem.with_suffix(suffix)}: {tensor} holds non-finite values (1 of " in err
+    assert "Traceback" not in err

@@ -1,7 +1,7 @@
 """Config JSON fuzzed through the command line with hypothesis.
 
-Any JSON value in any field of ``TrainConfig``, ``ModelConfig`` or
-``SyntheticSpec`` either gives a working config (exit 0) or is refused with
+Any JSON value in any field of ``TrainConfig``, ``ModelConfig``,
+``SyntheticSpec`` or ``LossConfig`` either gives a working config (exit 0) or is refused with
 exit 2 and a message that names the config file; it never ends in a
 traceback.
 """
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtrans.cli import main
+from symtrans.losses import LossConfig
 from symtrans.model import ModelConfig
 from symtrans.training import SyntheticSpec, TrainConfig
 
@@ -35,7 +36,8 @@ TINY_MODEL = {"input_shape": [16, 16, 16], "base_dim": 8,
               "encoder_depths": [1, 1, 1], "decoder_depths": [1, 1, 1]}
 TINY_TRAIN = {"iterations": 0, "model": TINY_MODEL, "data": {"extents": [16, 16, 16]}}
 
-SECTIONS = {None: TrainConfig, "model": ModelConfig, "data": SyntheticSpec}
+SECTIONS = {None: TrainConfig, "model": ModelConfig, "data": SyntheticSpec,
+            "loss": LossConfig}
 
 
 def names(cls):
@@ -78,7 +80,7 @@ def test_train_config_exits_0_or_2(workdir, data):
         section = data.draw(st.sampled_from(list(SECTIONS)))
         name = data.draw(st.sampled_from(names(SECTIONS[section])))
         value = data.draw(JSON)
-        target = cfg if section is None else cfg[section]
+        target = cfg if section is None else cfg.setdefault(section, {})
         if isinstance(target, dict):
             target[name] = value
     path = workdir / "train.json"

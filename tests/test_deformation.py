@@ -9,7 +9,6 @@ from symtrans import deformation, ops
 from symtrans import tensor as T
 from symtrans.deformation import (
     FoldingStats,
-    IntegrationConfig,
     compose,
     integrate,
     jacobian_determinant,
@@ -448,13 +447,6 @@ def test_integrate_zero_velocity():
     np.testing.assert_array_equal(out.data, 0.0)
 
 
-def test_integrate_steps_out_of_range():
-    with pytest.raises(ValueError, match="steps"):
-        IntegrationConfig(steps=0)
-    with pytest.raises(ValueError, match="steps"):
-        IntegrationConfig(steps=13)
-
-
 def test_integrate_constant_velocity_is_translation():
     shape = (8, 8, 8)
     v = np.zeros((3,) + shape)
@@ -501,7 +493,7 @@ def test_integrate_gradcheck():
     v0 = smooth_field((5, 5, 5), rng, amplitude=0.5) + 0.2
 
     def build(lv):
-        u = integrate(lv["v"], IntegrationConfig(steps=3))
+        u = integrate(lv["v"], steps=3)
         return T.mean_all(T.mul(u, u))
 
     rep = T.grad_check(build, {"v": v0}, wide=True, coords_per_leaf=8,

@@ -11,6 +11,11 @@ there is one, writes the same field and warped volume either way. A change
 that moves a training or registration byte on purpose updates the digests in
 the same diff and says why.
 
+Each pinned ``.symt`` file's payload, the parameter records after its config
+blob, is pinned beside the file. A change to the checkpoint format or to the
+config's fields alone moves the file digest and leaves the payload digest;
+a change that moves a trained parameter moves both.
+
 The digests hold for the environment in PINNED_ENV. Float32 sums can round
 differently with another numpy, BLAS or set of SIMD extensions, so on an
 environment that differs a mismatch is reported as an expected failure that
@@ -40,28 +45,37 @@ PINNED_ENV = {
     "simd": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"],
 }
 
-# sha256[:16] of each checkpoint file
+# sha256[:16] of each checkpoint file, and of a .symt file's payload under
+# its name plus PAYLOAD
+PAYLOAD = " payload"
 DIGESTS = {
     "displacement": {
-        "checkpoint_000000.symt": "63b59443909bd91e",
+        "checkpoint_000000.symt": "5683036a86796552",
+        "checkpoint_000000.symt payload": "068f3dace34a3552",
         "checkpoint_000000.opt": "5d2c10a1510dc871",
-        "checkpoint_000004.symt": "104e9d888656a53c",
+        "checkpoint_000004.symt": "ab5bc78e511778e9",
+        "checkpoint_000004.symt payload": "7c84fd1c97a79484",
         "checkpoint_000004.opt": "8ed985759d40b1bb",
     },
     "diffeomorphic": {
-        "checkpoint_000000.symt": "caa29b002f515658",
+        "checkpoint_000000.symt": "ef21c4ce3a2b4537",
+        "checkpoint_000000.symt payload": "068f3dace34a3552",
         "checkpoint_000000.opt": "5d2c10a1510dc871",
-        "checkpoint_000004.symt": "6f19557015b42b5f",
+        "checkpoint_000004.symt": "4a1d9065b6d23b18",
+        "checkpoint_000004.symt payload": "51d2062c740f71f5",
         "checkpoint_000004.opt": "b75e191b22dbe0e6",
     },
 }
 
-# sha256[:16] of checkpoint_000004.symt of each ablation placement's
+# the same for checkpoint_000004.symt of each ablation placement's
 # displacement desk run
 PLACEMENT_DIGESTS = {
-    "encoder_only": "bc19efb129b7d842",
-    "bottom_only": "aaec431869ff5df3",
-    "decoder_only": "6947ed6d6f157985",
+    "encoder_only": {"checkpoint_000004.symt": "5ba17e502bdfc1bf",
+                     "checkpoint_000004.symt payload": "331621cdb261e5b2"},
+    "bottom_only": {"checkpoint_000004.symt": "fc46e577ba2a2d52",
+                    "checkpoint_000004.symt payload": "e23a706691735bf7"},
+    "decoder_only": {"checkpoint_000004.symt": "eb0c0dbc35216abd",
+                     "checkpoint_000004.symt payload": "c5370c76b9142c88"},
 }
 
 # sha256[:16] of the field and warped arrays of the 64^3 diffeomorphic
@@ -120,7 +134,7 @@ def test_desk_run_digests(mode, path, request, tmp_path, monkeypatch):
 @pytest.mark.parametrize("placement", sorted(PLACEMENT_DIGESTS))
 def test_placement_desk_run_digests(placement, forked_training, tmp_path):
     train(desk_config("displacement", placement), out_dir=tmp_path)
-    pinned = {"checkpoint_000004.symt": PLACEMENT_DIGESTS[placement]}
+    pinned = PLACEMENT_DIGESTS[placement]
     check_digests(f"{placement} desk run", file_digests(tmp_path, pinned), pinned)
 
 
@@ -141,7 +155,15 @@ def sha16(data: bytes) -> str:
 
 
 def file_digests(out_dir, pinned):
-    return {name: sha16((out_dir / name).read_bytes()) for name in pinned}
+    """The digest of each file ``pinned`` names, or of its payload: the bytes
+    after the magic, version, config length and config blob."""
+    got = {}
+    for name in pinned:
+        data = (out_dir / name.removesuffix(PAYLOAD)).read_bytes()
+        if name.endswith(PAYLOAD):
+            data = data[12 + int.from_bytes(data[8:12], "little"):]
+        got[name] = sha16(data)
+    return got
 
 
 def check_digests(run, got, pinned):

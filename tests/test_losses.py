@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from symtrans import tensor as T
-from symtrans.deformation import IntegrationConfig, integrate
+from symtrans.deformation import integrate
 from symtrans.losses import (
     LossConfig,
     dice,
@@ -117,7 +117,7 @@ def test_total_loss_modes_differ_only_by_integration():
     assert comp_disp["loss"] != comp_diff["loss"]
     np.testing.assert_array_equal(u_disp.data, raw)
     np.testing.assert_array_equal(
-        u_diff.data, integrate(Tensor(raw), IntegrationConfig()).data)
+        u_diff.data, integrate(Tensor(raw)).data)
     with pytest.raises(ValueError, match="mode"):
         total_loss(Tensor(m), Tensor(f), Tensor(raw), LossConfig(), mode="affine")
 

@@ -62,12 +62,6 @@ def test_config_validation():
         ModelConfig(input_shape=(32.5, 32, 32))
     with pytest.raises(ValueError, match="encoder_depths must be a list"):
         ModelConfig(encoder_depths="111")
-    with pytest.raises(ValueError, match="patch_kernel must be an integer"):
-        ModelConfig(patch_kernel=None)
-    with pytest.raises(ValueError, match="patch_kernel must be odd"):
-        ModelConfig(patch_kernel=4)
-    with pytest.raises(ValueError, match="leaky_slope must be a finite number"):
-        ModelConfig(leaky_slope=float("nan"))
 
 
 def test_default_depths_total_ten():
@@ -246,7 +240,7 @@ def test_fuse_skip_concat_dims_and_composition():
     p = Conv3dParams(Tensor(w), Tensor(b), stride=1, padding=1)
     dec_vol = dec.T.reshape(3, 2, 2, 2)
     enc_vol = enc.T.reshape(5, 2, 2, 2)
-    out = _fuse_volumes(Tensor(dec_vol), Tensor(enc_vol), p, slope=0.2)
+    out = _fuse_volumes(Tensor(dec_vol), Tensor(enc_vol), p)
     assert out.shape == (4, 2, 2, 2)
     # manual composition oracle
     ref = conv3d_reference(np.concatenate([dec_vol, enc_vol]), w, b, stride=1,
@@ -260,7 +254,7 @@ def test_fuse_skip_spatial_mismatch():
                      Tensor(np.zeros(2, np.float32)), stride=1, padding=1)
     with pytest.raises(ValueError, match="spatial mismatch"):
         _fuse_volumes(Tensor(np.zeros((2, 2, 2, 2), np.float32)),
-                      Tensor(np.zeros((2, 2, 2, 3), np.float32)), p, slope=0.2)
+                      Tensor(np.zeros((2, 2, 2, 3), np.float32)), p)
 
 
 def test_zero_encoder_tokens_fuse_depends_on_decoder_only():
@@ -271,9 +265,9 @@ def test_zero_encoder_tokens_fuse_depends_on_decoder_only():
     p = Conv3dParams(Tensor(w), Tensor(np.zeros(2, np.float32)),
                      stride=1, padding=1)
     dec_vol = dec.T.reshape(2, 2, 2, 2)
-    out = _fuse_volumes(Tensor(dec_vol), Tensor(np.zeros((2, 2, 2, 2), np.float32)),
-                        p, slope=1.0)
-    np.testing.assert_allclose(out.data, dec_vol, atol=1e-6)
+    out = _fuse_volumes(Tensor(dec_vol), Tensor(np.zeros((2, 2, 2, 2), np.float32)), p)
+    np.testing.assert_allclose(out.data, np.where(dec_vol >= 0, dec_vol, 0.2 * dec_vol),
+                               atol=1e-6)
 
 
 def test_forward_output_shape_32():

@@ -10,7 +10,6 @@ import pytest
 
 from symtrans import ops
 from symtrans import tensor as T
-from symtrans.cemsa import CemsaConfig, cemsa_param_shapes
 from symtrans.ops import (
     Conv3dParams,
     LinearParams,
@@ -442,16 +441,6 @@ def test_grouped_k1_full_groups_is_per_channel_scale():
     out = conv3d(t(x), Conv3dParams(t(w), t(b), stride=1, padding=0, groups=4))
     expect = x * w[:, 0, 0, 0, 0][:, None, None, None] + b[:, None, None, None]
     np.testing.assert_allclose(out.data, expect, rtol=1e-6)
-
-
-def test_grouped_param_count_ratio_is_one_over_g():
-    # the CEMSA block's grouped 1x1x1 conv, counted without its bias
-    def gconv_weight(groups):
-        cfg = CemsaConfig(dim=16, heads=2, dw_kernel=3, spatial_shape=(4, 4, 4),
-                          groups=groups)
-        return np.prod(cemsa_param_shapes(cfg)["g_kv.weight"][0])
-
-    assert gconv_weight(1) == 4 * gconv_weight(4)
 
 
 def test_grouped_conv3d_vs_oracle_g4():
