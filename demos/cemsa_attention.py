@@ -24,17 +24,24 @@ from symtrans.cemsa import (
     init_array,
     msa_count_parameters,
 )
-from symtrans.params import ParamBag
 from symtrans.tensor import Tensor
 
 # a stage working on a 6x6x6 token volume with 16 channels, 4 heads
 cfg = CemsaConfig(dim=16, heads=4, dw_kernel=5, spatial_shape=(6, 6, 6))
 # cemsa_params declares every parameter once, as (name, shape, init kind) in
 # a fixed order, and binds what its source returns; this source draws the init
-bag = ParamBag()
+# into a plain name -> Tensor dict, the parameter bag
+bag = {}
 rng = np.random.default_rng(0)
-params = cemsa_params(cfg, lambda name, shape, kind:
-                      bag.add(f"demo.{name}", init_array(shape, kind, rng)))
+
+
+def draw(name, shape, kind):
+    bag[f"demo.{name}"] = Tensor(init_array(shape, kind, rng), requires_grad=True,
+                                 dtype=np.float32)
+    return bag[f"demo.{name}"]
+
+
+params = cemsa_params(cfg, draw)
 
 x = Tensor(np.random.default_rng(1).normal(size=(216, 16)).astype(np.float32))
 q, k, v = cemsa_qkv(x, cfg, params)

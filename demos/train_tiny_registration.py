@@ -33,7 +33,7 @@ result = train(cfg, out_dir=out_dir, log=50)
 losses = np.array([row[1] for row in result.curve])
 print(f"smoothed loss: {losses[:20].mean():.5f} -> {losses[-20:].mean():.5f}")
 
-params = bind_model_params(model, result.bag.tensors)
+params = bind_model_params(model, result.bag)
 pres, posts, disp_folds, diff_folds = [], [], [], []
 for k in range(5):
     moving, fixed, lm, lf, _ = generate_pair(cfg.data, pair_rng(991, k))

@@ -10,9 +10,11 @@ subclass.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -78,6 +80,24 @@ class Reader:
     def end(self, after: str):
         if self.left:
             raise self.fail(f"{self.left} trailing bytes after {after}")
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file to write ``path`` through: a temporary file beside it,
+    which replaces ``path`` once the block ends and is removed if the block
+    raises. Its name starts with a dot, so no ``checkpoint_*`` glob sees it.
+    There is no fsync: this guards against a killed process, not power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_record(f, name: str, *arrays):

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import tensor as T
 from .ops import Conv3dParams, LinearParams, conv3d, linear
-from .params import truncated_normal
 from .tensor import Tensor
 
 
@@ -134,6 +133,17 @@ def cemsa_param_shapes(cfg: CemsaConfig) -> dict:
 
     cemsa_params(cfg, record)
     return shapes
+
+
+def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+    """Normal(0, std) resampled until every draw lies within two deviations."""
+    out = rng.normal(0.0, std, size=shape)
+    for _ in range(16):
+        bad = np.abs(out) > 2.0 * std
+        if not bad.any():
+            break
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+    return np.clip(out, -2.0 * std, 2.0 * std)
 
 
 def init_array(shape, kind, rng: np.random.Generator) -> np.ndarray:

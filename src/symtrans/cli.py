@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from .configio import ConfigError, from_dict, to_canonical_json
 from .deformation import integrate, jacobian_determinant
-from .losses import LossConfig, metrics_report
+from .losses import metrics_report
 from .model import (
     PLACEMENTS,
     CheckpointError,
@@ -129,7 +129,10 @@ def cmd_gen_data(args) -> int:
     outputs = []
     for k in range(args.pairs):
         rng = pair_rng(args.seed, k)
-        moving, fixed, lm, lf, u_true = generate_pair(spec, rng)
+        try:
+            moving, fixed, lm, lf, u_true = generate_pair(spec, rng)
+        except ValueError as e:  # the warp folds on every draw
+            raise CliError(f"generator spec {args.spec or '(defaults)'}: {e}", EXIT_USAGE)
         pair_dir = out / f"pair_{k:03d}"
         pair_dir.mkdir(exist_ok=True)
         files = [
@@ -204,12 +207,10 @@ def cmd_register(args) -> int:
     labels = _read_label_pair(args, cfg.input_shape, "volume")
     mode = ({"disp": "displacement", "diff": "diffeomorphic"}[args.mode]
             if args.mode else cfg.mode)
-    loss_cfg = LossConfig(lambda_reg=args.lambda_reg)
     inputs = [args.moving, args.fixed, args.checkpoint]
     if labels:
         inputs += [args.moving_labels, args.fixed_labels]
-    u, warped, metrics = register(moving, fixed, params, cfg, mode=mode,
-                                  loss_cfg=loss_cfg, **labels)
+    u, warped, metrics = register(moving, fixed, params, cfg, mode=mode, **labels)
     outputs = []
     if args.out_field:
         write_svol(args.out_field, u, KIND_DISPLACEMENT)
@@ -219,9 +220,8 @@ def cmd_register(args) -> int:
         outputs.append(args.out_warped)
     if outputs:
         manifest_path = str(outputs[0]) + ".manifest.json"
-        write_manifest(manifest_path, "register",
-                       {"mode": mode, "lambda_reg": args.lambda_reg},
-                       None, inputs, outputs)
+        write_manifest(manifest_path, "register", {"mode": mode}, None, inputs,
+                       outputs)
     print(json.dumps(metrics, sort_keys=True))
     return EXIT_OK
 
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-warped")
     p.add_argument("--moving-labels")
     p.add_argument("--fixed-labels")
-    p.add_argument("--lambda-reg", type=float, default=0.02, dest="lambda_reg")
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("eval", help="evaluate a field (folding, optional Dice)")

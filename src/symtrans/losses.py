@@ -79,26 +79,20 @@ def total_loss(moving: Tensor, fixed: Tensor, raw_field: Tensor,
     return loss, components, u, warped
 
 
-def dice(a: np.ndarray, b: np.ndarray, labels=None):
-    """Per-label and mean Dice overlap; background (0) excluded.
-
-    Labels absent from both maps are dropped from the mean; a label present
-    in only one map scores 0.
+def dice(a: np.ndarray, b: np.ndarray):
+    """Per-label and mean Dice overlap over the labels present in either map;
+    background (0) excluded. A label present in only one map scores 0.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"dice: extent mismatch {a.shape} vs {b.shape}")
-    if labels is None:
-        labels = sorted(set(np.unique(a)) | set(np.unique(b)))
-        labels = [int(l) for l in labels if l > 0]
+    labels = sorted(set(np.unique(a)) | set(np.unique(b)))
     per_label = {}
-    for lab in labels:
+    for lab in [l for l in labels if l > 0]:
         in_a = a == lab
         in_b = b == lab
         denom = int(in_a.sum()) + int(in_b.sum())
-        if denom == 0:
-            continue
         per_label[int(lab)] = 2.0 * int((in_a & in_b).sum()) / denom
     mean = float(np.mean(list(per_label.values()))) if per_label else 0.0
     return per_label, mean

@@ -16,11 +16,13 @@ weights and the intensity of the input. At init that scale is about 1e-3
 at 1/16. Once Adam has grown those weights, it is large enough that single
 pairs push out rough fields several times the usual size.
 
-Stage dims are C, 2C, 4C. Parameters live in a flat, insertion-ordered
-name -> Tensor bag. One walk declares every parameter and puts the tensor a
-source gives back into the slot the forward pass reads; drawing a fresh init,
-reading a checkpoint and binding an existing name -> Tensor map are its three
-sources.
+Stage dims are C, 2C, 4C. Parameters live in a bag: a plain,
+insertion-ordered ``dict`` of name -> float32 leaf Tensor, in declaration
+order, which checkpoints, Adam moments and gradient checks all follow. One
+walk declares every parameter, refusing a name declared twice, and puts the
+tensor a source gives back into the slot the forward pass reads; drawing a
+fresh init, reading a checkpoint and binding an existing name -> Tensor map
+are its three sources.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .binio import Reader, write_record
+from .binio import Reader, atomic_write, write_record
 from .cemsa import (
     CemsaConfig,
     LayerNormParams,
@@ -49,7 +51,6 @@ from .cemsa import (
 )
 from .configio import from_dict, integer, sequence, to_canonical_json
 from .ops import Conv3dParams, LinearParams, conv3d, linear
-from .params import ParamBag
 from .tensor import Tensor
 
 PLACEMENTS = ("symmetric", "encoder_only", "decoder_only", "bottom_only")
@@ -235,6 +236,8 @@ def _model_layout(cfg: ModelConfig, source) -> _Layout:
         macs[top] = macs.get(top, 0) + mac
 
     def param(name, shape, kind, at=0):
+        if name in shapes:
+            raise ValueError(f"duplicate parameter name {name!r}")
         shapes[name] = (shape, kind)
         tally(name, math.prod(shape), at * math.prod(shape))
         return source(name, shape, kind)
@@ -310,6 +313,12 @@ def _declare(name, shape, kind):
     return None
 
 
+def _leaf(bag: dict, name: str, array) -> Tensor:
+    """Put ``array`` into ``bag`` as a float32 parameter leaf."""
+    bag[name] = Tensor(np.asarray(array, dtype=T.STANDARD), requires_grad=True)
+    return bag[name]
+
+
 def model_param_shapes(cfg: ModelConfig) -> "OrderedDict[str, tuple]":
     """Flat name -> (shape, init kind) map, in declaration order."""
     return _model_layout(cfg, _declare).shapes
@@ -332,9 +341,9 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator):
     Biases and layer-norm shifts are zero and layer-norm gains one. The flow
     head starts near zero, so the initial field is near-identity.
     """
-    bag = ParamBag()
+    bag = {}
     layout = _model_layout(cfg, lambda name, shape, kind:
-                           bag.add(name, init_array(shape, kind, rng)))
+                           _leaf(bag, name, init_array(shape, kind, rng)))
     return bag, layout.view
 
 
@@ -474,11 +483,12 @@ def forward(moving: Tensor, fixed: Tensor, params: SymTransParams,
 
 # --- checkpoint serialization -------------------------------------------------
 
-def save_checkpoint(path, cfg: ModelConfig, bag: ParamBag):
+def save_checkpoint(path, cfg: ModelConfig, bag: dict):
     """Write magic, version, canonical-JSON config, then the parameter
-    tensors in declaration order as (name, rank, extents, float32 LE data)."""
+    tensors in declaration order as (name, rank, extents, float32 LE data).
+    The write is atomic (see ``binio.atomic_write``)."""
     blob = to_canonical_json(cfg).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         header = struct.pack("<II", CHECKPOINT_VERSION, len(blob))
         f.write(CHECKPOINT_MAGIC + header + blob)
         for name, tns in bag.items():
@@ -501,14 +511,14 @@ def load_checkpoint(path):
             cfg = from_dict(ModelConfig, json.loads(blob.decode("utf-8")))
         except ValueError as e:
             raise r.fail(f"bad model config: {e}") from None
-        bag = ParamBag()
+        bag = {}
 
         def read(name, shape, kind):
             found = r.name("parameter name"), r.shape(f"parameter {name!r}")
             if found != (name, tuple(shape)):
                 raise r.fail(f"expected parameter {name!r} of shape {tuple(shape)}, "
                              f"found {found[0]!r} of shape {found[1]}")
-            return bag.add(name, r.float32(shape, f"parameter {name!r} data"))
+            return _leaf(bag, name, r.float32(shape, f"parameter {name!r} data"))
 
         params = _model_layout(cfg, read).view
         r.end("the final parameter")

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .binio import Reader
+from .binio import Reader, atomic_write
 
 MAGIC = b"SVOL"
 VERSION = 1
@@ -41,7 +41,7 @@ def write_svol(path, data: np.ndarray, kind: int):
     if data.ndim != 4:
         raise SvolError(f"SVOL payload must be (C, D, H, W), got {data.shape}")
     c, d, h, w = data.shape
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC + struct.pack("<IBI3I", VERSION, kind, c, d, h, w))
         f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 

@@ -20,6 +20,7 @@ from scipy.special import erf
 
 STANDARD = np.float32
 WIDE = np.float64
+LAYER_NORM_EPS = 1e-5
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -308,7 +309,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return make_op((x,), s.astype(x.dtype, copy=False), rule)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization over the last axis, then affine scale/shift."""
     dim = x.shape[-1]
     if gamma.shape != (dim,) or beta.shape != (dim,):
@@ -320,7 +321,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 

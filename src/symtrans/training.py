@@ -30,13 +30,12 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
-from .binio import Reader, write_record
+from .binio import Reader, atomic_write, write_record
 from .configio import finite, integer, sequence
 from .deformation import jacobian_determinant, warp
 from .losses import LossConfig, metrics_report, total_loss, warp_labels
 from .model import ModelConfig, forward, init_model_params, load_checkpoint, save_checkpoint
 from .ops import usable_cpus
-from .params import ParamBag
 from .tensor import Tensor
 
 
@@ -57,11 +56,17 @@ class TrainingDiverged(RuntimeError):
 # The base volume: one sphere per anchor, its center jittered by up to
 # CENTER_JITTER voxels per axis, its intensity drawn from INTENSITY_RANGE, the
 # image blurred with BLUR_SIGMA; the affine part scales by up to SCALE_JITTER.
+# The smooth field is drawn up to WARP_DRAWS times, each at 0.7 times the last
+# amplitude, until one is fold-free.
 ANCHORS = np.array([(0.32, 0.34, 0.32), (0.68, 0.52, 0.40), (0.45, 0.68, 0.68)])
 CENTER_JITTER = 1.5
 INTENSITY_RANGE = (0.55, 1.0)
 BLUR_SIGMA = 1.0
 SCALE_JITTER = 0.05
+WARP_DRAWS = 6
+
+ADAM_BETA1 = 0.9  # Adam's first-moment decay
+ADAM_EPS = 1e-8  # added to Adam's denominator
 
 
 @dataclass
@@ -75,6 +80,9 @@ class SyntheticSpec:
     voxels per axis and a mild isotropic scaling about the volume center; the
     latter two move structures without risking folds, keeping the
     pre-registration overlap well below 1.
+
+    Every extent is at least 3, which the folding check needs, and every
+    length lies between 0 and the largest extent.
     """
 
     extents: tuple = (32, 32, 32)
@@ -82,28 +90,29 @@ class SyntheticSpec:
     warp_amplitude: float = 3.0
     warp_sigma: float = 4.0
     translation_max: float = 3.25
-    max_retries: int = 6
 
     def __post_init__(self):
         def real(name, value):
             return float(finite(name, value))
 
         self.extents = sequence("extents", self.extents,
-                                functools.partial(integer, minimum=1), 3)
+                                functools.partial(integer, minimum=3), 3)
         self.radius_range = sequence("radius_range", self.radius_range, real, 2)
-        self.max_retries = integer("max_retries", self.max_retries, 1)
+        largest = max(self.extents)
+        low, high = self.radius_range
+        if not 0 <= low <= high <= largest:
+            raise ValueError(f"radius_range must satisfy 0 <= low <= high <= {largest} "
+                             f"(the largest extent), got {list(self.radius_range)}")
         for name in ("warp_amplitude", "warp_sigma", "translation_max"):
-            finite(name, getattr(self, name))
-        if self.warp_amplitude < 0:
-            raise ValueError("warp_amplitude must be >= 0")
+            if not 0 <= real(name, getattr(self, name)) <= largest:
+                raise ValueError(f"{name} must lie in [0, {largest}] (the largest "
+                                 f"extent), got {getattr(self, name)}")
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
     iterations: int = 200
     seed: int = 0
     checkpoint_every: int = 100
@@ -112,13 +121,10 @@ class TrainConfig:
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self):
-        for name in ("lr", "beta1", "beta2", "eps"):
-            finite(name, getattr(self, name))
-        if self.lr <= 0:
+        if finite("lr", self.lr) <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 <= finite("beta2", self.beta2) < 1:
+            raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
         self.iterations = integer("iterations", self.iterations, 0)
         self.seed = integer("seed", self.seed, 0)
         self.checkpoint_every = integer("checkpoint_every", self.checkpoint_every, 1)
@@ -147,7 +153,7 @@ def init_adam(params) -> AdamState:
 def adam_step(params, state: AdamState, cfg: TrainConfig) -> AdamState:
     """Standard bias-corrected Adam update, in place on the parameters."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, tns in params.items():
@@ -158,7 +164,7 @@ def adam_step(params, state: AdamState, cfg: TrainConfig) -> AdamState:
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         mhat = state.m[name] / bc1
         vhat = state.v[name] / bc2
-        tns.data = tns.data - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        tns.data = tns.data - cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return state
 
 
@@ -204,7 +210,7 @@ def generate_pair(spec: SyntheticSpec, rng: np.random.Generator):
 
     The ground-truth field is regenerated at reduced amplitude until it is
     fold-free, so emitted pairs always have a diffeomorphic correspondence.
-    Raises ``ValueError`` when ``spec.max_retries`` draws all fold.
+    Raises ``ValueError`` when all ``WARP_DRAWS`` draws fold.
     """
     image, labels = _render_base(spec, rng)
     # zero amplitude means an identical pair, so it disables the affine part too
@@ -214,7 +220,7 @@ def generate_pair(spec: SyntheticSpec, rng: np.random.Generator):
         affine = _affine_component(spec, rng)
     amplitude = spec.warp_amplitude
     u_true = None
-    for _ in range(spec.max_retries):
+    for _ in range(WARP_DRAWS):
         candidate = _smooth_random_field(spec, rng, amplitude) + affine
         _, stats = jacobian_determinant(candidate)
         if stats.count == 0:
@@ -222,9 +228,9 @@ def generate_pair(spec: SyntheticSpec, rng: np.random.Generator):
             break
         amplitude *= 0.7
     if u_true is None:
-        raise ValueError(f"no fold-free field in max_retries={spec.max_retries} draws "
-                         f"from warp_amplitude={spec.warp_amplitude} (x0.7 per retry); "
-                         f"lower warp_amplitude or raise max_retries")
+        raise ValueError(f"no fold-free field in {WARP_DRAWS} draws from "
+                         f"warp_amplitude={spec.warp_amplitude}, each at 0.7 times "
+                         f"the last; lower warp_amplitude")
     moving = image[None]
     fixed = warp(Tensor(moving), Tensor(u_true)).data
     fixed_labels = warp_labels(labels, u_true)
@@ -254,7 +260,7 @@ def _ignore_sigint():
 
 @dataclass
 class TrainResult:
-    bag: ParamBag
+    bag: dict
     adam: AdamState
     curve: list
     checkpoints: list
@@ -265,7 +271,7 @@ OPT_VERSION = 1
 
 
 def save_opt_state(path, adam: AdamState):
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(OPT_MAGIC + struct.pack("<IQI", OPT_VERSION, adam.t, len(adam.m)))
         for name in adam.m:
             write_record(f, name, adam.m[name], adam.v[name])
@@ -308,7 +314,7 @@ def _resume_step(resume) -> int | None:
         return None
 
 
-def _check_finite(bag: ParamBag, it: int, comp: dict, grads: bool):
+def _check_finite(bag: dict, it: int, comp: dict, grads: bool):
     """Raise :class:`TrainingDiverged` at the first parameter, in the bag's
     order, whose value (or gradient, with ``grads``) is not finite. A missing
     gradient is left to ``adam_step``."""
@@ -319,7 +325,7 @@ def _check_finite(bag: ParamBag, it: int, comp: dict, grads: bool):
                                    else f"parameter {name}")
 
 
-def _step(cfg: TrainConfig, bag: ParamBag, params, adam: AdamState, it: int,
+def _step(cfg: TrainConfig, bag: dict, params, adam: AdamState, it: int,
           moving, fixed, job) -> dict:
     """Step ``it`` on one pair: forward, loss, backward and Adam; returns the
     loss components. The step's graph lives in this frame only, so what the
@@ -330,7 +336,8 @@ def _step(cfg: TrainConfig, bag: ParamBag, params, adam: AdamState, it: int,
     first non-finite gradient before Adam reads it, and at the first
     non-finite parameter after Adam wrote it, before any checkpoint holds it.
     """
-    bag.zero_grads()
+    for t in bag.values():
+        t.grad = None
     raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
     loss, comp, _, _ = total_loss(Tensor(moving), Tensor(fixed), raw,
                                   cfg.loss, cfg.model.mode)
@@ -340,7 +347,7 @@ def _step(cfg: TrainConfig, bag: ParamBag, params, adam: AdamState, it: int,
         futures.wait((job,))
     loss.backward()
     _check_finite(bag, it, comp, grads=True)
-    adam_step(bag.tensors, adam, cfg)
+    adam_step(bag, adam, cfg)
     _check_finite(bag, it, comp, grads=False)
     return comp
 
@@ -455,7 +462,7 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
                 raise OptStateError(f"{resume}.opt: moments do not match the checkpoint")
         else:
             bag, params = init_model_params(cfg.model, np.random.default_rng(cfg.seed))
-            adam = init_adam(bag.tensors)
+            adam = init_adam(bag)
 
         curve = []
         checkpoints = []
@@ -516,20 +523,18 @@ def write_curve(path, curve):
 
 
 def register(moving: np.ndarray, fixed: np.ndarray, params, cfg: ModelConfig,
-             mode: str | None = None, loss_cfg: LossConfig | None = None,
-             moving_labels=None, fixed_labels=None):
+             mode: str | None = None, moving_labels=None, fixed_labels=None):
     """Single forward-only registration pass: field, warped volume, metrics.
 
     No tape is recorded, whether or not ``params`` require gradients, so the
     intermediate arrays are freed as soon as the next op has read them. The
-    loss components are training's objective on this pair.
+    loss components are training's objective, at ``LossConfig()``, on this pair.
     """
     mode = mode or cfg.mode
-    loss_cfg = loss_cfg or LossConfig()
     moving_t, fixed_t = Tensor(moving), Tensor(fixed)
     with T.no_grad():
         raw = forward(moving_t, fixed_t, params, cfg)
-        _, components, u, warped = total_loss(moving_t, fixed_t, raw, loss_cfg, mode)
+        _, components, u, warped = total_loss(moving_t, fixed_t, raw, LossConfig(), mode)
     metrics = metrics_report(u.data, components,
                              moving_labels=moving_labels,
                              fixed_labels=fixed_labels)

@@ -29,12 +29,13 @@ from .oracles import (
     trilinear_reference,
 )
 from .tensor import Tensor, grad_check
-from .training import TrainConfig, adam_step, init_adam
+from .training import ADAM_BETA1, ADAM_EPS, TrainConfig, adam_step, init_adam
 
 OP_TOL_STD = 1e-4
 OP_TOL_WIDE = 1e-6
 COMPOSITE_TOL = 1e-4
 ORACLE_TOL = 1e-5
+ORACLE_INSTANCES = 20
 
 
 def _smooth(shape, rng, sigma=1.5, channels=1):
@@ -269,12 +270,12 @@ def _total_loss_check():
             f"max rel err {worst:.3e} (tol {COMPOSITE_TOL:g})")
 
 
-def oracle_suite(instances: int = 20):
+def oracle_suite():
     checks = []
     rng = np.random.default_rng(30)
 
     worst = 0.0
-    for i in range(instances):
+    for i in range(ORACLE_INSTANCES):
         groups = (1, 2, 4)[i % 3]
         stride = 1 if i % 2 else 2
         x = rng.normal(size=(4, 5, 5, 5))
@@ -287,7 +288,7 @@ def oracle_suite(instances: int = 20):
         ref = conv3d_reference(x, w, b, stride=stride, padding=1, groups=groups)
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.conv3d", worst < ORACLE_TOL,
-                   f"{instances} instances, max abs diff {worst:.2e}"))
+                   f"{ORACLE_INSTANCES} instances, max abs diff {worst:.2e}"))
 
     # large kernels: a depthwise k=7 conv whose padding is most of its input
     # plane, and a grouped k=5 conv at stride 2
@@ -310,7 +311,7 @@ def oracle_suite(instances: int = 20):
     from .cemsa import SCORE_BLOCK_BYTES, multi_head_attention
 
     worst = 0.0
-    for i in range(instances):
+    for i in range(ORACLE_INSTANCES):
         heads = (1, 2, 4)[i % 3]
         n = int(rng.integers(2, 9))
         q = rng.normal(size=(n, 8))
@@ -322,7 +323,7 @@ def oracle_suite(instances: int = 20):
         ref = attention_reference(q, k, v, heads)
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.attention", worst < ORACLE_TOL,
-                   f"{instances} instances, max abs diff {worst:.2e}"))
+                   f"{ORACLE_INSTANCES} instances, max abs diff {worst:.2e}"))
 
     # enough keys that each head's rows split into several score blocks, the
     # last one ragged; the oracle runs on the first and last row of each block
@@ -341,28 +342,28 @@ def oracle_suite(instances: int = 20):
                    f"max abs diff {worst:.2e} on {probe.size} rows"))
 
     worst = 0.0
-    for i in range(instances):
+    for i in range(ORACLE_INSTANCES):
         img = rng.normal(size=(2, 5, 5, 5))
         off = _smooth_offsets((5, 5, 5), rng, amplitude=1.5, bias=0.0)
         out = warp(Tensor(img, dtype=np.float64), Tensor(off))
         ref = trilinear_reference(img, off)
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.warp", worst < ORACLE_TOL,
-                   f"{instances} instances, max abs diff {worst:.2e}"))
+                   f"{ORACLE_INSTANCES} instances, max abs diff {worst:.2e}"))
 
     worst = 0.0
-    for i in range(instances):
+    for i in range(ORACLE_INSTANCES):
         a = _smooth_offsets((5, 5, 5), rng, amplitude=0.8, bias=0.0)
         b = _smooth_offsets((5, 5, 5), rng, amplitude=0.8, bias=0.0)
         out = compose(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
         ref = compose_reference(a, b)
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.compose", worst < ORACLE_TOL,
-                   f"{instances} instances, max abs diff {worst:.2e}"))
+                   f"{ORACLE_INSTANCES} instances, max abs diff {worst:.2e}"))
 
     # ten Adam steps on a random least-squares problem, every iterate compared
     worst = 0.0
-    for i in range(instances):
+    for i in range(ORACLE_INSTANCES):
         cfg = TrainConfig(lr=(5e-2, 1e-3)[i % 2], beta2=(0.999, 0.99)[i // 2 % 2])
         m = rng.normal(size=(4, 6))
         y = rng.normal(size=4)
@@ -378,15 +379,15 @@ def oracle_suite(instances: int = 20):
             params["x"].grad = grad_fn(params["x"].data)
             adam_step(params, state, cfg)
             traj.append(params["x"].data)
-        ref = adam_reference(x0, grad_fn, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, steps=10)
+        ref = adam_reference(x0, grad_fn, cfg.lr, ADAM_BETA1, cfg.beta2, ADAM_EPS, steps=10)
         worst = max(worst, float(np.max(np.abs(np.array(traj) - np.array(ref)))))
     checks.append(("oracle.adam", worst < ORACLE_TOL,
-                   f"{instances} instances of 10 steps, max abs diff {worst:.2e}"))
+                   f"{ORACLE_INSTANCES} instances of 10 steps, max abs diff {worst:.2e}"))
 
     # the objective's two terms, recomputed from the displacement it warped by
     worst = 0.0
     loss_cfg = LossConfig()
-    for i in range(instances):
+    for i in range(ORACLE_INSTANCES):
         mode = ("displacement", "diffeomorphic")[i % 2]
         moving = rng.normal(size=(1, 5, 5, 5))
         fixed = rng.normal(size=(1, 5, 5, 5))
@@ -399,7 +400,7 @@ def oracle_suite(instances: int = 20):
                   comp["loss"] - (sim + loss_cfg.lambda_reg * reg))
         worst = max(worst, float(np.max(np.abs(errors))))
     checks.append(("oracle.total_loss", worst < ORACLE_TOL,
-                   f"{instances} instances, both modes, max abs diff {worst:.2e}"))
+                   f"{ORACLE_INSTANCES} instances, both modes, max abs diff {worst:.2e}"))
     return checks
 
 

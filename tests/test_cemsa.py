@@ -21,7 +21,6 @@ from symtrans.cemsa import (
 from symtrans.model import ModelConfig
 from symtrans.ops import LinearParams, linear
 from symtrans.oracles import attention_reference, conv3d_reference
-from symtrans.params import ParamBag
 from symtrans.tensor import Tensor
 
 
@@ -30,10 +29,15 @@ def toy_cfg(shape=(3, 3, 3), dim=8, heads=2, s=3):
 
 
 def build_block(cfg, seed=0):
-    bag = ParamBag()
+    bag = {}
     rng = np.random.default_rng(seed)
-    return bag, cemsa_params(cfg, lambda name, shape, kind:
-                             bag.add(f"blk.{name}", init_array(shape, kind, rng)))
+
+    def draw(name, shape, kind):
+        bag[f"blk.{name}"] = Tensor(init_array(shape, kind, rng), requires_grad=True,
+                                    dtype=np.float32)
+        return bag[f"blk.{name}"]
+
+    return bag, cemsa_params(cfg, draw)
 
 
 def randomize(bag, seed, std=0.3):

@@ -128,8 +128,8 @@ def test_gen_data_bad_spec_exit_2(tmp_path, capsys):
     assert "num_labelz" in err
 
 
-# a spec whose warp folds on every allowed draw
-FOLDING_SPEC = {"extents": [16, 16, 16], "warp_amplitude": 40.0, "max_retries": 1,
+# an in-bounds spec whose warp folds on all 6 draws (pair_rng seeds 0-19)
+FOLDING_SPEC = {"extents": [16, 16, 16], "warp_amplitude": 16.0, "warp_sigma": 0.5,
                 "radius_range": [2.5, 4.0]}
 
 
@@ -139,7 +139,30 @@ def test_gen_data_unsatisfiable_warp_exit_2(tmp_path, capsys):
     code, _, err = run(["gen-data", "--spec", str(spec_path), "--pairs", "1",
                         "--out", str(tmp_path / "x")], capsys)
     assert code == 2
-    assert "warp_amplitude" in err and "max_retries" in err
+    assert str(spec_path) in err and "warp_amplitude" in err and "6 draws" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override,field", [
+    ({"warp_sigma": 1e308}, "warp_sigma"),
+    ({"warp_sigma": 1e9}, "warp_sigma"),
+    ({"warp_sigma": -1.0}, "warp_sigma"),
+    ({"radius_range": [0, 1e308]}, "radius_range"),
+    ({"radius_range": [7, -3]}, "radius_range"),
+    ({"radius_range": [-5, -1]}, "radius_range"),
+    ({"translation_max": 1e308}, "translation_max"),
+    ({"translation_max": -2.0}, "translation_max"),
+    ({"warp_amplitude": 1e308}, "warp_amplitude"),
+    ({"extents": [2, 16, 16]}, "extents[0]"),
+])
+def test_gen_data_out_of_range_spec_exit_2_names_the_field(tmp_path, capsys, override,
+                                                           field):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict({"extents": [16, 16, 16]}, **override)))
+    code, _, err = run(["gen-data", "--spec", str(spec_path), "--pairs", "1",
+                        "--out", str(tmp_path / "x")], capsys)
+    assert code == 2, err
+    assert str(spec_path) in err and field in err
     assert "Traceback" not in err
 
 
@@ -154,7 +177,7 @@ def test_train_unsatisfiable_warp_exit_2(tmp_path, capsys):
     code, _, err = run(["train", "--config", str(cfg_path),
                         "--out", str(tmp_path / "run")], capsys)
     assert code == 2
-    assert "warp_amplitude" in err and "max_retries" in err
+    assert "warp_amplitude" in err and "6 draws" in err
 
 
 # --- train / register / eval ---------------------------------------------------
@@ -218,6 +241,37 @@ def test_train_config_bad_value_exit_2(tmp_path, capsys, field, value):
     assert code == 2
     assert str(cfg_path) in err and field in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,field", [
+    (None, "beta1"), (None, "eps"), ("data", "max_retries"),
+])
+def test_train_config_removed_knob_exit_2(tmp_path, capsys, section, field):
+    # Adam's beta1 and eps and the generator's draw count are constants now
+    cfg = {"iterations": 0, "model": {"input_shape": [16, 16, 16]},
+           "data": {"extents": [16, 16, 16]}}
+    (cfg[section] if section else cfg)[field] = 1
+    cfg_path = tmp_path / "t.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(["train", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert str(cfg_path) in err and "unknown field" in err
+    assert (f"{section}.{field}" if section else field) in err
+
+
+def test_register_has_no_lambda_reg_option(trained, tmp_path, capsys):
+    _, _, out = trained
+    argv, _ = register_argv(tmp_path, out)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--lambda-reg", "0.5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --lambda-reg" in capsys.readouterr().err
+    # the objective is the default one, so the manifest records the mode only
+    field = tmp_path / "u.svol"
+    assert run(argv + ["--out-field", str(field)], capsys)[0] == 0
+    manifest = json.loads((tmp_path / "u.svol.manifest.json").read_text())
+    assert manifest["config"] == {"mode": "displacement"}
 
 
 def test_count_config_non_integral_extent_exit_2(tmp_path, capsys):
@@ -616,7 +670,7 @@ def test_train_non_finite_parameter_exit_4_names_it(trained, tmp_path, capsys):
     # a learning rate no float32 update survives: the first Adam step
     # overflows, and the step stops before a checkpoint holds the result
     _, _, out = trained
-    first = next(iter(load_checkpoint(out / "checkpoint_000002.symt")[1].tensors))
+    first = next(iter(load_checkpoint(out / "checkpoint_000002.symt")[1]))
     run_dir = tmp_path / "run"
     code, _, err = run(["train", "--config",
                         train_config(tmp_path, trained, lr=1e300, checkpoint_every=1),

@@ -3,7 +3,8 @@
 Any JSON value in any field of ``TrainConfig``, ``ModelConfig``,
 ``SyntheticSpec`` or ``LossConfig`` either gives a working config (exit 0) or is refused with
 exit 2 and a message that names the config file; it never ends in a
-traceback.
+traceback. A train config runs no iteration, so ``gen-data`` fuzzes the
+generator spec through a pair it generates.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtrans.cli import main
@@ -86,3 +87,27 @@ def test_train_config_exits_0_or_2(workdir, data):
     path = workdir / "train.json"
     path.write_text(json.dumps(cfg))
     check(*run(["train", "--config", str(path), "--out", str(workdir / "run")]), path)
+
+
+# one 16^3 pair per example: what the spec's validation lets through must
+# generate a pair, or fold on every draw and be refused by name
+TINY_SPEC = {"extents": [16, 16, 16]}
+
+
+@FUZZ
+@example(overrides={"warp_sigma": 1e308})
+@example(overrides={"warp_sigma": 1e9})
+@example(overrides={"warp_sigma": -1.0})
+@example(overrides={"radius_range": [0.0, 1e308]})
+@example(overrides={"radius_range": [7.0, -3.0]})
+@example(overrides={"radius_range": [-5.0, -1.0]})
+@example(overrides={"translation_max": 1e308})
+@example(overrides={"translation_max": -2.0})
+@example(overrides={"warp_amplitude": 1e308})
+@given(overrides=st.dictionaries(st.sampled_from(names(SyntheticSpec)), JSON,
+                                 min_size=1, max_size=3))
+def test_gen_data_spec_exits_0_or_2(workdir, overrides):
+    path = workdir / "spec.json"
+    path.write_text(json.dumps(dict(TINY_SPEC, **overrides)))
+    check(*run(["gen-data", "--spec", str(path), "--pairs", "1",
+                "--out", str(workdir / "data")]), path)

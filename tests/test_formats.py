@@ -4,18 +4,21 @@ Every truncation and every extension of a valid file is refused, and a file
 with one byte changed either loads or is refused. Refused means the format's
 own ``ValueError`` subclass with the file's path in the message: never
 ``struct.error``, ``MemoryError`` or ``IndexError``, and never a traceback out
-of the command line.
+of the command line. And a write that fails part-way leaves the file it was
+replacing as it was.
 """
 
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtrans import binio
 from symtrans.cli import main
 from symtrans.model import (
     CheckpointError,
@@ -49,7 +52,7 @@ def files(tmp_path_factory):
     save_checkpoint(d / "model.symt", MODEL, bag)
     # as training writes at step 0: all-zero moments, so a rank flipped
     # upward reads zero extents from the payload that follows
-    save_opt_state(d / "model.opt", init_adam(bag.tensors))
+    save_opt_state(d / "model.opt", init_adam(bag))
     return d
 
 
@@ -165,3 +168,43 @@ def test_truncated_file_exits_2_through_the_cli(files, fmt, capsys):
     assert str(bad) in err
     assert "runs past the end" in err
     assert "Traceback" not in err
+
+
+# no float32 payload can be made from it, so a writer raises after writing
+# its header and every record before this one
+UNWRITABLE = np.full((1, 2, 2, 2), "x", dtype=object)
+
+
+def write_failing(fmt, path):
+    if fmt == "svol":
+        write_svol(path, UNWRITABLE, KIND_IMAGE)
+        return
+    bag, _ = init_model_params(MODEL, np.random.default_rng(1))
+    last = list(bag)[-1]
+    if fmt == "symt":
+        save_checkpoint(path, MODEL, dict(bag, **{last: SimpleNamespace(data=UNWRITABLE)}))
+    else:
+        adam = init_adam(bag)
+        adam.v[last] = UNWRITABLE
+        save_opt_state(path, adam)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_a_write_that_fails_part_way_leaves_the_previous_file(files, fmt, tmp_path):
+    name = FORMATS[fmt][0]
+    previous = (files / name).read_bytes()
+    (tmp_path / name).write_bytes(previous)
+    with pytest.raises(ValueError, match="could not convert"):
+        write_failing(fmt, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_atomic_write_hides_its_temporary_file_from_the_checkpoint_glob(tmp_path):
+    path = tmp_path / "checkpoint_000001.symt"
+    with binio.atomic_write(path) as f:
+        f.write(b"new")
+        assert len(list(tmp_path.iterdir())) == 1
+        assert list(tmp_path.glob("checkpoint_*")) == []
+    assert path.read_bytes() == b"new"
+    assert list(tmp_path.iterdir()) == [path]

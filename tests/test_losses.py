@@ -180,11 +180,15 @@ def test_dice_extent_mismatch():
 
 
 def test_dice_label_absent_from_both_excluded():
+    # the labels scored are those present in either map: 1 in both, 3 in one
+    # only, and 2 in neither
     a = np.zeros((3, 3, 3), np.int64)
     a[0, 0, 0] = 1
-    per_label, mean = dice(a, a.copy(), labels=[1, 7])
-    assert 7 not in per_label
-    assert mean == 1.0
+    b = a.copy()
+    b[2, 2, 2] = 3
+    per_label, mean = dice(a, b)
+    assert per_label == {1: 1.0, 3: 0.0}
+    assert mean == 0.5
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from symtrans import model
 from symtrans import tensor as T
 from symtrans.cemsa import LayerNormParams, volume_to_tokens
 from symtrans.configio import ConfigError, from_dict
@@ -28,7 +29,6 @@ from symtrans.model import (
 )
 from symtrans.oracles import conv3d_reference
 from symtrans.ops import Conv3dParams, LinearParams, conv3d
-from symtrans.params import ParamBag
 from symtrans.tensor import Tensor
 
 
@@ -123,12 +123,11 @@ def _identity_expand(c_in):
 def test_patch_expand_shape_contract():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(8, 8)).astype(np.float32))
-    bag = ParamBag()
     p = ExpandParams(
-        lin1=LinearParams(bag.add("l1.w", rng.normal(size=(16, 8))),
-                          bag.add("l1.b", np.zeros(16))),
-        lin2=LinearParams(bag.add("l2.w", rng.normal(size=(4, 2))),
-                          bag.add("l2.b", np.zeros(4))),
+        lin1=LinearParams(Tensor(rng.normal(size=(16, 8)), dtype=np.float32),
+                          Tensor(np.zeros(16, np.float32))),
+        lin2=LinearParams(Tensor(rng.normal(size=(4, 2)), dtype=np.float32),
+                          Tensor(np.zeros(4, np.float32))),
         norm=_unit_norm(4),
     )
     out = patch_expand(x, (2, 2, 2), p)
@@ -306,18 +305,18 @@ def test_token_path_scale_is_set_by_layer_norms():
     cfg = tiny_cfg()
     bag, params = init_model_params(cfg, np.random.default_rng(11))
     rng = np.random.default_rng(12)
-    scaled = [name for name in bag.tensors
+    scaled = [name for name in bag
               if name.startswith("enc") and ".embed." in name
               or name.startswith("dec") and ".lin2." in name]
     assert len(scaled) == 2 * (3 + 4)
     for name in scaled:
-        t = bag.tensors[name]
+        t = bag[name]
         t.data = rng.normal(0, 0.3, size=t.shape).astype(t.dtype)
     m = Tensor(rng.normal(size=(1, 16, 16, 16)).astype(np.float32))
     f = Tensor(rng.normal(size=(1, 16, 16, 16)).astype(np.float32))
     base = forward(m, f, params, cfg).data
     for name in scaled:
-        bag.tensors[name].data = bag.tensors[name].data * np.float32(8.0)
+        bag[name].data = bag[name].data * np.float32(8.0)
     out = forward(m, f, params, cfg).data
     assert np.max(np.abs(out - base)) < 1e-3 * np.max(np.abs(base))
 
@@ -452,6 +451,37 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "model2.symt"
     save_checkpoint(path2, cfg2, bag2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_bag_is_a_dict_of_float32_leaves_in_declaration_order(tmp_path):
+    cfg = tiny_cfg()
+    bag, _ = init_model_params(cfg, np.random.default_rng(10))
+    save_checkpoint(tmp_path / "model.symt", cfg, bag)
+    for got in (bag, load_checkpoint(tmp_path / "model.symt")[1]):
+        assert type(got) is dict
+        assert list(got) == list(model_param_shapes(cfg))
+        assert all(t.dtype == np.float32 and t.requires_grad for t in got.values())
+
+
+def test_duplicate_parameter_name_refused_for_every_source(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    bag, _ = init_model_params(cfg, np.random.default_rng(10))
+    save_checkpoint(tmp_path / "model.symt", cfg, bag)
+    cemsa_params = model.cemsa_params
+
+    def declared_twice(blk_cfg, param):  # each block declares its trunk again
+        p = cemsa_params(blk_cfg, param)
+        param("dw.weight", (1,), "zeros")
+        return p
+
+    monkeypatch.setattr(model, "cemsa_params", declared_twice)
+    for walk in (lambda: model_param_shapes(cfg),
+                 lambda: init_model_params(cfg, np.random.default_rng(10)),
+                 lambda: bind_model_params(cfg, bag),
+                 lambda: load_checkpoint(tmp_path / "model.symt")):
+        with pytest.raises(ValueError,
+                           match="duplicate parameter name 'enc1.block0.dw.weight'"):
+            walk()
 
 
 def test_checkpoint_bad_magic(tmp_path):
