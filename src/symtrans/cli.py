@@ -49,6 +49,7 @@ from .training import (
     SyntheticSpec,
     TrainConfig,
     TrainingDiverged,
+    UnsatisfiableWarp,
     generate_pair,
     pair_rng,
     register,
@@ -131,7 +132,7 @@ def cmd_gen_data(args) -> int:
         rng = pair_rng(args.seed, k)
         try:
             moving, fixed, lm, lf, u_true = generate_pair(spec, rng)
-        except ValueError as e:  # the warp folds on every draw
+        except UnsatisfiableWarp as e:
             raise CliError(f"generator spec {args.spec or '(defaults)'}: {e}", EXIT_USAGE)
         pair_dir = out / f"pair_{k:03d}"
         pair_dir.mkdir(exist_ok=True)
@@ -159,6 +160,8 @@ def cmd_train(args) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except UnsatisfiableWarp as e:  # from the pair producer or inline
+        raise CliError(f"train config {args.config}, section data: {e}", EXIT_USAGE)
     outputs = [p.relative_to(out) for p in sorted(out.glob("checkpoint_*"))]
     outputs.append(Path("loss.csv"))
     write_manifest(out / "manifest.json", "train", cfg, cfg.seed,

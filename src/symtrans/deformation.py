@@ -5,11 +5,11 @@ axes; the full map is phi(p) = p + u(p). Sampling clamps to the volume border.
 Velocity fields are exponentiated by scaling and squaring: halve the field T
 times, then self-compose T times.
 
-A trilinear sample keeps three arrays per voxel on the tape besides its two
-inputs: the flat index of the low corner (int64), the fractional position
-(3 values of the field's dtype) and the inside-the-volume mask (3 bools).
-That is 23 bytes per voxel at float32; the backward rule recomputes the
-interpolation weights from them.
+A trilinear sample's rule keeps three arrays per voxel besides the field it
+samples (not the offsets, and no Tensor): the flat index of the low corner
+(int64), the fractional position (3 values of the field's dtype) and the
+inside-the-volume mask (3 bools). That is 23 bytes per voxel at float32;
+the backward rule recomputes the interpolation weights from them.
 
 The forward runs in depth slabs of ``SAMPLE_SLAB_VOXELS`` voxels (one depth
 at least). Each slab computes its own coordinates, clamp, low-corner index,
@@ -161,7 +161,8 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
     d, h, w = spatial
     n = d * h * w
     dtype = field.dtype
-    fdat = field.data
+    fdat, odat = field.data, offsets.data
+    field_needs, offsets_need = field.requires_grad, offsets.requires_grad
     out = np.zeros((c, n), dtype=dtype)
     base = np.zeros(spatial, dtype=np.int64)
     frac = np.empty((3,) + spatial, dtype=dtype)
@@ -171,8 +172,7 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
     def sample(lo, hi):
         """Depths lo:hi, in slabs of ``depth``."""
         for z0 in range(lo, hi, depth):
-            _sample_slab(fdat, offsets.data, z0, min(z0 + depth, hi), out, base, frac,
-                         inside)
+            _sample_slab(fdat, odat, z0, min(z0 + depth, hi), out, base, frac, inside)
 
     ops.side_by_side(lambda: sample(0, d // 2), lambda: sample(d // 2, d),
                      n >= SAMPLE_THREAD_VOXELS and d > 1)
@@ -208,9 +208,9 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
                             * inside[ax].reshape(n).astype(dtype)).reshape(spatial)
             return doff
 
-        if not offsets.requires_grad:
+        if not offsets_need:
             return _field_grad(*field_args), None
-        if not field.requires_grad:
+        if not field_needs:
             return None, offset_grad()
         return ops.side_by_side(lambda: _field_grad(*field_args), offset_grad,
                                 gy.size >= ops.BACKWARD_THREAD_VALUES)

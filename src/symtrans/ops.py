@@ -258,6 +258,9 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     out_ch, k, (do, ho, wo) = _validate_conv(x, p)
     st, pad, groups = p.stride, p.padding, p.groups
     w, b = p.weight.data, p.bias.data
+    # flags, not Tensors, for the rule: whether x needs dx, and whether the
+    # weight is a leaf, whose gradient no later rule reads
+    needs_dx, leaf_weight = x.requires_grad, p.weight._node is None
     wg = w.reshape((groups, out_ch // groups) + w.shape[1:])  # (G, O, I, k, k, k)
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
     xg = xp.reshape((groups, -1) + xp.shape[1:])
@@ -274,12 +277,12 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
                 for a, bb, c in itertools.product(range(k), repeat=3)]
 
         def weight_grad():
-            dwg = np.zeros_like(wg)
-            _weight_grad(dwg, gyg, xg, taps)
-            return dwg.reshape(w.shape)
+            dw = np.zeros_like(w)
+            _weight_grad(dw.reshape(wg.shape), gyg, xg, taps)
+            return dw
 
         def input_grad():
-            if not x.requires_grad:  # e.g. the stem's conv of the input pair
+            if not needs_dx:  # e.g. the stem's conv of the input pair
                 return None
             dxp = _input_grad(gyg, wg, st, xp.shape)
             return dxp[:, pad:-pad, pad:-pad, pad:-pad] if pad else dxp
@@ -290,7 +293,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
         # constant input) comes at the end of the walk, where a deferred dw
         # would only lengthen the final wait.
         if (_WORKER is None or gy.size < BACKWARD_THREAD_VALUES
-                or not x.requires_grad or p.weight._backward_rule is not None):
+                or not needs_dx or not leaf_weight):
             return input_grad(), weight_grad(), db
         dw = _WORKER.submit(weight_grad)
         try:

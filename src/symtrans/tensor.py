@@ -8,6 +8,13 @@ oracles). Every op refuses parents of different dtypes (:func:`make_op`
 checks), and ``add``, ``sub`` and ``mul`` take two Tensors of one shape:
 nothing is broadcast or coerced. Inside :func:`no_grad` the ops compute the
 same values but record no tape.
+
+The tape keeps rules, not values. A taped op's place in the graph is a
+node that holds its backward rule, its parents' nodes (a leaf Tensor for a
+leaf, nothing for a parent that needs no gradient), the gradient flowing in
+and its output's shape and dtype. A rule saves the arrays and flags it
+reads, never a Tensor. So an intermediate array lives only while the
+forward code or some rule still holds it.
 """
 
 from __future__ import annotations
@@ -30,12 +37,13 @@ class Tensor:
     """Array value participating in a reverse-mode differentiation graph.
 
     ``data`` is a numpy array (float32 or float64), ``grad`` is populated by
-    :meth:`backward` for every leaf with ``requires_grad``. Non-leaf tensors
-    keep references to their parents and a backward rule closure until a
-    :meth:`backward` walk consumes them.
+    :meth:`backward` for every leaf with ``requires_grad``. A tensor that a
+    taped op made links to its ``_Node``, which holds the op's rule and its
+    parents' nodes but no value: once the forward code drops such a tensor,
+    its array is freed unless some rule saved it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -46,8 +54,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward_rule = None
+        self._node = None
 
     @property
     def shape(self):
@@ -71,10 +78,14 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every reachable leaf with ``requires_grad``.
 
-        The graph is traversed in exact reverse execution order (reverse
+        The walk runs over the graph's nodes, which hold rules, not values:
+        what a rule reads is what its closure saved, arrays and flags only.
+        Nodes are visited in exact reverse execution order (reverse
         topological order); gradients flowing into a node reached through
         several paths accumulate additively, in the order the rules produce
-        them: the first is copied, the rest are added in place.
+        them: the first is adopted when the rule made it for this node alone
+        (see :func:`make_op`) and copied otherwise, the rest are added in
+        place.
 
         The walk consumes the graph: once a node's rule has run, the node
         drops its gradient, its parents and its rule, and with the rule the
@@ -83,11 +94,11 @@ class Tensor:
         ``RuntimeError``; build the graph again instead.
 
         A rule may return a ``concurrent.futures.Future`` as the gradient of
-        a leaf (a parent with no backward rule), for work another thread
-        finishes while the walk goes on: no later rule reads a leaf's
-        gradient. From its first Future on, a leaf's contributions wait in
-        order and are resolved and accumulated after the walk, so the bytes
-        are those of the inline walk. A Future for any other parent is a
+        a leaf (a parent with no node), for work another thread finishes
+        while the walk goes on: no later rule reads a leaf's gradient. From
+        its first Future on, a leaf's contributions wait in order and are
+        resolved and accumulated after the walk, so the bytes are those of
+        the inline walk. A Future for a parent with a node is a
         ``TypeError``. Every Future is waited for on every exit path, also
         when a rule raises, and only then is the first error raised.
         """
@@ -95,9 +106,12 @@ class Tensor:
             raise ValueError(
                 f"backward() needs a scalar loss, got shape {self.data.shape}"
             )
-        order: list[Tensor] = []
+        if self._node is None:  # a leaf or a constant: the graph is itself
+            self.grad = np.ones_like(self.data)
+            return
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -107,62 +121,92 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p in node.parents:
+                if isinstance(p, _Node) and id(p) not in seen:
                     stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
+        self._node.grad = np.ones_like(self.data)
         pending: list[futures.Future] = []
-        # leaf -> its contributions from its first Future on
+        # leaf -> its (contribution, adoptable) pairs from its first Future on
         deferred: dict[Tensor, list] = {}
         try:
             while order:
                 node = order.pop()  # the walk holds no node it has passed
-                rule, parents, g_out = node._backward_rule, node._parents, node.grad
-                if rule is None:
-                    continue  # a leaf keeps its gradient
-                node._backward_rule, node._parents, node.grad = _consumed, (), None
+                rule, parents, g_out = node.rule, node.parents, node.grad
+                node.rule, node.parents, node.grad = _consumed, (), None
                 if g_out is None:
                     continue
                 grads = rule(g_out)
                 for parent, g in zip(parents, grads):
                     if isinstance(g, futures.Future):
                         pending.append(g)
-                        if parent._backward_rule is not None:
+                        if isinstance(parent, _Node):
                             raise TypeError("backward rule returned a Future for a "
                                             "parent that has a backward rule")
-                    if g is None or not parent.requires_grad:
+                    if g is None or parent is None:
                         continue
+                    # the incoming gradient, or one array handed to two
+                    # parents, is copied; so is a view, which does not own
+                    # its memory (checked when it is accumulated)
+                    adoptable = g is not g_out and sum(h is g for h in grads) == 1
                     if isinstance(g, futures.Future) or parent in deferred:
-                        deferred.setdefault(parent, []).append(g)
+                        deferred.setdefault(parent, []).append((g, adoptable))
                     else:
-                        parent._accumulate(g)
+                        _accumulate(parent, g, adoptable)
         finally:
             futures.wait(pending)
         for future in pending:
             future.result()
         for parent, contributions in deferred.items():
-            for g in contributions:
-                parent._accumulate(g.result() if isinstance(g, futures.Future) else g)
-
-    def _accumulate(self, g: np.ndarray):
-        if g.shape != self.data.shape:
-            raise ValueError(
-                f"backward rule produced shape {g.shape} for parent "
-                f"of shape {self.data.shape}"
-            )
-        if g.dtype != self.data.dtype:
-            raise TypeError(
-                f"backward rule produced dtype {g.dtype} for parent "
-                f"of dtype {self.data.dtype}"
-            )
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
+            for g, adoptable in contributions:
+                _accumulate(parent, g.result() if isinstance(g, futures.Future) else g,
+                            adoptable)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+class _Node:
+    """A taped op's place in the graph: its rule, and no value.
+
+    ``parents`` has one entry per parent of the op: the parent's node, the
+    parent itself when it is a leaf that requires a gradient, or ``None``
+    when it requires none. ``grad`` is the gradient flowing in during a
+    walk; ``shape`` and ``dtype`` are the output's, which every incoming
+    gradient must match.
+    """
+
+    __slots__ = ("parents", "rule", "grad", "shape", "dtype")
+
+    def __init__(self, parents, rule, shape, dtype):
+        self.parents = parents
+        self.rule = rule
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+
+
+def _accumulate(target, g: np.ndarray, adoptable: bool):
+    """Add ``g`` into the gradient of ``target``, a leaf Tensor or a node.
+
+    The first gradient is adopted as it is when ``adoptable`` and it owns
+    C-ordered memory, which is what a copy would be; otherwise it is copied.
+    """
+    if g.shape != target.shape:
+        raise ValueError(
+            f"backward rule produced shape {g.shape} for parent "
+            f"of shape {target.shape}"
+        )
+    if g.dtype != target.dtype:
+        raise TypeError(
+            f"backward rule produced dtype {g.dtype} for parent "
+            f"of dtype {target.dtype}"
+        )
+    if target.grad is None:
+        own = adoptable and g.flags.owndata and g.flags.c_contiguous
+        target.grad = g if own else g.copy()
+    else:
+        target.grad += g
 
 
 def _consumed(g):
@@ -178,9 +222,9 @@ _taping = True
 def no_grad():
     """Record no tape inside the block, whatever the inputs require.
 
-    Op results are constants: no parents, no backward rule, and so nothing
-    keeps the intermediate arrays alive. The previous state comes back on
-    exit, also when the block raises.
+    Op results are constants: no node, and so nothing keeps the
+    intermediate arrays alive. The previous state comes back on exit, also
+    when the block raises.
     """
     global _taping
     previous, _taping = _taping, False
@@ -195,7 +239,14 @@ def make_op(parents, out_data, backward_rule) -> Tensor:
 
     Parents of different dtypes are refused, with taping on or off.
     ``backward_rule(out_grad) -> tuple of parent grads (or None)`` is only
-    attached when some parent requires a gradient and taping is on.
+    attached when some parent requires a gradient and taping is on; it goes
+    into a new node, which links to the parents' nodes, not to the parents.
+
+    The rule's contract: its closure saves arrays and flags, never a
+    Tensor, so that no value outlives the forward code's use of it unless a
+    rule reads it. And it returns fresh arrays, views of its incoming
+    gradient, or Futures of fresh arrays, never an array it saved: the walk
+    adopts a fresh array as a parent's gradient and adds into it in place.
     """
     dtype = parents[0].dtype
     for p in parents[1:]:
@@ -204,8 +255,8 @@ def make_op(parents, out_data, backward_rule) -> Tensor:
     out = Tensor(out_data)
     if _taping and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_rule = backward_rule
+        links = tuple(p._node or (p if p.requires_grad else None) for p in parents)
+        out._node = _Node(links, backward_rule, out.data.shape, out.data.dtype)
     return out
 
 
@@ -246,11 +297,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = a.data * a.dtype.type(c)
+    c = a.dtype.type(float(c))
+    out = a.data * c
 
     def rule(g):
-        return (g * a.dtype.type(c),)
+        return (g * c,)
 
     return make_op((a,), out, rule)
 
@@ -269,13 +320,13 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-form) GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    xd = x.data
+    xd, dtype = x.data, x.dtype
     phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = (xd * phi).astype(x.dtype, copy=False)
+    out = (xd * phi).astype(dtype, copy=False)
 
     def rule(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return ((g * (phi + xd * pdf)).astype(x.dtype),)
+        return ((g * (phi + xd * pdf)).astype(dtype),)
 
     return make_op((x,), out, rule)
 
@@ -317,24 +368,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match feature dim {dim}"
         )
-    xd = x.data
+    xd, gd, dtype = x.data, gamma.data, x.dtype
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
+    inv = 1.0 / np.sqrt(var + dtype.type(LAYER_NORM_EPS))
     xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    out = xhat * gd + beta.data
 
     def rule(g):
-        dgamma = np.sum(g * xhat, axis=tuple(range(g.ndim - 1))).astype(x.dtype)
-        dbeta = np.sum(g, axis=tuple(range(g.ndim - 1))).astype(x.dtype)
-        dxhat = g * gamma.data
+        dgamma = np.sum(g * xhat, axis=tuple(range(g.ndim - 1))).astype(dtype)
+        dbeta = np.sum(g, axis=tuple(range(g.ndim - 1))).astype(dtype)
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
-        return dx.astype(x.dtype), dgamma, dbeta
+        return dx.astype(dtype), dgamma, dbeta
 
-    return make_op((x, gamma, beta), out.astype(x.dtype, copy=False), rule)
+    return make_op((x, gamma, beta), out.astype(dtype, copy=False), rule)
 
 
 def reshape(x: Tensor, new_shape) -> Tensor:
@@ -400,22 +451,21 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    shape = x.shape
+    shape, dtype = x.shape, x.dtype
 
     def rule(g):
-        return (np.full(shape, g, dtype=x.dtype),)
+        return (np.full(shape, g, dtype=dtype),)
 
-    return make_op((x,), np.array(x.data.sum(), dtype=x.dtype), rule)
+    return make_op((x,), np.array(x.data.sum(), dtype=dtype), rule)
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-    shape = x.shape
+    n, shape, dtype = x.size, x.shape, x.dtype
 
     def rule(g):
-        return (np.full(shape, g / n, dtype=x.dtype),)
+        return (np.full(shape, g / n, dtype=dtype),)
 
-    return make_op((x,), np.array(x.data.mean(), dtype=x.dtype), rule)
+    return make_op((x,), np.array(x.data.mean(), dtype=dtype), rule)
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:

@@ -53,6 +53,10 @@ class TrainingDiverged(RuntimeError):
         )
 
 
+class UnsatisfiableWarp(ValueError):
+    """The generator spec's warp folds on every draw ``generate_pair`` makes."""
+
+
 # The base volume: one sphere per anchor, its center jittered by up to
 # CENTER_JITTER voxels per axis, its intensity drawn from INTENSITY_RANGE, the
 # image blurred with BLUR_SIGMA; the affine part scales by up to SCALE_JITTER.
@@ -228,9 +232,9 @@ def generate_pair(spec: SyntheticSpec, rng: np.random.Generator):
             break
         amplitude *= 0.7
     if u_true is None:
-        raise ValueError(f"no fold-free field in {WARP_DRAWS} draws from "
-                         f"warp_amplitude={spec.warp_amplitude}, each at 0.7 times "
-                         f"the last; lower warp_amplitude")
+        raise UnsatisfiableWarp(f"no fold-free field in {WARP_DRAWS} draws from "
+                                f"warp_amplitude={spec.warp_amplitude}, each at 0.7 "
+                                f"times the last; lower warp_amplitude")
     moving = image[None]
     fixed = warp(Tensor(moving), Tensor(u_true)).data
     fixed_labels = warp_labels(labels, u_true)

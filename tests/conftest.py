@@ -1,8 +1,58 @@
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from symtrans import deformation, ops, training
+from symtrans.tensor import _Node
+
+
+def graph_nodes(t):
+    """The graph nodes reachable from tensor ``t``, each once, ``t``'s own
+    first: [] for a tensor that records no tape. A node's ``rule`` is its
+    backward rule, and its ``parents`` hold nodes, leaf Tensors and None;
+    the walk follows the nodes."""
+    nodes, stack = {}, [t._node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Node) and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    return list(nodes.values())
+
+
+def closure_values(fn):
+    """Every value ``fn``'s closure holds: its cells' contents, and in turn
+    what the nested functions, tuples, lists, dicts and dataclass instances
+    among them hold."""
+    seen, stack = {id(fn)}, [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield value
+        if callable(value) and getattr(value, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in value.__closure__)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            stack.extend(vars(value).values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+
+
+def held_arrays(fn):
+    """The arrays that own the memory of the ndarrays ``fn``'s closure
+    holds, by id."""
+    owners = {}
+    for value in closure_values(fn):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value
+    return owners
 
 
 @pytest.fixture

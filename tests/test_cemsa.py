@@ -23,6 +23,8 @@ from symtrans.ops import LinearParams, linear
 from symtrans.oracles import attention_reference, conv3d_reference
 from symtrans.tensor import Tensor
 
+from conftest import graph_nodes
+
 
 def toy_cfg(shape=(3, 3, 3), dim=8, heads=2, s=3):
     return CemsaConfig(dim=dim, heads=heads, dw_kernel=s, spatial_shape=shape)
@@ -202,23 +204,13 @@ def test_attention_rows_are_probability_vectors():
     np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-6)
 
 
-def taped_nodes(out):
-    nodes, stack = {}, [out]
-    while stack:
-        node = stack.pop()
-        if node._backward_rule is not None and id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    return list(nodes.values())
-
-
 def test_attention_at_32_cubed_tokens_is_one_block_per_head():
     # 512 float32 tokens fit one score block: per head, three column narrows,
     # one transpose, two matmuls, the scale and the softmax; then one concat
     rng = np.random.default_rng(16)
     q, k, v = (Tensor(rng.normal(size=(512, 8)), requires_grad=True) for _ in range(3))
     out = multi_head_attention(q, k, v, heads=2)
-    assert len(taped_nodes(out)) == 2 * 8 + 1
+    assert len(graph_nodes(out)) == 2 * 8 + 1
 
 
 def test_attention_in_row_blocks_matches_the_oracle(monkeypatch):

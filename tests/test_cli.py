@@ -166,18 +166,24 @@ def test_gen_data_out_of_range_spec_exit_2_names_the_field(tmp_path, capsys, ove
     assert "Traceback" not in err
 
 
-def test_train_unsatisfiable_warp_exit_2(tmp_path, capsys):
+def test_train_unsatisfiable_warp_exit_2(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps({
-        "iterations": 1,
+        "iterations": 2,
         "model": {"input_shape": [16, 16, 16], "base_dim": 8,
                   "encoder_depths": [1, 1, 1], "decoder_depths": [1, 1, 1]},
         "data": FOLDING_SPEC,
     }))
-    code, _, err = run(["train", "--config", str(cfg_path),
-                        "--out", str(tmp_path / "run")], capsys)
-    assert code == 2
-    assert "warp_amplitude" in err and "6 draws" in err
+    # inline, then in the pair producer, which two iterations make it fork
+    for fork in (False, True):
+        monkeypatch.setattr(training, "_FORK_PRODUCER", fork)
+        code, _, err = run(["train", "--config", str(cfg_path),
+                            "--out", str(tmp_path / f"run{fork:d}")], capsys)
+        assert code == 2
+        assert "warp_amplitude" in err and "6 draws" in err
+        # the message names the config file and its data section
+        assert f"train config {cfg_path}, section data: no fold-free field" in err
+        assert "Traceback" not in err
 
 
 # --- train / register / eval ---------------------------------------------------

@@ -18,6 +18,8 @@ from symtrans.deformation import (
 from symtrans.oracles import compose_reference, trilinear_reference
 from symtrans.tensor import Tensor
 
+from conftest import graph_nodes, held_arrays
+
 
 def smooth_field(shape, rng, amplitude, sigma=2.0):
     v = rng.normal(size=(3,) + shape)
@@ -148,29 +150,11 @@ def test_rule_returns_none_for_a_parent_without_gradient():
     img = Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32))
     u = Tensor(rng.normal(size=(3, 4, 4, 4)).astype(np.float32), requires_grad=True)
     out = warp(img, u)
-    dimg, du = out._backward_rule(np.ones_like(out.data))
+    dimg, du = graph_nodes(out)[0].rule(np.ones_like(out.data))
     assert dimg is None and du.shape == u.shape
     out = warp(u, Tensor(np.zeros_like(u.data)))
-    dfield, doff = out._backward_rule(np.ones_like(out.data))
+    dfield, doff = graph_nodes(out)[0].rule(np.ones_like(out.data))
     assert dfield.shape == u.shape and doff is None
-
-
-def held_arrays(value, found):
-    """Owning arrays reachable from a closure: cells, nested functions and
-    containers, with views resolved to the array that owns the memory."""
-    if isinstance(value, np.ndarray):
-        while isinstance(value.base, np.ndarray):
-            value = value.base
-        found[id(value)] = value
-    elif callable(value) and getattr(value, "__closure__", None):
-        for cell in value.__closure__:
-            held_arrays(cell.cell_contents, found)
-    elif isinstance(value, dict):
-        held_arrays(list(value.values()), found)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            held_arrays(item, found)
-    return found
 
 
 def test_backward_closure_holds_at_most_24_bytes_per_voxel():
@@ -180,10 +164,9 @@ def test_backward_closure_holds_at_most_24_bytes_per_voxel():
     off = Tensor((2 * rng.normal(size=(3,) + shape)).astype(np.float32),
                  requires_grad=True)
     out = trilinear_sample(field, off)
-    found = held_arrays(out._backward_rule, {})
-    # the parents are on the tape anyway
-    for parent in (field.data, off.data):
-        found.pop(id(parent), None)
+    found = held_arrays(graph_nodes(out)[0].rule)
+    # the field is a leaf's value anyway; the offsets are not held
+    found.pop(id(field.data), None)
     assert sum(a.nbytes for a in found.values()) <= 24 * np.prod(shape)
 
 
@@ -293,9 +276,9 @@ def test_trilinear_bytes_do_not_depend_on_slabs_or_the_worker(path, slab, dtype,
             assert out.data.dtype == dtype
             assert out.data.tobytes() == want[0].tobytes(), (spatial, c)
             if not (field_grad or off_grad):
-                assert out._backward_rule is None
+                assert graph_nodes(out) == []
                 continue
-            for got, needed, expect in zip(out._backward_rule(gy),
+            for got, needed, expect in zip(graph_nodes(out)[0].rule(gy),
                                            (field_grad, off_grad), want[1:]):
                 if not needed:
                     assert got is None
@@ -331,7 +314,7 @@ def test_trilinear_backward_scatters_small_gradients_inline(worker, monkeypatch)
         off = rng.uniform(-1.0, 1.0, size=(3, 1, 1, values)).astype(np.float32)
         out = trilinear_sample(Tensor(field, requires_grad=True),
                                Tensor(off, requires_grad=True))
-        out._backward_rule(np.ones_like(field))
+        graph_nodes(out)[0].rule(np.ones_like(field))
     assert scatters_on == [True, False]
 
 

@@ -41,6 +41,21 @@ def test_only_ops_tensor_and_training_import_concurrent_futures():
                    for module in imported_modules(source))] == ["ops", "tensor", "training"]
 
 
+def test_only_tensor_builds_a_graph_node():
+    assert [name for name, source in SOURCES.items()
+            if re.search(r"\b_Node\b", source)] == ["tensor"]
+
+
+def test_only_conv3d_reads_a_node_outside_tensor():
+    # its leaf check: it defers dw only for a weight no later rule reads
+    readers = [(module, getattr(statement, "name", "<module>"))
+               for module, source in SOURCES.items() if module != "tensor"
+               for statement in ast.parse(source).body
+               for node in ast.walk(statement)
+               if isinstance(node, ast.Attribute) and node.attr == "_node"]
+    assert readers == [("ops", "conv3d")]
+
+
 def loaded_names(source):
     """Every name and attribute that ``source`` reads."""
     for node in ast.walk(ast.parse(source)):

@@ -1,4 +1,5 @@
 import hashlib
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from symtrans import model
 from symtrans import tensor as T
 from symtrans.cemsa import LayerNormParams, volume_to_tokens
 from symtrans.configio import ConfigError, from_dict
+from symtrans.losses import LossConfig, total_loss
 from symtrans.model import (
     CheckpointError,
     DeconvParams,
@@ -30,6 +32,8 @@ from symtrans.model import (
 from symtrans.oracles import conv3d_reference
 from symtrans.ops import Conv3dParams, LinearParams, conv3d
 from symtrans.tensor import Tensor
+
+from conftest import closure_values, graph_nodes, held_arrays
 
 
 def tiny_cfg(**kw):
@@ -499,3 +503,52 @@ def test_skip_shapes_assert_at_construction():
         sh = cfg.stage_shapes()
         assert sh[0] == tuple(e // 4 for e in shape)
         assert sh[2] == tuple(e // 16 for e in shape)
+
+
+def desk_step_loss(placement, mode):
+    """The loss of one 16^3 desk-model training step, with its graph."""
+    cfg = tiny_cfg(placement=placement)
+    _, params = init_model_params(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    moving, fixed = (Tensor(rng.random((1,) + cfg.input_shape).astype(np.float32))
+                     for _ in range(2))
+    raw = forward(moving, fixed, params, cfg)
+    return total_loss(moving, fixed, raw, LossConfig(), mode)[0]
+
+
+@pytest.mark.parametrize("mode", ["displacement", "diffeomorphic"])
+@pytest.mark.parametrize("placement", model.PLACEMENTS)
+def test_no_rule_of_a_desk_step_holds_a_tensor(placement, mode):
+    # a rule saves arrays and flags: a Tensor in its closure would keep its
+    # value alive until the backward whether or not the rule reads it
+    nodes = graph_nodes(desk_step_loss(placement, mode))
+    assert len(nodes) > 100
+    holders = [node.rule.__qualname__ for node in nodes
+               if any(isinstance(value, Tensor) for value in closure_values(node.rule))]
+    assert holders == []
+
+
+@pytest.mark.parametrize("mode", ["displacement", "diffeomorphic"])
+def test_no_rule_of_a_desk_step_returns_an_array_it_saved(mode, threaded_sample):
+    # the walk adopts a fresh gradient and adds into it in place, so a rule
+    # that returned an array it saved would see that array change
+    loss = desk_step_loss("symmetric", mode)
+    nodes = graph_nodes(loss)
+    ran = []
+
+    def checked(rule):
+        def run(g):
+            saved = list(held_arrays(rule).values())
+            grads = rule(g)
+            for got in grads:
+                got = got.result() if isinstance(got, futures.Future) else got
+                if got is not None:
+                    assert not any(np.shares_memory(got, a) for a in saved), rule
+            ran.append(rule)
+            return grads
+        return run
+
+    for node in nodes:
+        node.rule = checked(node.rule)
+    loss.backward()
+    assert len(ran) == len(nodes)

@@ -19,6 +19,8 @@ from symtrans.ops import (
 )
 from symtrans.oracles import conv3d_reference
 
+from conftest import graph_nodes, held_arrays
+
 
 def t(data, grad=False, wide=False):
     return T.Tensor(np.asarray(data), requires_grad=grad,
@@ -538,18 +540,6 @@ def test_conv3d_stride2_gradcheck():
     assert rep.max_err() < 1e-6, rep
 
 
-def closure_arrays(rule):
-    """The arrays that own the memory of the ndarrays in ``rule``'s cells."""
-    owners = {}
-    for cell in rule.__closure__ or ():
-        value = cell.cell_contents
-        if isinstance(value, np.ndarray):
-            while isinstance(value.base, np.ndarray):
-                value = value.base
-            owners[id(value)] = value
-    return owners
-
-
 def test_backward_consumes_the_graph_and_frees_what_conv3d_saved():
     rng = np.random.default_rng(47)
     x = t(rng.normal(size=(2, 6, 6, 6)), grad=True)
@@ -557,13 +547,8 @@ def test_backward_consumes_the_graph_and_frees_what_conv3d_saved():
     bias = t(np.zeros(3), grad=True)
     out = conv3d(T.leaky_relu(x), Conv3dParams(weight, bias, padding=1))
     loss = T.mean_all(T.mul(out, out))
-    nodes, stack = {}, [loss]
-    while stack:
-        node = stack.pop()
-        if node._backward_rule is not None and id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    saved = closure_arrays(out._backward_rule)
+    nodes = graph_nodes(loss)
+    saved = held_arrays(graph_nodes(out)[0].rule)
     for parent in (x.data, weight.data, bias.data):
         saved.pop(id(parent), None)
     assert saved  # the padded input, at least
@@ -576,8 +561,8 @@ def test_backward_consumes_the_graph_and_frees_what_conv3d_saved():
     finally:
         gc.enable()
     assert len(nodes) == 4
-    for node in nodes.values():
-        assert node.grad is None and node._parents == ()
-        assert node._backward_rule is T._consumed
+    for node in nodes:
+        assert node.grad is None and node.parents == ()
+        assert node.rule is T._consumed
     for leaf in (x, weight, bias):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape

@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -280,15 +282,17 @@ def test_narrow_and_concat_round_trip():
 
 
 def contribute(x, g, order, label, worker=None):
-    """An op whose rule hands ``x`` the gradient ``g`` (from a job on
-    ``worker`` when given) and records ``label`` in ``order``."""
+    """An op whose rule hands ``x`` a fresh copy of the gradient ``g`` (from
+    a job on ``worker`` when given) and records ``label`` in ``order``. A
+    rule never returns an array it saved: the walk may adopt what it
+    returns and add into it."""
     def job():
         time.sleep(0.05)
-        return g
+        return g.copy()
 
     def rule(_):
         order.append(label)
-        return (worker.submit(job) if worker else g,)
+        return (worker.submit(job) if worker else g.copy(),)
 
     return T.make_op((x,), x.data.copy(), rule)
 
@@ -373,3 +377,67 @@ def test_a_second_backward_through_a_consumed_graph_raises():
     T.sum_all(hidden).backward()
     with pytest.raises(RuntimeError, match="earlier backward"):
         T.sum_all(T.mul(hidden, hidden)).backward()
+
+
+def test_an_intermediate_lives_only_while_a_rule_or_its_caller_holds_it():
+    rng = np.random.default_rng(9)
+    av, bv = (rng.normal(size=shape).astype(np.float32) for shape in ((6, 5), (5, 7)))
+    cv = rng.normal(size=(6, 7)).astype(np.float32)
+
+    def step(drop):
+        a, b = t(av), t(bv)
+        s = T.matmul(a, b)
+        y = T.softmax_lastdim(T.scalar_mul(s, 0.5))
+        if drop:
+            ref = weakref.ref(s.data)
+            gc.disable()  # freed by reference counts alone
+            try:
+                del s
+                assert ref() is None  # no rule reads the raw scores
+            finally:
+                gc.enable()
+        T.sum_all(T.mul(y, t(cv, grad=False))).backward()
+        return a.grad, b.grad
+
+    # the rules' own arithmetic, in their order
+    p = av @ bv * np.float32(0.5)
+    p = np.exp(p - p.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dy = np.full(p.shape, np.float32(1.0)) * cv
+    ds = p * (dy - np.sum(dy * p, axis=-1, keepdims=True)) * np.float32(0.5)
+    for drop in (True, False):
+        da, db = step(drop)
+        assert da.tobytes() == (ds @ bv.T).tobytes()
+        assert db.tobytes() == (av.T @ ds).tobytes()
+
+
+def test_a_fresh_gradient_for_one_parent_is_adopted_not_copied():
+    x = t(np.ones(4, np.float32))
+    made = []
+
+    def rule(g):
+        made.append(g * np.float32(3.0))
+        return (made[-1],)
+
+    T.sum_all(T.make_op((x,), x.data * 3, rule)).backward()
+    assert x.grad is made[0]
+
+
+def test_add_and_shared_arrays_still_yield_independent_gradients():
+    x, y = t(np.ones(3, np.float32)), t(np.ones(3, np.float32))
+    T.sum_all(T.add(x, y)).backward()  # add's rule returns (g, g)
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad += 1.0
+    np.testing.assert_array_equal(y.grad, [1.0, 1.0, 1.0])
+    # one fresh array handed to two parents is copied for each
+    u, v = t(np.ones(3, np.float32)), t(np.ones(3, np.float32))
+    out = T.make_op((u, v), u.data + v.data, lambda g: (2 * g,) * 2)
+    T.sum_all(out).backward()
+    assert not np.shares_memory(u.grad, v.grad)
+    np.testing.assert_array_equal(u.grad, [2.0, 2.0, 2.0])
+    # and a view of the incoming gradient is copied, not kept
+    w = t(np.ones((2, 3), np.float32))
+    z = T.reshape(w, (6,))
+    T.sum_all(T.add(z, z)).backward()
+    assert w.grad.base is None
+    np.testing.assert_array_equal(w.grad, np.full((2, 3), 2.0))

@@ -32,6 +32,8 @@ from symtrans.training import (
     train,
 )
 
+from conftest import graph_nodes
+
 
 def tiny_train_cfg(**kw):
     model = ModelConfig(input_shape=(16, 16, 16), base_dim=8,
@@ -224,7 +226,7 @@ def test_register_reports_the_training_objective():
         loss, comp, u_loss, warped_loss = total_loss(
             Tensor(moving), Tensor(fixed), raw, cfg.loss, mode)
         # the same ops with and without a tape give the same bytes
-        assert loss._backward_rule is not None
+        assert graph_nodes(loss)
         assert met["loss"] == float(loss.data)
         assert {k: met[k] for k in comp} == comp
         np.testing.assert_array_equal(u, u_loss.data)
@@ -250,17 +252,16 @@ def test_register_records_no_tape_and_leaves_parameters_trainable(monkeypatch):
     register(moving, fixed, params, cfg.model, mode="diffeomorphic")
     assert len(seen) == 4
     for t in seen:
-        assert not t.requires_grad and t._parents == () and t._backward_rule is None
+        assert not t.requires_grad and graph_nodes(t) == []
     # an unknown mode raises after the forward pass; the tape comes back on
     with pytest.raises(ValueError, match="mode"):
         register(moving, fixed, params, cfg.model, mode="affine")
     for name, t in bag.items():
         assert t.requires_grad and t.grad is None, name
-    assert forward(Tensor(moving), Tensor(fixed), params,
-                   cfg.model)._backward_rule is not None
+    assert graph_nodes(forward(Tensor(moving), Tensor(fixed), params, cfg.model))
     with T.no_grad():
         raw = forward(Tensor(moving), Tensor(fixed), params, cfg.model)
-    assert not raw.requires_grad and raw._parents == () and raw._backward_rule is None
+    assert not raw.requires_grad and graph_nodes(raw) == []
 
 
 def test_train_config_validation():
