@@ -7,6 +7,8 @@ decoder_only  conv encoder
 bottom_only   every transformer block stacked at the 1/16 bottleneck
 """
 
+import dataclasses
+
 import numpy as np
 
 from symtrans.model import (
@@ -14,7 +16,6 @@ from symtrans.model import (
     conv_depths,
     forward,
     init_model_params,
-    make_ablation,
     model_count_flops,
     model_count_parameters,
     transformer_depths,
@@ -28,7 +29,7 @@ print(f"base config: input {base.input_shape}, dims {base.stage_dims}, "
 print(f"\n{'placement':<14} {'tf enc':<10} {'tf dec':<10} {'conv enc':<10} "
       f"{'conv dec':<10} {'params':>9} {'MFLOPs':>8}")
 for placement in ("symmetric", "encoder_only", "decoder_only", "bottom_only"):
-    cfg = make_ablation(base, placement)
+    cfg = dataclasses.replace(base, placement=placement)
     enc_tf, dec_tf = transformer_depths(cfg)
     enc_cv, dec_cv = conv_depths(cfg)
     print(f"{placement:<14} {str(enc_tf):<10} {str(dec_tf):<10} "
@@ -42,7 +43,7 @@ moving = Tensor(rng.normal(size=(1, 32, 32, 32)).astype(np.float32))
 fixed = Tensor(rng.normal(size=(1, 32, 32, 32)).astype(np.float32))
 print()
 for placement in ("symmetric", "encoder_only", "decoder_only", "bottom_only"):
-    cfg = make_ablation(base, placement)
+    cfg = dataclasses.replace(base, placement=placement)
     _, params = init_model_params(cfg, np.random.default_rng(1))
     out = forward(moving, fixed, params, cfg)
     print(f"{placement:<14} raw field {out.shape}, "

@@ -16,7 +16,6 @@ from .model import (
     forward,
     init_model_params,
     load_checkpoint,
-    make_ablation,
     model_count_flops,
     model_count_parameters,
     save_checkpoint,

@@ -105,8 +105,7 @@ def cemsa_params(cfg: CemsaConfig, param) -> CemsaParams:
                 param(f"{name}.bias", shape[:1], "zeros"))
 
     def conv(name, k):  # one input channel per output channel
-        return Conv3dParams(*pair(name, (d, 1, k, k, k), "conv"),
-                            padding=k // 2, groups=d)
+        return Conv3dParams(*pair(name, (d, 1, k, k, k), "conv"))
 
     def ln(name):
         return LayerNormParams(param(f"{name}.gamma", (d,), "ones"),

@@ -29,7 +29,6 @@ from .model import (
     CheckpointError,
     ModelConfig,
     load_checkpoint,
-    make_ablation,
     model_count_flops,
     model_count_parameters,
 )
@@ -265,7 +264,7 @@ def cmd_count(args) -> int:
     cfg = (_load_config(args.config, ModelConfig, "model config")
            if args.config else ModelConfig())
     if args.placement:
-        cfg = make_ablation(cfg, args.placement)
+        cfg = dataclasses.replace(cfg, placement=args.placement)
     params = model_count_parameters(cfg, by_module=True)
     flops = model_count_flops(cfg, by_module=True)
     report = {

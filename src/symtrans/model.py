@@ -27,7 +27,6 @@ are its three sources.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -123,10 +122,6 @@ class ModelConfig:
             dw_kernel=self.stage_kernels[stage],
             spatial_shape=self.stage_shapes()[stage],
         )
-
-
-def make_ablation(cfg: ModelConfig, placement: str) -> ModelConfig:
-    return dataclasses.replace(cfg, placement=placement)
 
 
 def transformer_depths(cfg: ModelConfig):
@@ -247,8 +242,7 @@ def _model_layout(cfg: ModelConfig, source) -> _Layout:
                 param(f"{name}.bias", (shape[out_axis],), "zeros"))
 
     def conv(name, cout, cin, kk, at, stride=1, kind="conv"):
-        return Conv3dParams(*layer(name, (cout, cin, kk, kk, kk), kind, at),
-                            stride=stride, padding=kk // 2)
+        return Conv3dParams(*layer(name, (cout, cin, kk, kk, kk), kind, at), stride)
 
     def norm(name, dim):
         return LayerNormParams(param(f"{name}.gamma", (dim,), "ones"),

@@ -8,25 +8,28 @@ the flat padded grid, or a per-W-tap copy when padding dominates the plane);
 its dx scatters each offset's contraction into one run of the flat padded
 grid, and its dw reads strided windows. ``conv3d`` has one formulation for
 every group count; the only branch left is the depthwise weight gradient,
-which keeps numpy's pairwise voxel sum. Volumes are channel-first
-(C, D, H, W); tokens are (N, dim).
+which keeps numpy's pairwise voxel sum. Its kernel is a cube of odd extent
+k, padded by k // 2 (same padding), and its group count comes from the
+shapes, so its only geometry setting is the stride. Volumes are
+channel-first (C, D, H, W); tokens are (N, dim).
 
 The affinity rule: when the process may run on more than one CPU
 (``usable_cpus``, its ``os.sched_getaffinity`` mask; there is no option),
 the process keeps one worker thread, ``_WORKER``, and no other module
 reads it. ``conv3d``'s backward hands its dw loop to it when it has a dx
 to compute, and returns the job's ``Future`` as the weight's gradient; the
-calling thread computes dx and walks on through the tape, and
-``Tensor.backward`` waits for the job at the end. No later rule reads a weight gradient, so only the optimizer waits
-for it. Every other hand-off is a ``side_by_side`` call, which returns only
-after its job has stopped: ``deformation.trilinear_sample`` runs half of its
-forward's depth slabs there on large volumes, and its field scatter beside
-the offset gradient. Backward work goes to the worker from
-``BACKWARD_THREAD_VALUES`` gradient values, forward work from the caller's
-own gate. Each loop is the same with or without the worker, so results are
-byte-identical whatever the CPU count. The worker runs raw numpy only, never
-a traced op. conv3d's forward always runs on the calling thread.
-``training`` applies the same rule to its pair producer, a one-process pool.
+calling thread computes dx meanwhile. ``Tensor.backward`` waits for the job
+where it accumulates a computed weight's gradient, and at the end of the
+walk for a leaf weight's, which no later rule reads. Every other hand-off
+is a ``side_by_side`` call, which returns only after its job has stopped:
+``deformation.trilinear_sample`` runs half of its forward's depth slabs
+there on large volumes, and its field scatter beside the offset gradient.
+Backward work goes to the worker from ``BACKWARD_THREAD_VALUES`` gradient
+values, forward work from the caller's own gate. Each loop is the same with
+or without the worker, so results are byte-identical whatever the CPU count.
+The worker runs raw numpy only, never a traced op. conv3d's forward always
+runs on the calling thread. ``training`` applies the same rule to its pair
+producer, a one-process pool.
 """
 
 from __future__ import annotations
@@ -91,13 +94,13 @@ def side_by_side(job, own_job, threaded):
 
 @dataclass
 class Conv3dParams:
-    """Weight (out_ch, in_ch/groups, k, k, k), bias (out_ch,), and geometry."""
+    """Weight (out_ch, in_ch/groups, k, k, k) with k odd, bias (out_ch,),
+    and the stride. The padding is k // 2, and the group count is
+    in_ch // weight.shape[1]."""
 
     weight: Tensor
     bias: Tensor
     stride: int = 1
-    padding: int = 0
-    groups: int = 1
 
 
 @dataclass
@@ -106,35 +109,23 @@ class LinearParams:
     bias: Tensor  # (out_dim,)
 
 
-def conv3d_output_extent(extent: int, k: int, stride: int, padding: int) -> int:
-    return (extent + 2 * padding - k) // stride + 1
-
-
 def _validate_conv(x: Tensor, p: Conv3dParams):
-    if x.ndim != 4:
-        raise ValueError(f"conv3d expects (C, D, H, W), got {x.shape}")
-    out_ch, in_per_group, k = p.weight.shape[0], p.weight.shape[1], p.weight.shape[2]
+    """(out_ch, k, groups, output extents) of a same-padded conv3d."""
+    if x.ndim != 4 or not all(x.shape[1:]):
+        raise ValueError(f"conv3d expects (C, D, H, W) with no empty extent, got {x.shape}")
+    shape = p.weight.shape
+    if len(shape) != 5 or not shape[2] == shape[3] == shape[4] or shape[2] % 2 == 0:
+        raise ValueError(f"conv3d: weight shape {shape} is not (out, in/groups, k, k, k) "
+                         "with k odd")
+    out_ch, in_per_group, k = shape[:3]
     cin = x.shape[0]
-    if cin % p.groups or out_ch % p.groups:
-        raise ValueError(
-            f"conv3d: channels ({cin} in, {out_ch} out) not divisible by groups {p.groups}"
-        )
-    if in_per_group != cin // p.groups:
-        raise ValueError(
-            f"conv3d: weight in-channel extent {in_per_group} != {cin}//{p.groups}"
-        )
+    groups = cin // max(in_per_group, 1)
+    if groups < 1 or groups * in_per_group != cin or out_ch % groups:
+        raise ValueError(f"conv3d: weight shape {shape} does not split {cin} input and "
+                         f"{out_ch} output channels into groups of {in_per_group} inputs")
     if p.bias.shape != (out_ch,):
         raise ValueError(f"conv3d: bias shape {p.bias.shape} != ({out_ch},)")
-    spatial = x.shape[1:]
-    for e in spatial:
-        if e + 2 * p.padding < k:
-            raise ValueError(
-                f"conv3d: spatial extent {e} (+2*{p.padding} pad) below kernel {k}"
-            )
-    out_spatial = tuple(conv3d_output_extent(e, k, p.stride, p.padding) for e in spatial)
-    if min(out_spatial) < 1:
-        raise ValueError(f"conv3d: output extents {out_spatial} collapse below 1")
-    return out_ch, k, out_spatial
+    return out_ch, k, groups, tuple(-(-e // p.stride) for e in x.shape[1:])
 
 
 def _forward_w_copies(xg, wg, b, out_spatial):
@@ -254,13 +245,13 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     every kernel offset contracts the per-group channel axis. Each output
     element is the bias plus one such contraction per tap, added in (a, b, c)
     order; the geometry only picks the memory layout the taps read from.
+    The input is padded by k // 2, so each output extent is
+    ceil(extent / stride).
     """
-    out_ch, k, (do, ho, wo) = _validate_conv(x, p)
-    st, pad, groups = p.stride, p.padding, p.groups
+    out_ch, k, groups, (do, ho, wo) = _validate_conv(x, p)
+    st, pad = p.stride, k // 2
     w, b = p.weight.data, p.bias.data
-    # flags, not Tensors, for the rule: whether x needs dx, and whether the
-    # weight is a leaf, whose gradient no later rule reads
-    needs_dx, leaf_weight = x.requires_grad, p.weight._node is None
+    needs_dx = x.requires_grad  # a flag, not a Tensor, for the rule
     wg = w.reshape((groups, out_ch // groups) + w.shape[1:])  # (G, O, I, k, k, k)
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
     xg = xp.reshape((groups, -1) + xp.shape[1:])
@@ -292,8 +283,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
         # With no dx there is nothing to overlap here, and such a conv (on a
         # constant input) comes at the end of the walk, where a deferred dw
         # would only lengthen the final wait.
-        if (_WORKER is None or gy.size < BACKWARD_THREAD_VALUES
-                or not needs_dx or not leaf_weight):
+        if _WORKER is None or gy.size < BACKWARD_THREAD_VALUES or not needs_dx:
             return input_grad(), weight_grad(), db
         dw = _WORKER.submit(weight_grad)
         try:

@@ -94,13 +94,14 @@ class Tensor:
         ``RuntimeError``; build the graph again instead.
 
         A rule may return a ``concurrent.futures.Future`` as the gradient of
-        a leaf (a parent with no node), for work another thread finishes
-        while the walk goes on: no later rule reads a leaf's gradient. From
-        its first Future on, a leaf's contributions wait in order and are
-        resolved and accumulated after the walk, so the bytes are those of
-        the inline walk. A Future for a parent with a node is a
-        ``TypeError``. Every Future is waited for on every exit path, also
-        when a rule raises, and only then is the first error raised.
+        any parent, for work another thread finishes while the rule goes on.
+        A node's Future is resolved where the walk accumulates it. No rule
+        reads a leaf's gradient, so every leaf contribution, Future or
+        array, waits and is accumulated after the walk, in walk order: the
+        bytes are those of the inline walk. Every Future is waited for on
+        every exit path, also when a rule raises, and only then is the first
+        error raised. When a rule or its job raises, no leaf's gradient has
+        changed yet.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -127,8 +128,7 @@ class Tensor:
 
         self._node.grad = np.ones_like(self.data)
         pending: list[futures.Future] = []
-        # leaf -> its (contribution, adoptable) pairs from its first Future on
-        deferred: dict[Tensor, list] = {}
+        leaves = []  # (leaf, contribution, adoptable), in walk order
         try:
             while order:
                 node = order.pop()  # the walk holds no node it has passed
@@ -137,30 +137,24 @@ class Tensor:
                 if g_out is None:
                     continue
                 grads = rule(g_out)
+                pending += (g for g in grads if isinstance(g, futures.Future))
                 for parent, g in zip(parents, grads):
-                    if isinstance(g, futures.Future):
-                        pending.append(g)
-                        if isinstance(parent, _Node):
-                            raise TypeError("backward rule returned a Future for a "
-                                            "parent that has a backward rule")
                     if g is None or parent is None:
                         continue
                     # the incoming gradient, or one array handed to two
                     # parents, is copied; so is a view, which does not own
                     # its memory (checked when it is accumulated)
                     adoptable = g is not g_out and sum(h is g for h in grads) == 1
-                    if isinstance(g, futures.Future) or parent in deferred:
-                        deferred.setdefault(parent, []).append((g, adoptable))
+                    if isinstance(parent, _Node):
+                        _accumulate(parent, _resolved(g), adoptable)
                     else:
-                        _accumulate(parent, g, adoptable)
+                        leaves.append((parent, g, adoptable))
         finally:
             futures.wait(pending)
         for future in pending:
             future.result()
-        for parent, contributions in deferred.items():
-            for g, adoptable in contributions:
-                _accumulate(parent, g.result() if isinstance(g, futures.Future) else g,
-                            adoptable)
+        for leaf, g, adoptable in leaves:
+            _accumulate(leaf, _resolved(g), adoptable)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -209,6 +203,11 @@ def _accumulate(target, g: np.ndarray, adoptable: bool):
         target.grad += g
 
 
+def _resolved(g):
+    """A rule's gradient for one parent, waiting for it if it is a Future."""
+    return g.result() if isinstance(g, futures.Future) else g
+
+
 def _consumed(g):
     """The rule of a node whose graph a ``backward()`` walk has consumed."""
     raise RuntimeError("an earlier backward() consumed this graph and freed what its "
@@ -245,8 +244,9 @@ def make_op(parents, out_data, backward_rule) -> Tensor:
     The rule's contract: its closure saves arrays and flags, never a
     Tensor, so that no value outlives the forward code's use of it unless a
     rule reads it. And it returns fresh arrays, views of its incoming
-    gradient, or Futures of fresh arrays, never an array it saved: the walk
-    adopts a fresh array as a parent's gradient and adds into it in place.
+    gradient, or Futures of fresh arrays (for any parent, see
+    :meth:`Tensor.backward`), never an array it saved: the walk adopts a
+    fresh array as a parent's gradient and adds into it in place.
     """
     dtype = parents[0].dtype
     for p in parents[1:]:

@@ -106,19 +106,17 @@ def gradcheck_suite():
                                    Tensor(scale.astype(lv["x"].dtype)))),
         {"x": rng.normal(size=24)})
 
+    def conv_energy(lv):  # the group count comes from the weight's shape
+        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"]))
+        return T.mean_all(T.mul(out, out))
+
     for groups, tag in ((1, "dense"), (2, "grouped"), (4, "depthwise")):
         leaves = {
             "x": rng.normal(size=(4, 4, 4, 4)),
             "w": rng.normal(size=(4, 4 // groups, 3, 3, 3)) * 0.3,
             "b": rng.normal(size=4) * 0.3,
         }
-
-        def build(lv, groups=groups):
-            out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"], stride=1,
-                                               padding=1, groups=groups))
-            return T.mean_all(T.mul(out, out))
-
-        checks += _op_gradcheck(f"conv3d_{tag}", build, leaves, coords=5)
+        checks += _op_gradcheck(f"conv3d_{tag}", conv_energy, leaves, coords=5)
 
     leaves = {
         "x": rng.normal(size=(2, 6, 6, 6)),
@@ -127,9 +125,8 @@ def gradcheck_suite():
     }
     checks += _op_gradcheck(
         "conv3d_stride2",
-        lambda lv: T.mean_all(T.mul(conv3d(lv["x"], Conv3dParams(
-            lv["w"], lv["b"], stride=2, padding=1)), Tensor(np.ones((3, 3, 3, 3),
-                                                                    lv["x"].dtype)))),
+        lambda lv: T.mean_all(T.mul(conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"], stride=2)),
+                                    Tensor(np.ones((3, 3, 3, 3), lv["x"].dtype)))),
         leaves, coords=5)
     leaves = {
         "x": rng.normal(size=(2, 3, 3, 3)),
@@ -283,8 +280,7 @@ def oracle_suite():
         b = rng.normal(size=4)
         out = conv3d(Tensor(x, dtype=np.float64),
                      Conv3dParams(Tensor(w, dtype=np.float64),
-                                  Tensor(b, dtype=np.float64),
-                                  stride=stride, padding=1, groups=groups))
+                                  Tensor(b, dtype=np.float64), stride))
         ref = conv3d_reference(x, w, b, stride=stride, padding=1, groups=groups)
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.conv3d", worst < ORACLE_TOL,
@@ -301,8 +297,7 @@ def oracle_suite():
         b = large_rng.normal(size=cout)
         out = conv3d(Tensor(x, dtype=np.float64),
                      Conv3dParams(Tensor(w, dtype=np.float64),
-                                  Tensor(b, dtype=np.float64),
-                                  stride=stride, padding=k // 2, groups=groups))
+                                  Tensor(b, dtype=np.float64), stride))
         ref = conv3d_reference(x, w, b, stride=stride, padding=k // 2, groups=groups)
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.conv3d_large_kernel", worst < ORACLE_TOL,

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import dataclasses
 import json
 import time
 
@@ -13,7 +14,7 @@ import pytest
 from symtrans.cli import main
 from symtrans.deformation import compose, integrate, jacobian_determinant
 from symtrans.losses import dice
-from symtrans.model import ModelConfig, bind_model_params, make_ablation, model_count_parameters
+from symtrans.model import ModelConfig, bind_model_params, model_count_parameters
 from symtrans.svol import KIND_IMAGE, SvolError, read_svol, write_svol
 from symtrans.tensor import Tensor
 from symtrans.training import (
@@ -217,7 +218,7 @@ def test_a7_ablation_harness():
     counts = {}
     for placement in ("symmetric", "encoder_only", "decoder_only", "bottom_only"):
         cfg = TrainConfig(lr=1e-3, iterations=100, seed=5, checkpoint_every=1000,
-                          model=make_ablation(model, placement), data=data)
+                          model=dataclasses.replace(model, placement=placement), data=data)
         try:
             result = train(cfg)
         except TrainingDiverged as e:

@@ -46,14 +46,13 @@ def test_only_tensor_builds_a_graph_node():
             if re.search(r"\b_Node\b", source)] == ["tensor"]
 
 
-def test_only_conv3d_reads_a_node_outside_tensor():
-    # its leaf check: it defers dw only for a weight no later rule reads
+def test_no_module_outside_tensor_reads_a_node():
     readers = [(module, getattr(statement, "name", "<module>"))
                for module, source in SOURCES.items() if module != "tensor"
                for statement in ast.parse(source).body
                for node in ast.walk(statement)
                if isinstance(node, ast.Attribute) and node.attr == "_node"]
-    assert readers == [("ops", "conv3d")]
+    assert readers == []
 
 
 def loaded_names(source):

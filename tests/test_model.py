@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from concurrent import futures
 
@@ -21,7 +22,6 @@ from symtrans.model import (
     forward,
     init_model_params,
     load_checkpoint,
-    make_ablation,
     model_count_flops,
     model_count_parameters,
     model_param_shapes,
@@ -90,7 +90,7 @@ def test_patch_embed_token_count():
     vol = Tensor(rng.normal(size=(4, 8, 8, 8)).astype(np.float32))
     w = Tensor(rng.normal(size=(6, 4, 3, 3, 3)).astype(np.float32) * 0.1)
     b = Tensor(np.zeros(6, np.float32))
-    tokens = volume_to_tokens(conv3d(vol, Conv3dParams(w, b, stride=2, padding=1)))
+    tokens = volume_to_tokens(conv3d(vol, Conv3dParams(w, b, stride=2)))
     assert tokens.shape == (64, 6)
 
 
@@ -99,8 +99,7 @@ def test_patch_embed_values_vs_conv_oracle():
     vol = rng.normal(size=(2, 4, 4, 4))
     w = rng.normal(size=(3, 2, 3, 3, 3))
     b = rng.normal(size=3)
-    p = Conv3dParams(Tensor(w, dtype=np.float64), Tensor(b, dtype=np.float64),
-                     stride=2, padding=1)
+    p = Conv3dParams(Tensor(w, dtype=np.float64), Tensor(b, dtype=np.float64), stride=2)
     tokens = volume_to_tokens(conv3d(Tensor(vol, dtype=np.float64), p))
     ref = conv3d_reference(vol, w, b, stride=2, padding=1)
     np.testing.assert_allclose(tokens.data, ref.reshape(3, 8).T, atol=1e-9)
@@ -240,7 +239,7 @@ def test_fuse_skip_concat_dims_and_composition():
     enc = rng.normal(size=(8, 5)).astype(np.float32)
     w = rng.normal(size=(4, 8, 3, 3, 3)).astype(np.float32) * 0.2
     b = rng.normal(size=4).astype(np.float32) * 0.1
-    p = Conv3dParams(Tensor(w), Tensor(b), stride=1, padding=1)
+    p = Conv3dParams(Tensor(w), Tensor(b))
     dec_vol = dec.T.reshape(3, 2, 2, 2)
     enc_vol = enc.T.reshape(5, 2, 2, 2)
     out = _fuse_volumes(Tensor(dec_vol), Tensor(enc_vol), p)
@@ -254,7 +253,7 @@ def test_fuse_skip_concat_dims_and_composition():
 
 def test_fuse_skip_spatial_mismatch():
     p = Conv3dParams(Tensor(np.zeros((2, 4, 3, 3, 3), np.float32)),
-                     Tensor(np.zeros(2, np.float32)), stride=1, padding=1)
+                     Tensor(np.zeros(2, np.float32)))
     with pytest.raises(ValueError, match="spatial mismatch"):
         _fuse_volumes(Tensor(np.zeros((2, 2, 2, 2), np.float32)),
                       Tensor(np.zeros((2, 2, 2, 3), np.float32)), p)
@@ -265,8 +264,7 @@ def test_zero_encoder_tokens_fuse_depends_on_decoder_only():
     dec = rng.normal(size=(8, 2)).astype(np.float32)
     w = np.zeros((2, 4, 3, 3, 3), np.float32)
     w[:, :2, 1, 1, 1] = np.eye(2)  # identity on the decoder half of channels
-    p = Conv3dParams(Tensor(w), Tensor(np.zeros(2, np.float32)),
-                     stride=1, padding=1)
+    p = Conv3dParams(Tensor(w), Tensor(np.zeros(2, np.float32)))
     dec_vol = dec.T.reshape(2, 2, 2, 2)
     out = _fuse_volumes(Tensor(dec_vol), Tensor(np.zeros((2, 2, 2, 2), np.float32)), p)
     np.testing.assert_allclose(out.data, np.where(dec_vol >= 0, dec_vol, 0.2 * dec_vol),
@@ -338,24 +336,24 @@ def test_forward_deterministic():
 
 def test_ablation_variants():
     base = tiny_cfg()
-    assert make_ablation(base, "symmetric") == base
-    bottom = make_ablation(base, "bottom_only")
+    assert dataclasses.replace(base, placement="symmetric") == base
+    bottom = dataclasses.replace(base, placement="bottom_only")
     enc_tf, dec_tf = transformer_depths(bottom)
     assert enc_tf == (0, 0, 6) and dec_tf == (0, 0, 0)
-    e = make_ablation(base, "encoder_only")
+    e = dataclasses.replace(base, placement="encoder_only")
     enc_tf, dec_tf = transformer_depths(e)
     assert enc_tf == (1, 1, 1) and dec_tf == (0, 0, 0)
     assert conv_depths(e) == ((0, 0, 0), (1, 1, 1))
-    d = make_ablation(base, "decoder_only")
+    d = dataclasses.replace(base, placement="decoder_only")
     enc_tf, dec_tf = transformer_depths(d)
     assert enc_tf == (0, 0, 0) and dec_tf == (1, 1, 1)
     with pytest.raises(ValueError, match="placement"):
-        make_ablation(base, "sideways")
+        dataclasses.replace(base, placement="sideways")
 
 
 def test_ablation_default_depths_bottom_stacks_ten():
     cfg = ModelConfig()
-    enc_tf, dec_tf = transformer_depths(make_ablation(cfg, "bottom_only"))
+    enc_tf, dec_tf = transformer_depths(dataclasses.replace(cfg, placement="bottom_only"))
     assert enc_tf[2] == 10
     assert sum(enc_tf) + sum(dec_tf) == 10
 

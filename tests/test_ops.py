@@ -1,23 +1,22 @@
 import gc
 import itertools
+import math
 import multiprocessing
+import re
 import threading
 import time
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtrans import ops
 from symtrans import tensor as T
-from symtrans.ops import (
-    Conv3dParams,
-    LinearParams,
-    conv3d,
-    conv3d_output_extent,
-    linear,
-)
+from symtrans.ops import Conv3dParams, LinearParams, conv3d, linear
 from symtrans.oracles import conv3d_reference
+from symtrans.verify import ORACLE_TOL
 
 from conftest import graph_nodes, held_arrays
 
@@ -36,11 +35,9 @@ def test_identity_kernel_k1():
 
 
 def test_output_extent_formula():
-    assert conv3d_output_extent(24, 3, 2, 1) == 12
     rng = np.random.default_rng(1)
     x = t(rng.normal(size=(1, 24, 24, 24)))
-    p = Conv3dParams(t(rng.normal(size=(2, 1, 3, 3, 3))), t(np.zeros(2)),
-                     stride=2, padding=1)
+    p = Conv3dParams(t(rng.normal(size=(2, 1, 3, 3, 3))), t(np.zeros(2)), stride=2)
     assert conv3d(x, p).shape == (2, 12, 12, 12)
 
 
@@ -50,9 +47,7 @@ def test_conv3d_vs_nested_loop_oracle(groups):
     x = rng.normal(size=(2, 5, 5, 5))
     w = rng.normal(size=(4, 2 // groups, 3, 3, 3))
     b = rng.normal(size=4)
-    out = conv3d(t(x, wide=True),
-                 Conv3dParams(t(w, wide=True), t(b, wide=True),
-                              stride=1, padding=1, groups=groups))
+    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True), t(b, wide=True)))
     expect = conv3d_reference(x, w, b, stride=1, padding=1, groups=groups)
     assert np.max(np.abs(out.data - expect)) < 1e-5
 
@@ -62,10 +57,24 @@ def test_conv3d_stride2_vs_oracle():
     x = rng.normal(size=(3, 6, 6, 6))
     w = rng.normal(size=(2, 3, 3, 3, 3))
     b = rng.normal(size=2)
-    out = conv3d(t(x, wide=True),
-                 Conv3dParams(t(w, wide=True), t(b, wide=True), stride=2, padding=1))
+    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True), t(b, wide=True), stride=2))
     expect = conv3d_reference(x, w, b, stride=2, padding=1)
     assert np.max(np.abs(out.data - expect)) < 1e-5
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.sampled_from((1, 3, 5)),
+       st.integers(1, 2), st.tuples(*[st.integers(1, 7)] * 3), st.integers(0, 2 ** 32 - 1))
+def test_conv3d_matches_the_same_padded_oracle(per_group, groups, outs_per_group, k, stride,
+                                               extents, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(per_group * groups,) + extents)
+    w = rng.normal(size=(outs_per_group * groups, per_group, k, k, k))
+    b = rng.normal(size=outs_per_group * groups)
+    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True), t(b, wide=True), stride))
+    assert out.shape[1:] == tuple(math.ceil(e / stride) for e in extents)
+    expect = conv3d_reference(x, w, b, stride, k // 2, groups)
+    assert np.max(np.abs(out.data - expect)) < ORACLE_TOL
 
 
 def windowed_einsum_conv3d(x, w, b, stride, padding, groups):
@@ -78,7 +87,7 @@ def windowed_einsum_conv3d(x, w, b, stride, padding, groups):
     wg = w.reshape((groups, out_ch // groups) + w.shape[1:])
     xp = np.pad(x, ((0, 0),) + ((padding, padding),) * 3)
     xg = xp.reshape((groups, -1) + xp.shape[1:])
-    do, ho, wo = (conv3d_output_extent(e, k, stride, padding) for e in x.shape[1:])
+    do, ho, wo = ((e + 2 * padding - k) // stride + 1 for e in x.shape[1:])
     out = np.empty((out_ch, do, ho, wo), dtype=x.dtype)
     out[:] = b[:, None, None, None]
     outg = out.reshape((groups, -1, do, ho, wo))
@@ -89,31 +98,32 @@ def windowed_einsum_conv3d(x, w, b, stride, padding, groups):
     return out
 
 
-# (in, out, groups, k, stride, padding, extents, layout). The forward copies
-# the input once per W tap at stride 1 when the padded (H, W) plane is more
-# than twice the output plane, and otherwise shifts over the flat padded grid.
+# (in, out, groups, k, stride, extents, layout), each padded by k // 2. The
+# forward copies the input once per W tap at stride 1 when the padded (H, W)
+# plane is more than twice the output plane, and otherwise shifts over the
+# flat padded grid.
 FORWARD_GEOMETRIES = [
-    (8, 8, 8, 15, 1, 7, (16, 16, 16), "w_copies"),  # the 64^3 stage-1 trunk
-    (3, 4, 1, 3, 1, 1, (9, 10, 11), "flat"),
-    (16, 16, 16, 7, 1, 3, (8, 8, 8), "w_copies"),
-    (4, 4, 1, 3, 1, 1, (4, 4, 4), "w_copies"),
-    (2, 2, 2, 5, 1, 2, (5, 9, 7), "w_copies"),
-    (6, 3, 3, 5, 1, 1, (8, 9, 10), "w_copies"),
-    (5, 5, 5, 3, 1, 0, (7, 9, 11), "flat"),
-    (2, 4, 2, 1, 1, 0, (5, 6, 7), "flat"),
-    (4, 6, 2, 5, 2, 2, (9, 7, 11), "flat"),
-    (6, 6, 6, 3, 2, 1, (7, 10, 5), "flat"),
-    (4, 2, 2, 7, 2, 3, (11, 9, 13), "flat"),
-    (3, 3, 3, 15, 2, 7, (9, 12, 10), "flat"),
-    (4, 8, 1, 3, 2, 1, (13, 11, 9), "flat"),
+    (8, 8, 8, 15, 1, (16, 16, 16), "w_copies"),  # the 64^3 stage-1 trunk
+    (3, 4, 1, 3, 1, (9, 10, 11), "flat"),
+    (16, 16, 16, 7, 1, (8, 8, 8), "w_copies"),
+    (4, 4, 1, 3, 1, (4, 4, 4), "w_copies"),
+    (2, 2, 2, 5, 1, (5, 9, 7), "w_copies"),
+    (6, 3, 3, 5, 1, (8, 9, 10), "w_copies"),
+    (5, 5, 5, 3, 1, (7, 9, 11), "flat"),
+    (2, 4, 2, 1, 1, (5, 6, 7), "flat"),
+    (4, 6, 2, 5, 2, (9, 7, 11), "flat"),
+    (6, 6, 6, 3, 2, (7, 10, 5), "flat"),
+    (4, 2, 2, 7, 2, (11, 9, 13), "flat"),
+    (3, 3, 3, 15, 2, (9, 12, 10), "flat"),
+    (4, 8, 1, 3, 2, (13, 11, 9), "flat"),
 ]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("geometry", FORWARD_GEOMETRIES,
-                         ids=lambda g: f"k{g[3]}s{g[4]}g{g[2]}-{g[7]}")
+                         ids=lambda g: f"k{g[3]}s{g[4]}g{g[2]}-{g[6]}")
 def test_conv3d_forward_bytes_equal_windowed_einsum(geometry, dtype, monkeypatch):
-    cin, cout, groups, k, stride, padding, extents, layout = geometry
+    cin, cout, groups, k, stride, extents, layout = geometry
     rng = np.random.default_rng(k * 100 + stride * 10 + groups)
     x = rng.normal(size=(cin,) + extents).astype(dtype)
     w = rng.normal(size=(cout, cin // groups, k, k, k)).astype(dtype)
@@ -131,10 +141,9 @@ def test_conv3d_forward_bytes_equal_windowed_einsum(geometry, dtype, monkeypatch
     monkeypatch.setattr(ops, "_forward_w_copies", spy("_forward_w_copies"))
     monkeypatch.setattr(ops, "_forward_flat", spy("_forward_flat"))
     out = conv3d(T.Tensor(x, dtype=dtype),
-                 Conv3dParams(T.Tensor(w, dtype=dtype), T.Tensor(b, dtype=dtype),
-                              stride=stride, padding=padding, groups=groups))
+                 Conv3dParams(T.Tensor(w, dtype=dtype), T.Tensor(b, dtype=dtype), stride))
     assert seen == [f"_forward_{layout}"]
-    expect = windowed_einsum_conv3d(x, w, b, stride, padding, groups)
+    expect = windowed_einsum_conv3d(x, w, b, stride, k // 2, groups)
     assert out.data.dtype == expect.dtype and out.data.shape == expect.shape
     assert out.data.flags.c_contiguous
     assert out.data.tobytes() == expect.tobytes()
@@ -148,8 +157,7 @@ def test_conv3d_forward_bytes_hold_across_depth_slabs(monkeypatch):
         x = rng.normal(size=(4, 9, 10, 11)).astype(np.float32)
         w = rng.normal(size=(6, 2, 3, 3, 3)).astype(np.float32)
         b = rng.normal(size=6).astype(np.float32)
-        out = conv3d(T.Tensor(x), Conv3dParams(T.Tensor(w), T.Tensor(b), stride=stride,
-                                               padding=1, groups=2))
+        out = conv3d(T.Tensor(x), Conv3dParams(T.Tensor(w), T.Tensor(b), stride))
         expect = windowed_einsum_conv3d(x, w, b, stride, 1, 2)
         assert out.data.tobytes() == expect.tobytes()
 
@@ -182,12 +190,11 @@ def windowed_einsum_conv3d_grads(x, w, gy, stride, padding, groups):
     return dx, dwg.reshape(w.shape), gy.sum(axis=(1, 2, 3))
 
 
-def conv3d_rule_grads(x, w, b, gy, stride, padding, groups):
+def conv3d_rule_grads(x, w, b, gy, stride=1):
     """(dx, dw, db) that ``backward`` gives conv3d's leaves when the rule is
     handed the output gradient gy."""
     leaves = [T.Tensor(v, requires_grad=True, dtype=v.dtype) for v in (x, w, b)]
-    out = conv3d(leaves[0], Conv3dParams(leaves[1], leaves[2], stride=stride,
-                                         padding=padding, groups=groups))
+    out = conv3d(leaves[0], Conv3dParams(leaves[1], leaves[2], stride))
     assert out.shape == gy.shape
     T.sum_all(T.mul(out, T.Tensor(gy, dtype=gy.dtype))).backward()  # hands the rule exactly gy
     return tuple(leaf.grad for leaf in leaves)
@@ -206,23 +213,23 @@ def spy_on_thread(monkeypatch, name, ran_on):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("geometry", FORWARD_GEOMETRIES,
-                         ids=lambda g: f"k{g[3]}s{g[4]}g{g[2]}-{g[7]}")
+                         ids=lambda g: f"k{g[3]}s{g[4]}g{g[2]}-{g[6]}")
 def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
                                                            threaded_backward, monkeypatch):
-    cin, cout, groups, k, stride, padding, extents, _ = geometry
+    cin, cout, groups, k, stride, extents, _ = geometry
     rng = np.random.default_rng(k * 100 + stride * 10 + groups + 1)
     x = rng.normal(size=(cin,) + extents).astype(dtype)
     w = rng.normal(size=(cout, cin // groups, k, k, k)).astype(dtype)
     b = rng.normal(size=cout).astype(dtype)
-    extents_out = tuple(conv3d_output_extent(e, k, stride, padding) for e in extents)
+    extents_out = tuple(-(-e // stride) for e in extents)
     gy = rng.normal(size=(cout,) + extents_out).astype(dtype)
     ran_on = []
     spy_on_thread(monkeypatch, "_weight_grad", ran_on)
-    threaded = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
+    threaded = conv3d_rule_grads(x, w, b, gy, stride)
     monkeypatch.setattr(ops, "_WORKER", None)
-    inline = conv3d_rule_grads(x, w, b, gy, stride, padding, groups)
+    inline = conv3d_rule_grads(x, w, b, gy, stride)
     assert ran_on == [False, True]
-    expect = windowed_einsum_conv3d_grads(x, w, gy, stride, padding, groups)
+    expect = windowed_einsum_conv3d_grads(x, w, gy, stride, k // 2, groups)
     for got_threaded, got_inline, want in zip(threaded, inline, expect):
         assert got_threaded.dtype == got_inline.dtype == want.dtype
         assert got_threaded.shape == got_inline.shape == want.shape
@@ -237,7 +244,7 @@ def test_conv3d_backward_runs_small_ops_inline(worker, monkeypatch):
     b = np.zeros(1, np.float32)
     for values in (ops.BACKWARD_THREAD_VALUES - 1, ops.BACKWARD_THREAD_VALUES):
         x = rng.normal(size=(1, 1, 1, values)).astype(np.float32)
-        conv3d_rule_grads(x, w, b, np.ones_like(x), 1, 0, 1)
+        conv3d_rule_grads(x, w, b, np.ones_like(x))
     assert ran_on == [True, False]
 
 
@@ -253,7 +260,7 @@ def test_conv3d_backward_skips_dx_of_a_constant_input(threaded_backward, monkeyp
     grads = []
     for requires_grad in (False, True):
         out = conv3d(T.Tensor(x, requires_grad=requires_grad),
-                     Conv3dParams(weight, T.Tensor(np.zeros(4, np.float32)), padding=1))
+                     Conv3dParams(weight, T.Tensor(np.zeros(4, np.float32))))
         weight.grad = None
         T.sum_all(out).backward()
         grads.append(weight.grad)
@@ -262,8 +269,12 @@ def test_conv3d_backward_skips_dx_of_a_constant_input(threaded_backward, monkeyp
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
-def test_conv3d_backward_keeps_the_dw_of_a_computed_weight_inline(threaded_backward):
-    # backward takes a deferred gradient only for a leaf
+def test_conv3d_backward_runs_the_dw_of_a_computed_weight_on_the_worker(threaded_backward,
+                                                                         monkeypatch):
+    # backward resolves a computed weight's Future where it accumulates it,
+    # and a leaf weight's after the walk: the bytes are the same
+    ran_on = []
+    spy_on_thread(monkeypatch, "_weight_grad", ran_on)
     rng = np.random.default_rng(46)
     x = rng.normal(size=(2, 6, 6, 6)).astype(np.float32)
     w = rng.normal(size=(3, 2, 3, 3, 3)).astype(np.float32)
@@ -272,9 +283,10 @@ def test_conv3d_backward_keeps_the_dw_of_a_computed_weight_inline(threaded_backw
         leaf = T.Tensor(w, requires_grad=True)
         weight = T.scalar_mul(leaf, 1.0) if computed else leaf
         out = conv3d(T.Tensor(x, requires_grad=True),
-                     Conv3dParams(weight, T.Tensor(np.zeros(3, np.float32)), padding=1))
+                     Conv3dParams(weight, T.Tensor(np.zeros(3, np.float32))))
         T.sum_all(out).backward()
         grads.append(leaf.grad)
+    assert ran_on == [False, False]
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
@@ -283,7 +295,7 @@ def conv_loss(rng):
     x = T.Tensor(rng.normal(size=(2, 6, 6, 6)).astype(np.float32), requires_grad=True)
     w = rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32)
     out = conv3d(x, Conv3dParams(T.Tensor(w, requires_grad=True),
-                                 T.Tensor(np.zeros(2, np.float32)), padding=1))
+                                 T.Tensor(np.zeros(2, np.float32))))
     return T.sum_all(out)
 
 
@@ -328,7 +340,7 @@ def test_conv3d_backward_joins_the_worker_before_reraising(threaded_backward, mo
 
 def _threaded_backward_in_child(x, w, b, gy, expect, done):
     # runs in a forked child, whose copy of the parent's worker has no thread
-    got = conv3d_rule_grads(x, w, b, gy, 1, 1, 1)
+    got = conv3d_rule_grads(x, w, b, gy)
     done.value = all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
 
 
@@ -340,7 +352,7 @@ def test_conv3d_backward_works_in_a_forked_child(threaded_backward):
     w = rng.normal(size=(3, 2, 3, 3, 3)).astype(np.float32)
     b = np.zeros(3, np.float32)
     gy = rng.normal(size=(3, 6, 6, 6)).astype(np.float32)
-    expect = conv3d_rule_grads(x, w, b, gy, 1, 1, 1)  # the worker thread is running
+    expect = conv3d_rule_grads(x, w, b, gy)  # the worker thread is running
     ctx = multiprocessing.get_context("fork")
     done = ctx.Value("b", 0)
     child = ctx.Process(target=_threaded_backward_in_child, args=(x, w, b, gy, expect, done))
@@ -354,7 +366,7 @@ def test_conv3d_backward_works_in_a_forked_child(threaded_backward):
 
 def test_conv3d_channel_group_mismatch():
     x = t(np.zeros((3, 4, 4, 4)))
-    p = Conv3dParams(t(np.zeros((4, 1, 1, 1, 1))), t(np.zeros(4)), groups=2)
+    p = Conv3dParams(t(np.zeros((4, 1, 1, 1, 1))), t(np.zeros(4)))  # 3 groups of 1
     with pytest.raises(ValueError, match="groups"):
         conv3d(x, p)
 
@@ -369,10 +381,22 @@ def test_conv3d_refuses_mixed_precisions(wide):
         conv3d(x, p)
 
 
-def test_conv3d_collapsed_output_rejected():
-    x = t(np.zeros((1, 2, 2, 2)))
+def test_conv3d_refuses_an_empty_extent():
+    # same padding keeps every non-empty extent; an empty one is refused
     p = Conv3dParams(t(np.zeros((1, 1, 3, 3, 3))), t(np.zeros(1)))
-    with pytest.raises(ValueError, match="kernel"):
+    with pytest.raises(ValueError, match=re.escape("conv3d expects (C, D, H, W) with no "
+                                                   "empty extent, got (1, 4, 0, 4)")):
+        conv3d(t(np.zeros((1, 4, 0, 4))), p)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 5, 3, 3), (3, 2, 3, 3, 5), (3, 2, 3, 3, 3, 1),
+                                   (3, 2, 2, 2, 2)],
+                         ids=["deep", "wide", "6-D", "even"])
+def test_conv3d_refuses_a_malformed_kernel(shape):
+    # not (out, in/groups, k, k, k) with k odd: refused, never truncated
+    x = t(np.zeros((2, 8, 8, 8)))
+    p = Conv3dParams(t(np.zeros(shape)), t(np.zeros(3)))
+    with pytest.raises(ValueError, match=re.escape(f"weight shape {shape}")):
         conv3d(x, p)
 
 
@@ -381,8 +405,7 @@ def test_depthwise_delta_kernel_is_identity():
     x = rng.normal(size=(4, 5, 5, 5)).astype(np.float32)
     w = np.zeros((4, 1, 3, 3, 3), np.float32)
     w[:, 0, 1, 1, 1] = 1.0
-    out = conv3d(t(x), Conv3dParams(t(w), t(np.zeros(4, np.float32)),
-                                    stride=1, padding=1, groups=4))
+    out = conv3d(t(x), Conv3dParams(t(w), t(np.zeros(4, np.float32))))
     np.testing.assert_allclose(out.data, x, atol=1e-6)
 
 
@@ -396,8 +419,8 @@ def test_depthwise_equals_grouped_conv3d_exactly():
     block = np.zeros((4, 2, 3, 3, 3), np.float32)
     for o in range(4):
         block[o, o % 2] = w[o, 0]
-    a = conv3d(t(x), Conv3dParams(t(w), t(b), stride=1, padding=1, groups=4))
-    g = conv3d(t(x), Conv3dParams(t(block), t(b), stride=1, padding=1, groups=2))
+    a = conv3d(t(x), Conv3dParams(t(w), t(b)))  # 4 groups
+    g = conv3d(t(x), Conv3dParams(t(block), t(b)))  # 2 groups
     np.testing.assert_array_equal(a.data, g.data)
 
 
@@ -410,8 +433,7 @@ def test_depthwise_weight_grad_is_the_pairwise_voxel_sum():
     w = rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32)
     gy = rng.normal(size=x.shape).astype(np.float32)
     weight = t(w, grad=True)
-    out = conv3d(t(x), Conv3dParams(weight, t(np.zeros(4, np.float32)),
-                                    stride=1, padding=1, groups=4))
+    out = conv3d(t(x), Conv3dParams(weight, t(np.zeros(4, np.float32))))
     T.sum_all(T.mul(out, t(gy))).backward()  # hands the rule exactly gy
     dw = weight.grad
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
@@ -427,9 +449,7 @@ def test_depthwise_box_kernel_on_constant_volume():
     c = 2.5
     x = np.full((1, 5, 5, 5), c)
     w = np.full((1, 1, 3, 3, 3), 0.75)
-    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True),
-                                               t(np.zeros(1), wide=True),
-                                               stride=1, padding=1, groups=1))
+    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True), t(np.zeros(1), wide=True)))
     # interior voxels see the full 27-tap box
     np.testing.assert_allclose(out.data[0, 1:-1, 1:-1, 1:-1], c * 27 * 0.75,
                                atol=1e-9)
@@ -440,7 +460,7 @@ def test_grouped_k1_full_groups_is_per_channel_scale():
     x = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     w = rng.normal(size=(4, 1, 1, 1, 1)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out = conv3d(t(x), Conv3dParams(t(w), t(b), stride=1, padding=0, groups=4))
+    out = conv3d(t(x), Conv3dParams(t(w), t(b)))
     expect = x * w[:, 0, 0, 0, 0][:, None, None, None] + b[:, None, None, None]
     np.testing.assert_allclose(out.data, expect, rtol=1e-6)
 
@@ -450,8 +470,7 @@ def test_grouped_conv3d_vs_oracle_g4():
     x = rng.normal(size=(4, 4, 4, 4))
     w = rng.normal(size=(4, 1, 3, 3, 3))
     b = rng.normal(size=4)
-    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True), t(b, wide=True),
-                                               stride=1, padding=1, groups=4))
+    out = conv3d(t(x, wide=True), Conv3dParams(t(w, wide=True), t(b, wide=True)))
     expect = conv3d_reference(x, w, b, stride=1, padding=1, groups=4)
     assert np.max(np.abs(out.data - expect)) < 1e-5
 
@@ -465,7 +484,7 @@ def test_conv_linearity_with_zero_bias():
 
     def run(v):
         return conv3d(t(v, wide=True),
-                      Conv3dParams(t(w, wide=True), t(b, wide=True), padding=1)).data
+                      Conv3dParams(t(w, wide=True), t(b, wide=True))).data
 
     np.testing.assert_allclose(run(2.0 * x + 0.5 * y), 2.0 * run(x) + 0.5 * run(y),
                                atol=1e-10)
@@ -479,7 +498,7 @@ def test_conv_translation_equivariance_interior():
 
     def run(v):
         return conv3d(t(v, wide=True),
-                      Conv3dParams(t(w, wide=True), t(b, wide=True), padding=1)).data
+                      Conv3dParams(t(w, wide=True), t(b, wide=True))).data
 
     shifted = np.roll(x, 1, axis=3)
     a = run(x)
@@ -516,8 +535,7 @@ def test_conv3d_gradcheck(groups):
     b0 = rng.normal(size=4) * 0.3
 
     def build(lv):
-        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"], stride=1,
-                                           padding=1, groups=groups))
+        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"]))
         return T.mean_all(T.mul(out, out))
 
     rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
@@ -532,7 +550,7 @@ def test_conv3d_stride2_gradcheck():
     b0 = rng.normal(size=3) * 0.3
 
     def build(lv):
-        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"], stride=2, padding=1))
+        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"], stride=2))
         return T.mean_all(T.mul(out, out))
 
     rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
@@ -545,7 +563,7 @@ def test_backward_consumes_the_graph_and_frees_what_conv3d_saved():
     x = t(rng.normal(size=(2, 6, 6, 6)), grad=True)
     weight = t(rng.normal(size=(3, 2, 3, 3, 3)), grad=True)
     bias = t(np.zeros(3), grad=True)
-    out = conv3d(T.leaky_relu(x), Conv3dParams(weight, bias, padding=1))
+    out = conv3d(T.leaky_relu(x), Conv3dParams(weight, bias))
     loss = T.mean_all(T.mul(out, out))
     nodes = graph_nodes(loss)
     saved = held_arrays(graph_nodes(out)[0].rule)

@@ -327,20 +327,38 @@ def test_deferred_leaf_contributions_accumulate_to_the_inline_bytes():
     assert deferred.tobytes() == expect.tobytes()
 
 
-def test_backward_refuses_a_future_for_a_non_leaf_parent():
-    finished = threading.Event()
+def test_a_future_for_a_node_reaches_its_rule_resolved():
+    # the walk resolves a node's Future where it accumulates it, in walk
+    # order beside the node's array contributions: its rule sees the job's
+    # result, and the bytes are those of the inline walk
+    rng = np.random.default_rng(4)
+    parts = [(rng.normal(size=64) * scale).astype(np.float32) for scale in (1e4, 1e-3)]
 
     def job():
-        time.sleep(0.1)
-        finished.set()
-        return np.ones(3, np.float32)
+        time.sleep(0.05)
+        return parts[0].copy()
 
+    def walk(worker):
+        x = t(np.ones(64, np.float32), grad=True)
+        seen = []
+
+        def hidden_rule(g):
+            seen.append(g)
+            return (g * np.float32(2.0),)
+
+        hidden = T.make_op((x,), x.data * 2, hidden_rule)
+        from_job = T.make_op((hidden,), hidden.data.copy(),
+                             lambda _: (worker.submit(job) if worker else job(),))
+        from_rule = T.make_op((hidden,), hidden.data.copy(), lambda _: (parts[1].copy(),))
+        T.sum_all(T.add(from_job, from_rule)).backward()
+        return seen, x.grad
+
+    inline_seen, inline = walk(None)
     with ThreadPoolExecutor(1) as worker:
-        hidden = T.scalar_mul(t([1.0, 2.0, 3.0]), 2.0)
-        out = T.make_op((hidden,), hidden.data.copy(), lambda g: (worker.submit(job),))
-        with pytest.raises(TypeError, match="Future"):
-            T.sum_all(out).backward()
-        assert finished.is_set()
+        seen, threaded = walk(worker)
+    assert [type(g) for g in seen] == [np.ndarray]
+    assert seen[0].tobytes() == inline_seen[0].tobytes()
+    assert threaded.tobytes() == inline.tobytes()
 
 
 def test_backward_raises_a_rule_error_only_after_the_worker_finished():
