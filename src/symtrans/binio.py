@@ -1,32 +1,36 @@
-"""Binary records of the SVOL, SYMT and SYMO formats.
+"""Binary records of the SVOL and SYMT formats, and their CRC32 trailer.
 
-Every read is checked against the bytes left in the file before it is made,
-so no length, rank or extent read from a file can drive a read or allocation
-past its end. Every float read must be finite: a volume, parameter or moment
+Every read is checked against the bytes left before the trailer, so no
+length, rank or extent read from a file can drive a read or allocation past
+its end. Every float read must be finite: a volume, parameter or moment
 holding NaN or Inf is refused where it is read rather than failing a later
-warp. Errors name the file and the field, in the format's own ``ValueError``
-subclass.
+warp. The trailer, ``zlib.crc32`` of every byte before it as u32 LE, refuses
+any other changed byte. Errors name the file and the field, in the format's
+own ``ValueError`` subclass.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 
 class Reader:
-    """Reads one open file front to back, field by field."""
+    """Reads one open file front to back, field by field, then its trailer."""
 
     def __init__(self, f, path, error):
         self.f = f
         self.path = path
         self.error = error
-        self.left = os.fstat(f.fileno()).st_size
+        self.left = max(os.fstat(f.fileno()).st_size - 4, 0)  # before the trailer
+        self.crc = 0
 
     def fail(self, message) -> ValueError:
         return self.error(f"{self.path}: {message}")
@@ -36,7 +40,9 @@ class Reader:
             raise self.fail(f"truncated: {field} length {n} runs past the end "
                             f"({self.left} bytes left)")
         self.left -= n
-        return self.f.read(n)
+        data = self.f.read(n)
+        self.crc = zlib.crc32(data, self.crc)
+        return data
 
     def unpack(self, fmt: str, field: str) -> tuple:
         fmt = "<" + fmt
@@ -80,20 +86,30 @@ class Reader:
     def end(self, after: str):
         if self.left:
             raise self.fail(f"{self.left} trailing bytes after {after}")
+        (stored,) = struct.unpack("<I", self.f.read(4))
+        if stored != self.crc:
+            raise self.fail(f"CRC32 trailer {stored:#010x} does not match the "
+                            f"{self.crc:#010x} of the bytes before it")
 
 
 @contextlib.contextmanager
 def atomic_write(path):
     """A binary file to write ``path`` through: a temporary file beside it,
-    which replaces ``path`` once the block ends and is removed if the block
-    raises. Its name starts with a dot, so no ``checkpoint_*`` glob sees it.
-    There is no fsync: this guards against a killed process, not power loss.
+    which gets the trailer when the block ends, then replaces ``path``, and
+    is removed if the block raises. Its name starts with a dot, so no
+    ``checkpoint_*`` glob sees it. There is no fsync: this guards against a
+    killed process, not power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "w+b") as f:
             yield f
+            f.seek(0)
+            crc = 0
+            for chunk in iter(functools.partial(f.read, 1 << 20), b""):
+                crc = zlib.crc32(chunk, crc)
+            f.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -201,7 +201,7 @@ def _read_label_pair(args, extents, against):
 def cmd_register(args) -> int:
     moving = _read_image(args.moving)
     fixed = _read_image(args.fixed)
-    cfg, bag, params = load_checkpoint(args.checkpoint)
+    cfg, _, params, _ = load_checkpoint(args.checkpoint)
     if moving.shape != (1,) + cfg.input_shape or fixed.shape != moving.shape:
         raise CliError(
             f"volume shapes {moving.shape}/{fixed.shape} do not match the "

@@ -57,8 +57,9 @@ MODES = ("displacement", "diffeomorphic")
 
 CHECKPOINT_MAGIC = b"SYMT"
 # 2: layer norms after embedding/expanding; 3: no kv_stride; 4: the patch
-# kernel, feed-forward width and LeakyReLU slope left the config
-CHECKPOINT_VERSION = 4
+# kernel, feed-forward width and LeakyReLU slope left the config; 5: Adam's
+# step and moments, and the CRC32 trailer
+CHECKPOINT_VERSION = 5
 
 # kernel extent of every patch embedding; it pads by PATCH_KERNEL // 2, which
 # keeps the stride-2 token grid because the extent is odd
@@ -477,16 +478,23 @@ def forward(moving: Tensor, fixed: Tensor, params: SymTransParams,
 
 # --- checkpoint serialization -------------------------------------------------
 
-def save_checkpoint(path, cfg: ModelConfig, bag: dict):
-    """Write magic, version, canonical-JSON config, then the parameter
-    tensors in declaration order as (name, rank, extents, float32 LE data).
-    The write is atomic (see ``binio.atomic_write``)."""
+def save_checkpoint(path, cfg: ModelConfig, bag: dict, adam=None):
+    """Write magic, version, canonical-JSON config, the parameter tensors in
+    declaration order as (name, rank, extents, float32 LE data), then Adam's
+    step (u64), a record count (u32) and a (name, m, v) record per parameter.
+    ``adam`` is ``(step, m, v)``, the moments by name, or None for step 0,
+    whose moments are zeros by definition and get no records. The write is
+    atomic, with a CRC32 trailer (see ``binio``)."""
+    step, m, v = adam or (0, None, None)
     blob = to_canonical_json(cfg).encode("utf-8")
     with atomic_write(path) as f:
         header = struct.pack("<II", CHECKPOINT_VERSION, len(blob))
         f.write(CHECKPOINT_MAGIC + header + blob)
         for name, tns in bag.items():
             write_record(f, name, tns.data)
+        f.write(struct.pack("<QI", step, len(bag) if step else 0))
+        for name in bag if step else ():
+            write_record(f, name, m[name], v[name])
 
 
 class CheckpointError(ValueError):
@@ -494,8 +502,10 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (config, bag, structured params). A
-    parameter holding NaN or Inf is refused, by name (see ``binio``)."""
+    """Read a checkpoint back into (config, bag, structured params,
+    (step, m, v)), with Adam's moments by parameter name: zeros at step 0.
+    A parameter or moment holding NaN or Inf is refused, by name, and so is
+    a file whose CRC32 trailer does not match (see ``binio``)."""
     with open(path, "rb") as f:
         r = Reader(f, path, CheckpointError)
         r.magic(CHECKPOINT_MAGIC, "checkpoint")
@@ -503,7 +513,7 @@ def load_checkpoint(path):
         blob = r.bytes(r.u32("config length"), "config")
         try:
             cfg = from_dict(ModelConfig, json.loads(blob.decode("utf-8")))
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise r.fail(f"bad model config: {e}") from None
         bag = {}
 
@@ -515,5 +525,23 @@ def load_checkpoint(path):
             return _leaf(bag, name, r.float32(shape, f"parameter {name!r} data"))
 
         params = _model_layout(cfg, read).view
-        r.end("the final parameter")
-    return cfg, bag, params
+        (step,) = r.unpack("Q", "Adam step")
+        count = r.u32("Adam record count")
+        records = len(bag) if step else 0  # step 0's moments are zeros: no records
+        if count != records:
+            raise r.fail(f"Adam step {step} needs {records} moment records, "
+                         f"found {count}")
+        m = {name: np.zeros_like(t.data) for name, t in bag.items()}
+        v = {name: np.zeros_like(t.data) for name, t in bag.items()}
+        for name in list(bag)[:count]:
+            found = r.name("moment record name")
+            if found != name:
+                raise r.fail(f"expected the moments of {name!r}, found {found!r}")
+            for moment, store in (("m", m), ("v", v)):
+                shape = r.shape(f"{name!r} {moment}")
+                if shape != store[name].shape:
+                    raise r.fail(f"expected {name!r} {moment} of shape "
+                                 f"{store[name].shape}, found shape {shape}")
+                store[name] = r.float32(shape, f"{name!r} {moment} data")
+        r.end("the Adam section")
+    return cfg, bag, params, (step, m, v)

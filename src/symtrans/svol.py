@@ -1,8 +1,9 @@
 """SVOL volume container: the on-disk format for images, labels, and fields.
 
-Layout: magic ``SVOL``, version u32 (=1), kind u8, channels u32, extents
+Layout: magic ``SVOL``, version u32 (=2), kind u8, channels u32, extents
 u32 x 3 (D, H, W), then channels*D*H*W float32 little-endian scalars in
-C order with channel slowest. Labels are stored as reals holding integers.
+C order with channel slowest, then the CRC32 trailer of ``binio``. Labels are
+stored as reals holding integers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .binio import Reader, atomic_write
 
 MAGIC = b"SVOL"
-VERSION = 1
+VERSION = 2
 
 KIND_IMAGE = 0
 KIND_LABELS = 1

@@ -21,20 +21,25 @@ import ctypes
 import functools
 import multiprocessing
 import signal
-import struct
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
-from .binio import Reader, atomic_write, write_record
 from .configio import finite, integer, sequence
 from .deformation import jacobian_determinant, warp
 from .losses import LossConfig, metrics_report, total_loss, warp_labels
-from .model import ModelConfig, forward, init_model_params, load_checkpoint, save_checkpoint
+from .model import (
+    CheckpointError,
+    ModelConfig,
+    forward,
+    init_model_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .ops import usable_cpus
 from .tensor import Tensor
 
@@ -267,55 +272,6 @@ class TrainResult:
     bag: dict
     adam: AdamState
     curve: list
-    checkpoints: list
-
-
-OPT_MAGIC = b"SYMO"
-OPT_VERSION = 1
-
-
-def save_opt_state(path, adam: AdamState):
-    with atomic_write(path) as f:
-        f.write(OPT_MAGIC + struct.pack("<IQI", OPT_VERSION, adam.t, len(adam.m)))
-        for name in adam.m:
-            write_record(f, name, adam.m[name], adam.v[name])
-
-
-class OptStateError(ValueError):
-    """Malformed SYMO optimizer-state content."""
-
-
-def _opt_header(r: Reader) -> int:
-    """Read the SYMO magic and version; return the step counter."""
-    r.magic(OPT_MAGIC, "optimizer-state")
-    r.version(OPT_VERSION, "optimizer-state")
-    (t,) = r.unpack("Q", "step counter")
-    return t
-
-
-def load_opt_state(path) -> AdamState:
-    with open(path, "rb") as f:
-        r = Reader(f, path, OptStateError)
-        t = _opt_header(r)
-        m, v = {}, {}
-        for _ in range(r.u32("record count")):
-            name = r.name("parameter name")
-            for moment, store in (("m", m), ("v", v)):
-                shape = r.shape(f"{name!r} {moment}")
-                store[name] = r.float32(shape, f"{name!r} {moment} data")
-        r.end("the final record")
-    return AdamState(m=m, v=v, t=t)
-
-
-def _resume_step(resume) -> int | None:
-    """The step counter in ``resume``'s optimizer state, or None when its
-    header cannot be read; loading the file then reports why."""
-    path = f"{resume}.opt"
-    try:
-        with open(path, "rb") as f:
-            return _opt_header(Reader(f, path, OptStateError))
-    except (OSError, OptStateError):
-        return None
 
 
 def _check_finite(bag: dict, it: int, comp: dict, grads: bool):
@@ -385,7 +341,8 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
     """Run the unsupervised loop: forward, loss, backward, Adam, checkpoints.
 
     ``resume`` names a checkpoint stem (without extension) written by a
-    previous run; the step counter, parameters, and moments all continue.
+    previous run, one ``.symt`` file (see ``model.save_checkpoint``); the
+    step counter, parameters, and moments all continue.
     ``log``, if given, prints the loss every ``log`` iterations.
     Raises :class:`TrainingDiverged` on a non-finite loss, gradient or
     updated parameter, naming the first such gradient or parameter, or when
@@ -403,13 +360,27 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    first = 0 if resume is None else _resume_step(resume)
+    if resume is not None:
+        path = f"{resume}.symt"
+        ckpt_cfg, bag, params, (t, m, v) = load_checkpoint(path)
+        differ = [f"{f.name} {getattr(ckpt_cfg, f.name)!r} in the checkpoint, "
+                  f"{getattr(cfg.model, f.name)!r} in the config"
+                  for f in fields(ModelConfig)
+                  if getattr(ckpt_cfg, f.name) != getattr(cfg.model, f.name)]
+        if differ:
+            raise CheckpointError(f"{path}: model config differs from the train "
+                                  f"config's: " + "; ".join(differ))
+        adam = AdamState(m=m, v=v, t=t)
+    else:
+        bag, params = init_model_params(cfg.model, np.random.default_rng(cfg.seed))
+        adam = init_adam(bag)
+
     pool = None
     # Forked, not spawned: the child starts with numpy and scipy imported.
-    # It forks at the first submit, at the top of ``train``, where ``ops``'
-    # worker and the BLAS threads are idle. A daemonic process (a
-    # multiprocessing pool worker) may not fork.
-    if (_FORK_PRODUCER and first is not None and cfg.iterations - first >= 2
+    # It forks at the first submit, below, where ``ops``' worker and the BLAS
+    # threads are idle. A daemonic process (a multiprocessing pool worker)
+    # may not fork.
+    if (_FORK_PRODUCER and cfg.iterations - adam.t >= 2
             and not multiprocessing.current_process().daemon):
         fork = multiprocessing.get_context("fork")
         pool = futures.ProcessPoolExecutor(1, mp_context=fork, initializer=_ignore_sigint)
@@ -451,41 +422,22 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
     try:
         rng = job = None  # the next pair's Generator and its job in the pool
         if pool is not None:
-            # forked before the model exists, so that the two processes
-            # share few pages
-            rng, job = submit(first)
-
-        if resume is not None:
-            ckpt_cfg, bag, params = load_checkpoint(str(resume) + ".symt")
-            if ckpt_cfg != cfg.model:
-                raise ValueError("resume checkpoint config differs from cfg.model")
-            adam = load_opt_state(f"{resume}.opt")
-            shapes = [(n, t.shape) for n, t in bag.items()]
-            if any([(n, a.shape) for n, a in moments.items()] != shapes
-                   for moments in (adam.m, adam.v)):
-                raise OptStateError(f"{resume}.opt: moments do not match the checkpoint")
-        else:
-            bag, params = init_model_params(cfg.model, np.random.default_rng(cfg.seed))
-            adam = init_adam(bag)
+            rng, job = submit(adam.t)
 
         curve = []
-        checkpoints = []
         window = []
         ma_min = None
 
-        def write_checkpoint(step):
+        def write_checkpoint():
             if out_path is None:
                 return
-            stem = out_path / f"checkpoint_{step:06d}"
-            save_checkpoint(f"{stem}.symt", cfg.model, bag)
-            save_opt_state(f"{stem}.opt", adam)
-            checkpoints.append(str(stem))
+            save_checkpoint(out_path / f"checkpoint_{adam.t:06d}.symt", cfg.model, bag,
+                            (adam.t, adam.m, adam.v))
 
         if adam.t == 0:
-            write_checkpoint(0)
+            write_checkpoint()
 
-        start = adam.t
-        for it in range(start, cfg.iterations):
+        for it in range(adam.t, cfg.iterations):
             if rng is None:
                 rng = pair_rng(cfg.seed, it)
             moving, fixed = take(rng, job)
@@ -508,13 +460,13 @@ def train(cfg: TrainConfig, out_dir=None, resume=None, log=None) -> TrainResult:
                     raise TrainingDiverged(it, {"moving_average": ma, "min": ma_min})
 
             if (it + 1) % cfg.checkpoint_every == 0 or it + 1 == cfg.iterations:
-                write_checkpoint(it + 1)
+                write_checkpoint()
     finally:
         stop()
 
     if out_path is not None:
         write_curve(out_path / "loss.csv", curve)
-    return TrainResult(bag=bag, adam=adam, curve=curve, checkpoints=checkpoints)
+    return TrainResult(bag=bag, adam=adam, curve=curve)
 
 
 def write_curve(path, curve):

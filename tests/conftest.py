@@ -1,10 +1,12 @@
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symtrans import deformation, ops, training
+from symtrans.model import load_checkpoint
 from symtrans.tensor import _Node
 
 
@@ -20,6 +22,17 @@ def graph_nodes(t):
             nodes[id(node)] = node
             stack.extend(node.parents)
     return list(nodes.values())
+
+
+def checkpoint_sections(path):
+    """The offsets in SYMT checkpoint ``path`` where its parameter records
+    start (after the magic, version, config length and config blob) and
+    where its Adam section starts; the sizes come from the loaded bag."""
+    blob = Path(path).read_bytes()
+    params = 12 + int.from_bytes(blob[8:12], "little")
+    bag = load_checkpoint(path)[1]
+    return params, params + sum(8 + len(name.encode()) + 4 * t.data.ndim + t.data.nbytes
+                                for name, t in bag.items())
 
 
 def closure_values(fn):

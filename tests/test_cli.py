@@ -2,6 +2,7 @@ import json
 import platform
 import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -20,11 +21,21 @@ from symtrans.svol import (
     write_svol,
 )
 
+from conftest import checkpoint_sections
+
 
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def with_config(blob, config_blob):
+    """SYMT file ``blob`` with its config blob replaced and its CRC32 trailer
+    computed again."""
+    (blob_len,) = struct.unpack("<I", blob[8:12])
+    body = blob[:8] + struct.pack("<I", len(config_blob)) + config_blob + blob[12 + blob_len:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 # --- SVOL format ---------------------------------------------------------------
@@ -211,8 +222,9 @@ def trained(tmp_path_factory):
 
 def test_train_outputs(trained):
     tmp, cfg, out = trained
-    assert (out / "checkpoint_000002.symt").exists()
-    assert (out / "checkpoint_000002.opt").exists()
+    # one file per checkpoint, which holds Adam's state too
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint_000000.symt", "checkpoint_000002.symt", "loss.csv", "manifest.json"]
     lines = (out / "loss.csv").read_text().strip().splitlines()
     assert lines[0] == "iteration,loss,loss_sim,loss_reg"
     assert len(lines) == 3
@@ -487,19 +499,22 @@ def test_manifests_record_the_environment(trained, tmp_path, capsys):
 
 @pytest.mark.parametrize("kv_stride", [None, 1])
 def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_stride):
-    # versions 1 to 3 are refused by number. Version 3 predates the removal of
-    # ModelConfig's patch_kernel, ffn_expansion and leaky_slope, and versions
-    # 1 and 2 that of kv_stride too; with kv_stride set, each blob carries
-    # the fields its version had
+    # versions 1 to 4 are refused by number. Version 4 had no Adam section and
+    # no CRC32 trailer. Version 3 predates the removal of ModelConfig's
+    # patch_kernel, ffn_expansion and leaky_slope, and versions 1 and 2 that
+    # of kv_stride too; with kv_stride set, each blob carries the fields its
+    # version had
     tmp, cfg, out = trained
     blob = (out / "checkpoint_000002.symt").read_bytes()
     (blob_len,) = struct.unpack("<I", blob[8:12])
     config = json.loads(blob[12:12 + blob_len])
-    if kv_stride is not None:
-        config.update(patch_kernel=3, ffn_expansion=4, leaky_slope=0.2)
+    removed = {3: dict(patch_kernel=3, ffn_expansion=4, leaky_slope=0.2),
+               2: dict(kv_stride=kv_stride)}
     vol = tmp_path / "vol.svol"
     write_svol(vol, np.zeros((1, 16, 16, 16), np.float32), KIND_IMAGE)
-    for version in (3, 2, 1):
+    for version in (4, 3, 2, 1):
+        if kv_stride is not None:
+            config.update(removed.get(version, {}))
         config_blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
         old = tmp_path / f"v{version}.symt"
         old.write_bytes(blob[:4] + struct.pack("<II", version, len(config_blob))
@@ -508,11 +523,42 @@ def test_register_refuses_version_2_checkpoint(trained, tmp_path, capsys, kv_str
                             "--checkpoint", str(old)], capsys)
         assert code == 2
         assert f"checkpoint version {version}" in err
-        assert "reads version 4" in err
+        assert "reads version 5" in err
         assert str(old) in err
         assert "Traceback" not in err
-        if kv_stride is not None:
-            config["kv_stride"] = kv_stride
+
+
+@pytest.mark.parametrize("command", ["register", "train"])
+def test_checkpoint_with_a_deeply_nested_config_exit_2(trained, tmp_path, capsys, command):
+    # deeper than the JSON parser recurses
+    _, _, out = trained
+    bad = tmp_path / "nested.symt"
+    bad.write_bytes(with_config((out / "checkpoint_000002.symt").read_bytes(),
+                                b"[" * 200_000))
+    if command == "register":
+        argv, _ = register_argv(tmp_path, out)
+        argv[-1] = str(bad)
+    else:
+        argv = ["train", "--config", train_config(tmp_path, trained, iterations=4),
+                "--out", str(tmp_path / "run"), "--resume", str(bad.with_suffix(""))]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert f"{bad}: bad model config: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+
+
+def test_resume_with_another_model_config_exit_2_names_each_field(trained, tmp_path,
+                                                                   capsys):
+    _, cfg, out = trained
+    model = dict(cfg["model"], base_dim=16, mode="diffeomorphic")
+    code, _, err = run(["train", "--config", train_config(tmp_path, trained, model=model),
+                        "--out", str(tmp_path / "run"),
+                        "--resume", str(out / "checkpoint_000002")], capsys)
+    assert code == 2
+    assert (f"{out / 'checkpoint_000002.symt'}: model config differs from the train "
+            f"config's: base_dim 8 in the checkpoint, 16 in the config; mode "
+            f"'displacement' in the checkpoint, 'diffeomorphic' in the config") in err
+    assert "Traceback" not in err
 
 
 def test_register_defaults_to_the_checkpoint_mode(trained, tmp_path, capsys):
@@ -523,8 +569,7 @@ def test_register_defaults_to_the_checkpoint_mode(trained, tmp_path, capsys):
     config["mode"] = "diffeomorphic"
     config_blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     diffeo = tmp_path / "diffeo.symt"
-    diffeo.write_bytes(blob[:8] + struct.pack("<I", len(config_blob))
-                       + config_blob + blob[12 + blob_len:])
+    diffeo.write_bytes(with_config(blob, config_blob))
     rng = np.random.default_rng(4)
     vols = []
     for name in ("moving", "fixed"):
@@ -687,16 +732,19 @@ def test_train_non_finite_parameter_exit_4_names_it(trained, tmp_path, capsys):
     assert sorted(p.name for p in run_dir.glob("*.symt")) == ["checkpoint_000000.symt"]
 
 
-def first_value_offset(blob, suffix):
-    """Offset of the first float of the first parameter in a SYMT file, or of
-    the first parameter's second moment in a SYMO file."""
-    pos = 12 + struct.unpack_from("<I", blob, 8)[0] if suffix == ".symt" else 20
+def first_value_offset(path, moment):
+    """Offset of the first float of the first parameter in SYMT file
+    ``path``, or with ``moment`` of that parameter's second moment, in the
+    first record of the Adam section after its step and record count."""
+    blob = path.read_bytes()
+    params, adam = checkpoint_sections(path)
+    pos = adam + 12 if moment else params
     pos += 4 + struct.unpack_from("<I", blob, pos)[0]  # the name
-    for moment in range(1 if suffix == ".symt" else 2):
+    for tensor in range(2 if moment else 1):
         (rank,) = struct.unpack_from("<I", blob, pos)
         extents = struct.unpack_from(f"<{rank}I", blob, pos + 4)
         pos += 4 + 4 * rank
-        if moment == 0 and suffix == ".opt":
+        if tensor == 0 and moment:
             pos += 4 * int(np.prod(extents))
     return pos
 
@@ -704,7 +752,8 @@ def first_value_offset(blob, suffix):
 @pytest.mark.parametrize("command,suffix,tensor", [
     ("register", ".symt", "parameter 'stem.conv0.weight' data"),
     ("train", ".symt", "parameter 'stem.conv0.weight' data"),
-    ("train", ".opt", "'stem.conv0.weight' v data"),
+    pytest.param("train", ".symt", "'stem.conv0.weight' v data",
+                 id="train-.symt-adam-'stem.conv0.weight' v data"),
 ])
 def test_non_finite_checkpoint_tensor_exit_2_names_it(trained, tmp_path, capsys,
                                                       command, suffix, tensor):
@@ -712,11 +761,10 @@ def test_non_finite_checkpoint_tensor_exit_2_names_it(trained, tmp_path, capsys,
     # or a second moment
     _, _, out = trained
     stem = tmp_path / "bad"
-    for ext in (".symt", ".opt"):
-        blob = bytearray((out / f"checkpoint_000002{ext}").read_bytes())
-        if ext == suffix:
-            struct.pack_into("<f", blob, first_value_offset(blob, ext), np.inf)
-        stem.with_suffix(ext).write_bytes(bytes(blob))
+    path = out / f"checkpoint_000002{suffix}"
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, first_value_offset(path, " v " in tensor), np.inf)
+    stem.with_suffix(suffix).write_bytes(bytes(blob))
     if command == "register":
         argv, _ = register_argv(tmp_path, out)
         argv[-1] = str(stem.with_suffix(".symt"))

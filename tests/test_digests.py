@@ -12,9 +12,11 @@ that moves a training or registration byte on purpose updates the digests in
 the same diff and says why.
 
 Each pinned ``.symt`` file's payload, the parameter records after its config
-blob, is pinned beside the file. A change to the checkpoint format or to the
-config's fields alone moves the file digest and leaves the payload digest;
-a change that moves a trained parameter moves both.
+blob, is pinned beside the file, and so is the step-4 Adam section that
+follows them: Adam's step, record count and moments. A change to the
+checkpoint format or to the config's fields alone moves the file digest and
+leaves the payload and Adam digests; a change that moves a trained parameter
+moves the file digest and the others with it.
 
 The digests hold for the environment in PINNED_ENV. Float32 sums can round
 differently with another numpy, BLAS or set of SIMD extensions, so on an
@@ -36,6 +38,8 @@ from symtrans.model import ModelConfig, init_model_params
 from symtrans.training import (SyntheticSpec, TrainConfig, generate_pair, pair_rng,
                                register, train)
 
+from conftest import checkpoint_sections
+
 PINNED_ENV = {
     "numpy": "2.4.6",
     "scipy": "1.17.1",
@@ -45,36 +49,36 @@ PINNED_ENV = {
     "simd": ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"],
 }
 
-# sha256[:16] of each checkpoint file, and of a .symt file's payload under
-# its name plus PAYLOAD
+# sha256[:16] of each checkpoint file, of its payload under its name plus
+# PAYLOAD, and of its Adam section, without the CRC32 trailer, under its name
+# plus ADAM
 PAYLOAD = " payload"
+ADAM = " adam"
 DIGESTS = {
     "displacement": {
-        "checkpoint_000000.symt": "5683036a86796552",
+        "checkpoint_000000.symt": "e686df7fea17f244",
         "checkpoint_000000.symt payload": "068f3dace34a3552",
-        "checkpoint_000000.opt": "5d2c10a1510dc871",
-        "checkpoint_000004.symt": "ab5bc78e511778e9",
+        "checkpoint_000004.symt": "cba7b67f41963a48",
         "checkpoint_000004.symt payload": "7c84fd1c97a79484",
-        "checkpoint_000004.opt": "8ed985759d40b1bb",
+        "checkpoint_000004.symt adam": "d786da6060acb513",
     },
     "diffeomorphic": {
-        "checkpoint_000000.symt": "ef21c4ce3a2b4537",
+        "checkpoint_000000.symt": "34ac71066e238310",
         "checkpoint_000000.symt payload": "068f3dace34a3552",
-        "checkpoint_000000.opt": "5d2c10a1510dc871",
-        "checkpoint_000004.symt": "4a1d9065b6d23b18",
+        "checkpoint_000004.symt": "8decafab6d7f0c6a",
         "checkpoint_000004.symt payload": "51d2062c740f71f5",
-        "checkpoint_000004.opt": "b75e191b22dbe0e6",
+        "checkpoint_000004.symt adam": "ac08aff23f0929a8",
     },
 }
 
 # the same for checkpoint_000004.symt of each ablation placement's
 # displacement desk run
 PLACEMENT_DIGESTS = {
-    "encoder_only": {"checkpoint_000004.symt": "5ba17e502bdfc1bf",
+    "encoder_only": {"checkpoint_000004.symt": "bb94f156a908eed5",
                      "checkpoint_000004.symt payload": "331621cdb261e5b2"},
-    "bottom_only": {"checkpoint_000004.symt": "fc46e577ba2a2d52",
+    "bottom_only": {"checkpoint_000004.symt": "de7881b6dc0b58d0",
                     "checkpoint_000004.symt payload": "e23a706691735bf7"},
-    "decoder_only": {"checkpoint_000004.symt": "eb0c0dbc35216abd",
+    "decoder_only": {"checkpoint_000004.symt": "64dc313b65552903",
                      "checkpoint_000004.symt payload": "c5370c76b9142c88"},
 }
 
@@ -155,13 +159,15 @@ def sha16(data: bytes) -> str:
 
 
 def file_digests(out_dir, pinned):
-    """The digest of each file ``pinned`` names, or of its payload: the bytes
-    after the magic, version, config length and config blob."""
+    """The digest of each file ``pinned`` names, or of its payload (the
+    parameter records), or of its Adam section up to the CRC32 trailer."""
     got = {}
     for name in pinned:
-        data = (out_dir / name.removesuffix(PAYLOAD)).read_bytes()
-        if name.endswith(PAYLOAD):
-            data = data[12 + int.from_bytes(data[8:12], "little"):]
+        path = out_dir / name.removesuffix(PAYLOAD).removesuffix(ADAM)
+        data = path.read_bytes()
+        if name != path.name:
+            params, adam = checkpoint_sections(path)
+            data = data[params:adam] if name.endswith(PAYLOAD) else data[adam:-4]
         got[name] = sha16(data)
     return got
 
@@ -170,7 +176,7 @@ def check_digests(run, got, pinned):
     """Fail, naming everything of ``pinned`` whose digest in ``got`` moved,
     and which kind of pin it was. When only ``.symt`` file digests moved and
     every payload pin held, the checkpoint format or the config blob changed,
-    whatever the environment. When a payload, ``.opt`` or ``register`` digest
+    whatever the environment. When a payload, Adam or ``register`` digest
     moved, a training byte moved, which on an environment other than the
     pinned one is an xfail."""
     moved = [name for name, digest in pinned.items() if got[name] != digest]
@@ -179,8 +185,8 @@ def check_digests(run, got, pinned):
     message = f"{run} moved " + "; ".join(f"{name}: {got[name]}, pinned {pinned[name]}"
                                           for name in moved)
     if all(name.endswith(".symt") for name in moved):
-        pytest.fail(message + ". Only .symt file digests moved and every payload pin "
-                    "held, so the checkpoint format or the config blob changed")
+        pytest.fail(message + ". Only .symt file digests moved and every payload and "
+                    "Adam pin held, so the checkpoint format or the config blob changed")
     here = environment()
     differs = [f"{key}: {here[key]!r}, pinned {PINNED_ENV[key]!r}"
                for key in PINNED_ENV if here[key] != PINNED_ENV[key]]
@@ -193,7 +199,7 @@ def check_digests(run, got, pinned):
 @pytest.mark.parametrize("doctored,says", [
     ("checkpoint_000004.symt", "the checkpoint format or the config blob changed"),
     ("checkpoint_000004.symt payload", "so a training byte moved"),
-    ("checkpoint_000004.opt", "so a training byte moved"),
+    ("checkpoint_000004.symt adam", "so a training byte moved"),
 ])
 def test_check_digests_says_which_kind_of_pin_moved(doctored, says, monkeypatch):
     monkeypatch.setitem(globals(), "environment", lambda: dict(PINNED_ENV))

@@ -1,16 +1,17 @@
-"""Malformed SVOL, SYMT and SYMO files, fuzzed with hypothesis.
+"""Malformed SVOL and SYMT files, fuzzed with hypothesis.
 
-Every truncation and every extension of a valid file is refused, and a file
-with one byte changed either loads or is refused. Refused means the format's
-own ``ValueError`` subclass with the file's path in the message: never
-``struct.error``, ``MemoryError`` or ``IndexError``, and never a traceback out
-of the command line. And a write that fails part-way leaves the file it was
-replacing as it was.
+Every truncation, every extension and every single changed byte of a valid
+file is refused: the CRC32 trailer catches a change that leaves every field
+readable. Refused means the format's own ``ValueError`` subclass with the
+file's path in the message: never ``struct.error``, ``MemoryError`` or
+``IndexError``, and never a traceback out of the command line. And a write
+that fails part-way leaves the file it was replacing as it was.
 """
 
 import json
 import math
 import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,16 +29,17 @@ from symtrans.model import (
     save_checkpoint,
 )
 from symtrans.svol import KIND_IMAGE, SvolError, read_svol, write_svol
-from symtrans.training import OptStateError, init_adam, load_opt_state, save_opt_state
 
 MODEL = ModelConfig(input_shape=(16, 16, 16), base_dim=8,
                     encoder_depths=(1, 1, 1), decoder_depths=(1, 1, 1))
+PARAMETERS = len(init_model_params(MODEL, np.random.default_rng(0))[0])
 
-# format -> (file name, reader, error class)
+# format -> (file name, reader, error class); symt-adam is a SYMT file past
+# step 0, which holds Adam's moment records
 FORMATS = {
     "svol": ("vol.svol", read_svol, SvolError),
     "symt": ("model.symt", load_checkpoint, CheckpointError),
-    "symo": ("model.opt", load_opt_state, OptStateError),
+    "symt-adam": ("model_17.symt", load_checkpoint, CheckpointError),
 }
 
 FUZZ = settings(max_examples=40, deadline=None)
@@ -50,10 +52,16 @@ def files(tmp_path_factory):
     write_svol(d / "vol.svol", rng.random((1, 4, 4, 4)).astype(np.float32), KIND_IMAGE)
     bag, _ = init_model_params(MODEL, rng)
     save_checkpoint(d / "model.symt", MODEL, bag)
-    # as training writes at step 0: all-zero moments, so a rank flipped
-    # upward reads zero extents from the payload that follows
-    save_opt_state(d / "model.opt", init_adam(bag))
+    # all-zero first moments, so a rank flipped upward reads zero extents
+    # from the payload that follows
+    save_checkpoint(d / "model_17.symt", MODEL, bag, adam_state(bag, rng))
     return d
+
+
+def adam_state(bag, rng):
+    """Adam's (step, m, v) at step 17, with zero first moments."""
+    return (17, {n: np.zeros_like(t.data) for n, t in bag.items()},
+            {n: rng.random(t.shape).astype(np.float32) for n, t in bag.items()})
 
 
 def _name(blob, pos, fields):
@@ -72,18 +80,21 @@ def _tensor(blob, pos, fields):
 def header_offsets(fmt, blob):
     """Offsets of every byte outside the float payloads: the fields a reader
     sizes its reads by. A uniform draw would land almost only in payloads."""
+    trailer = list(range(len(blob) - 4, len(blob)))
     if fmt == "svol":
-        return list(range(25))
-    if fmt == "symt":  # magic, version, config blob; then name + tensor each
-        pos, tensors = 12 + struct.unpack_from("<I", blob, 8)[0], 1
-    else:  # magic, version, step, count; then name + two moments each
-        pos, tensors = 20, 2
+        return list(range(25)) + trailer
+    # magic, version, config blob; then name + tensor for each parameter;
+    # then Adam's step and record count, and name + two moments each
+    pos = 12 + struct.unpack_from("<I", blob, 8)[0]
     fields = list(range(pos))
-    while pos < len(blob):
-        pos = _name(blob, pos, fields)
-        for _ in range(tensors):
-            pos = _tensor(blob, pos, fields)
-    return fields
+    for _ in range(PARAMETERS):
+        pos = _tensor(blob, _name(blob, pos, fields), fields)
+    fields.extend(range(pos, pos + 12))
+    (count,) = struct.unpack_from("<I", blob, pos + 8)
+    pos += 12
+    for _ in range(count):
+        pos = _tensor(blob, _tensor(blob, _name(blob, pos, fields), fields), fields)
+    return fields + trailer
 
 
 def offsets(fmt, blob):
@@ -129,10 +140,31 @@ def test_every_extension_is_refused(files, fmt, extra):
 @FUZZ
 @given(data=st.data())
 def test_one_changed_byte_loads_or_is_refused(files, fmt, data):
+    # since the CRC32 trailer, no changed byte loads
     blob = bytearray((files / FORMATS[fmt][0]).read_bytes())
     pos = data.draw(offsets(fmt, blob))
     blob[pos] ^= data.draw(st.integers(1, 255))
-    load(files, fmt, bytes(blob))
+    assert load(files, fmt, bytes(blob)) is not None
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_changed_payload_bit_is_refused_by_the_crc(files, fmt):
+    # the lowest bit of the first float: the value stays finite and every
+    # field stays readable, so only the trailer can tell
+    blob = bytearray((files / FORMATS[fmt][0]).read_bytes())
+    pos = min(set(range(len(blob))) - set(header_offsets(fmt, blob)))
+    blob[pos] ^= 1
+    assert "CRC32 trailer" in str(load(files, fmt, bytes(blob)))
+
+
+def test_svol_version_1_is_refused_by_number(files, capsys):
+    # version 1 had no CRC32 trailer
+    old = files / "v1.svol"
+    old.write_bytes(b"SVOL" + struct.pack("<I", 1) + (files / "vol.svol").read_bytes()[8:-4])
+    assert main(_cli_args(files, "svol", old)) == 2
+    err = capsys.readouterr().err
+    assert f"{old}: unsupported SVOL version 1; this build reads version 2" in err
+    assert "Traceback" not in err
 
 
 def _cli_args(files, fmt, bad):
@@ -144,9 +176,8 @@ def _cli_args(files, fmt, bad):
         write_svol(vol, np.zeros((1,) + MODEL.input_shape, np.float32), KIND_IMAGE)
         return ["register", "--moving", str(vol), "--fixed", str(vol),
                 "--checkpoint", str(bad)]
-    # resume from a good checkpoint whose optimizer state is the bad file
+    # resume from the bad file, whose moments train reads
     stem = bad.with_suffix("")
-    stem.with_suffix(".symt").write_bytes((files / "model.symt").read_bytes())
     config = files / "train.json"
     config.write_text(json.dumps({
         "iterations": 4, "model": {"input_shape": [16, 16, 16], "base_dim": 8,
@@ -179,14 +210,14 @@ def write_failing(fmt, path):
     if fmt == "svol":
         write_svol(path, UNWRITABLE, KIND_IMAGE)
         return
-    bag, _ = init_model_params(MODEL, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    bag, _ = init_model_params(MODEL, rng)
     last = list(bag)[-1]
     if fmt == "symt":
         save_checkpoint(path, MODEL, dict(bag, **{last: SimpleNamespace(data=UNWRITABLE)}))
     else:
-        adam = init_adam(bag)
-        adam.v[last] = UNWRITABLE
-        save_opt_state(path, adam)
+        step, m, v = adam_state(bag, rng)
+        save_checkpoint(path, MODEL, bag, (step, m, dict(v, **{last: UNWRITABLE})))
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -206,5 +237,5 @@ def test_atomic_write_hides_its_temporary_file_from_the_checkpoint_glob(tmp_path
         f.write(b"new")
         assert len(list(tmp_path.iterdir())) == 1
         assert list(tmp_path.glob("checkpoint_*")) == []
-    assert path.read_bytes() == b"new"
+    assert path.read_bytes() == b"new" + struct.pack("<I", zlib.crc32(b"new"))
     assert list(tmp_path.iterdir()) == [path]

@@ -444,7 +444,7 @@ def test_checkpoint_round_trip(tmp_path):
     bag, _ = init_model_params(cfg, np.random.default_rng(10))
     path = tmp_path / "model.symt"
     save_checkpoint(path, cfg, bag)
-    cfg2, bag2, params2 = load_checkpoint(path)
+    cfg2, bag2, params2, _ = load_checkpoint(path)
     assert cfg2 == cfg
     for (n1, t1), (n2, t2) in zip(bag.items(), bag2.items()):
         assert n1 == n2

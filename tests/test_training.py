@@ -14,7 +14,7 @@ import pytest
 from symtrans import ops, training
 from symtrans.deformation import jacobian_determinant
 from symtrans.losses import LossConfig, dice, total_loss, warp_labels
-from symtrans.model import ModelConfig
+from symtrans.model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
 from symtrans.oracles import adam_reference
 from symtrans.tensor import Tensor
 from symtrans.training import (
@@ -25,10 +25,8 @@ from symtrans.training import (
     adam_step,
     generate_pair,
     init_adam,
-    load_opt_state,
     pair_rng,
     register,
-    save_opt_state,
     train,
 )
 
@@ -177,18 +175,59 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     assert a == b
 
 
+def _killed_train(cfg, out, step, after):
+    """``train`` in a child that SIGKILLs itself just before, or with
+    ``after`` just after, the rename that writes ``step``'s checkpoint."""
+    replace = os.replace
+
+    def killing(src, dst):
+        if not after and dst.name == f"checkpoint_{step:06d}.symt":
+            os.kill(os.getpid(), signal.SIGKILL)
+        replace(src, dst)
+        if after and dst.name == f"checkpoint_{step:06d}.symt":
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    os.replace = killing
+    train(cfg, out_dir=out)
+
+
+def test_a_killed_train_resumes_to_the_uninterrupted_bytes(inline_training, tmp_path):
+    # the child runs without a producer or a worker, so the kill leaves no
+    # process or thread behind
+    cfg = tiny_train_cfg(iterations=4, checkpoint_every=1)
+    full = train(cfg, out_dir=tmp_path / "full")
+    fork = multiprocessing.get_context("fork")
+    for step, after in ((0, True), (2, False), (2, True), (4, False)):
+        out = tmp_path / f"{step}_{after}"
+        child = fork.Process(target=_killed_train, args=(cfg, out, step, after))
+        child.start()
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == -signal.SIGKILL
+        newest = sorted(out.glob("checkpoint_*.symt"))[-1]
+        last = step if after else step - 1
+        assert newest.name == f"checkpoint_{last:06d}.symt"
+        assert len(list(out.glob(".*.tmp"))) == (0 if after else 1)
+        resumed = train(cfg, out_dir=out, resume=newest.with_suffix(""))
+        assert resumed.curve == full.curve[last:]
+        assert ((out / "checkpoint_000004.symt").read_bytes()
+                == (tmp_path / "full" / "checkpoint_000004.symt").read_bytes())
+
+
 def test_opt_state_round_trip(tmp_path):
-    params = params_dict({"a.w": np.ones((2, 3), np.float32),
-                          "b.w": np.zeros(4, np.float32)})
-    state = init_adam(params)
-    state.t = 17
-    state.m["a.w"] += 0.25
-    state.v["b.w"] += 1.5
-    save_opt_state(tmp_path / "s.opt", state)
-    back = load_opt_state(tmp_path / "s.opt")
-    assert back.t == 17
-    np.testing.assert_array_equal(back.m["a.w"], state.m["a.w"])
-    np.testing.assert_array_equal(back.v["b.w"], state.v["b.w"])
+    # Adam's state at step 17, through a checkpoint
+    cfg = tiny_train_cfg().model
+    bag, _ = init_model_params(cfg, np.random.default_rng(5))
+    state = init_adam(bag)
+    first = next(iter(bag))
+    state.m[first] += 0.25
+    state.v[first] += 1.5
+    save_checkpoint(tmp_path / "s.symt", cfg, bag, (17, state.m, state.v))
+    _, back, _, (t, m, v) = load_checkpoint(tmp_path / "s.symt")
+    assert t == 17
+    for name in bag:
+        np.testing.assert_array_equal(back[name].data, bag[name].data)
+        np.testing.assert_array_equal(m[name], state.m[name])
+        np.testing.assert_array_equal(v[name], state.v[name])
 
 
 def test_register_modes_share_raw_field():
