@@ -22,15 +22,29 @@ logits of the dim-8..32 blocks of a 32-cubed model start between 1e-4 and
 5e-2, and the layer norm on the K/V path sits in its eps-dominated corner.
 Attention is then uniform, and the gradient that would move it away from
 uniform is a product of small factors.
+
+``multi_head_attention`` is one taped op. Its forward computes each head's
+scores in blocks of query rows (``SCORE_BLOCK_BYTES``) and, on calls of
+``ATTENTION_THREAD_SCORES`` scores per head or more, normalises each block
+on ``ops``' worker while the calling thread computes the next block's
+scores and the previous block's product with V. Both products go through
+``tensor.matmul`` on untaped Tensors, so the benchmark's tracer counts every
+forward MAC where it counts every other product; the worker runs raw numpy
+only. Its rule saves q, k and v and recomputes the probabilities block by
+block, as FlashAttention does (Dao et al., NeurIPS 2022), so the graph holds
+no n x n array. Forward and gradients are byte-identical to the same blocks
+composed from tape ops, on either thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import ops
 from . import tensor as T
 from .ops import Conv3dParams, LinearParams, conv3d, linear
 from .tensor import Tensor
@@ -63,7 +77,7 @@ class CemsaConfig:
 
     def __post_init__(self):
         self.spatial_shape = tuple(int(e) for e in self.spatial_shape)
-        if self.dim % self.heads:
+        if self.heads < 1 or self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
 
     @property
@@ -203,29 +217,134 @@ def cemsa_qkv(x: Tensor, cfg: CemsaConfig, p: CemsaParams):
 # blocked result is exact, and the n x n matrix is never held whole.
 SCORE_BLOCK_BYTES = 4 << 20
 
+# Scores per head (query tokens x key tokens) from which multi_head_attention
+# normalises each score block on ops' worker. Set from whole register calls
+# and training steps on a 2-vCPU host: the 64^3 stage-1 calls (4096^2) gain;
+# handing off the 512-token calls as well gained nothing, in a 64^3 register
+# call or in a 32^3 training step, whose forward shares the second core with
+# the pair producer; and a 64-token, 8-head call alone went 0.3 -> 1.0 ms.
+ATTENTION_THREAD_SCORES = 1 << 20
+
+
+def _head_columns(x: np.ndarray, heads: int) -> list:
+    """Each head's columns of the (tokens, dim) array ``x``, C-ordered."""
+    dk = x.shape[1] // heads
+    return [np.ascontiguousarray(x[:, h * dk:(h + 1) * dk]) for h in range(heads)]
+
+
+def _scores(product, qb, kt, scale):
+    """A block's scaled scores ``product(qb, kt) * scale`` and their row max."""
+    s = product(qb, kt)
+    s *= scale
+    return s, s.max(axis=-1, keepdims=True)
+
+
+def _normalise(s, row_max):
+    """Softmax of each row of the scores ``s``, in place. Raw numpy: it runs
+    on ops' worker."""
+    np.subtract(s, row_max, out=s)
+    np.exp(s, out=s)
+    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+
+
+def _check_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
+    shapes = f"multi_head_attention: q {q.shape}, k {k.shape}, v {v.shape}"
+    if not q.ndim == k.ndim == v.ndim == 2 or not all(q.shape + k.shape + v.shape):
+        raise ValueError(f"{shapes}: expects (tokens, dim) operands with no empty extent")
+    if heads < 1 or q.shape[1] % heads:
+        raise ValueError(f"{shapes}: {heads} heads do not split {q.shape[1]} channels")
+    if k.shape[1] != q.shape[1] or v.shape[1] != q.shape[1]:
+        raise ValueError(f"{shapes}: k and v must have q's {q.shape[1]} channels")
+    if k.shape[0] != v.shape[0]:
+        raise ValueError(f"{shapes}: k and v must have one token count")
+
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Per-head softmax(Q K^T / sqrt(d_k)) V, heads concatenated along the
-    channels; the output projection is the caller's."""
+    channels; the output projection is the caller's. One taped op.
+
+    The forward walks the (head, row block) list in order. Each block is
+    ``qb @ kt``, scaled, shifted by its row max, exponentiated and divided by
+    its row sum in place, then multiplied by the head's V. With
+    ``ATTENTION_THREAD_SCORES`` scores per head or more, one
+    ``ops.side_by_side`` per block normalises block j on the worker while
+    this thread computes block j+1's scores and row max and then block
+    j-1's product with V; so at most three score blocks are live. Both
+    products go through ``tensor.matmul`` on untaped Tensors, which is where
+    the benchmark's tracer counts forward MACs; the worker runs raw numpy
+    only. The arithmetic of each block is the same on either thread.
+
+    The rule saves q, k and v, not the probabilities: it recomputes each
+    block's P as the forward did, then dV = P^T dO, dP = dO V^T,
+    dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K and dK = dS^T Q,
+    summing a head's dK and dV over its blocks in row order.
+    """
+    _check_attention(q, k, v, heads)
     n, dm = q.shape
-    if dm % heads:
-        raise ValueError(f"dim {dm} not divisible by heads {heads}")
+    m = k.shape[0]
     dk = dm // heads
-    scale = 1.0 / np.sqrt(dk)
-    rows = max(1, SCORE_BLOCK_BYTES // (k.shape[0] * q.data.itemsize))
-    outputs = []
-    for h in range(heads):
-        qh = T.narrow(q, 1, h * dk, dk)
-        kh = T.narrow(k, 1, h * dk, dk)
-        vh = T.narrow(v, 1, h * dk, dk)
-        kt = T.transpose2d(kh)
-        blocks = []
-        for start in range(0, n, rows):
-            qb = qh if rows >= n else T.narrow(qh, 0, start, min(rows, n - start))
-            scores = T.scalar_mul(T.matmul(qb, kt), scale)
-            blocks.append(T.matmul(T.softmax_lastdim(scores), vh))
-        outputs.append(blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0))
-    return outputs[0] if heads == 1 else T.concat(outputs, axis=1)
+    dtype = q.dtype
+    scale = dtype.type(1.0 / np.sqrt(dk))
+    rows = max(1, SCORE_BLOCK_BYTES // (m * q.data.itemsize))
+    blocks = [(h, r0, min(r0 + rows, n)) for h in range(heads) for r0 in range(0, n, rows)]
+    qs, ks, vs = (_head_columns(x.data, heads) for x in (q, k, v))
+    out = np.empty((n, dm), dtype=dtype)
+
+    def untaped_matmul(a, b):
+        return T.matmul(Tensor(a), Tensor(b)).data
+
+    def scores(i):
+        h, r0, r1 = blocks[i]
+        return _scores(untaped_matmul, qs[h][r0:r1], ks[h].T, scale)
+
+    def attend(i, p):
+        h, r0, r1 = blocks[i]
+        out[r0:r1, h * dk:(h + 1) * dk] = untaped_matmul(p, vs[h])
+
+    def own_part(i, previous):
+        following = scores(i + 1) if i + 1 < len(blocks) else None
+        if previous is not None:
+            attend(i - 1, previous)
+        return following
+
+    threaded = n * m >= ATTENTION_THREAD_SCORES
+    current, previous = scores(0), None
+    for i in range(len(blocks)):
+        _, following = ops.side_by_side(partial(_normalise, *current),
+                                        partial(own_part, i, previous), threaded)
+        previous, current = current[0], following
+    attend(len(blocks) - 1, previous)
+
+    qd, kd, vd = q.data, k.data, v.data
+
+    def rule(g):
+        qs, ks, vs = (_head_columns(x, heads) for x in (qd, kd, vd))
+        dq, dkey, dv = (np.empty(x.shape, dtype) for x in (qd, kd, vd))
+        # one block's P, dP (then dS, in place) and dP * P, reused
+        buffers = np.empty((3, min(rows, n), m), dtype)
+        for h in range(heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            kt, dkt, dvh = ks[h].T, None, None
+            for r0 in range(0, n, rows):
+                qb, gb = qs[h][r0:r0 + rows], g[r0:r0 + rows, cols]
+                p, ds, prod = buffers[:, :qb.shape[0]]
+                _normalise(*_scores(partial(np.matmul, out=p), qb, kt, scale))
+                np.matmul(gb, vs[h].T, out=ds)
+                np.multiply(ds, p, out=prod)
+                np.subtract(ds, prod.sum(axis=-1, keepdims=True), out=ds)
+                np.multiply(p, ds, out=ds)
+                ds *= scale
+                dq[r0:r0 + rows, cols] = ds @ kt.T
+                if dkt is None:
+                    dkt, dvh = qb.T @ ds, p.T @ gb
+                else:
+                    dkt += qb.T @ ds
+                    dvh += p.T @ gb
+            dkey[:, cols] = dkt.T
+            dv[:, cols] = dvh
+        return dq, dkey, dv
+
+    return T.make_op((q, k, v), out, rule)
 
 
 def cemsa_block(x: Tensor, cfg: CemsaConfig, p: CemsaParams) -> Tensor:

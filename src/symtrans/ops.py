@@ -23,10 +23,14 @@ where it accumulates a computed weight's gradient, and at the end of the
 walk for a leaf weight's, which no later rule reads. Every other hand-off
 is a ``side_by_side`` call, which returns only after its job has stopped:
 ``deformation.trilinear_sample`` runs half of its forward's depth slabs
-there on large volumes, and its field scatter beside the offset gradient.
-Backward work goes to the worker from ``BACKWARD_THREAD_VALUES`` gradient
-values, forward work from the caller's own gate. Each loop is the same with
-or without the worker, so results are byte-identical whatever the CPU count.
+there on large volumes, and its field scatter beside the offset gradient;
+``cemsa.multi_head_attention`` normalises each score block there while the
+caller computes the next block's scores and the previous block's product
+with V. Backward work goes to the worker from ``BACKWARD_THREAD_VALUES``
+gradient values, forward work from the caller's own gate
+(``deformation.SAMPLE_THREAD_VOXELS``, ``cemsa.ATTENTION_THREAD_SCORES``).
+Each loop is the same with or without the worker, so results are
+byte-identical whatever the CPU count.
 The worker runs raw numpy only, never a traced op. conv3d's forward always
 runs on the calling thread. ``training`` applies the same rule to its pair
 producer, a one-process pool.

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import tensor as T
-from .cemsa import CemsaConfig, bind_cemsa_params, cemsa_block, cemsa_param_shapes
+from .cemsa import (SCORE_BLOCK_BYTES, CemsaConfig, bind_cemsa_params, cemsa_block,
+                    cemsa_param_shapes, multi_head_attention)
 from .deformation import compose, integrate, jacobian_determinant, warp
 from .losses import LossConfig, total_loss
 from .model import (DeconvParams, ModelConfig, bind_model_params, deconv_upsample,
@@ -168,6 +169,7 @@ def gradcheck_suite():
                                     integrate(lv["v"], steps=3))),
         {"v": v}, coords=8)
 
+    checks.append(_attention_row_blocks_check())
     checks.append(_composite_cemsa_block_check())
     checks.append(_total_loss_check())
     checks.extend(_composite_model_check())
@@ -186,6 +188,29 @@ def _healthy_leaves(shapes, seed):
         else:
             leaves[name] = rng.normal(0, 0.3, size=shape)
     return leaves
+
+
+def _attention_row_blocks_check():
+    """The fused attention rule, which recomputes each block's probabilities,
+    at wide precision: enough keys that each head's rows split into two
+    score blocks, the last one ragged."""
+    n, heads = 800, 2
+    rows = SCORE_BLOCK_BYTES // (n * 8)  # float64 scores
+    rng = np.random.default_rng(26)
+    leaves = {name: rng.normal(size=(n, 4)) for name in "qkv"}
+    mix = rng.normal(size=(n, 4))
+
+    def build(lv):
+        out = multi_head_attention(lv["q"], lv["k"], lv["v"], heads)
+        return T.sum_all(T.mul(out, Tensor(mix.astype(out.dtype))))
+
+    rep = grad_check(build, leaves, coords_per_leaf=4, rng=np.random.default_rng(5),
+                     wide=True)
+    blocks = -(-n // rows)
+    return ("gradcheck.attention_row_blocks.wide",
+            rep.max_err() < OP_TOL_WIDE and blocks > 1 and n % rows > 0,
+            f"{n} tokens in {blocks} row blocks of {rows}, "
+            f"max rel err {rep.max_err():.3e} (tol {OP_TOL_WIDE:g})")
 
 
 def _composite_cemsa_block_check():
@@ -302,8 +327,6 @@ def oracle_suite():
         worst = max(worst, float(np.max(np.abs(out.data - ref))))
     checks.append(("oracle.conv3d_large_kernel", worst < ORACLE_TOL,
                    f"depthwise k=7 and grouped k=5 stride 2, max abs diff {worst:.2e}"))
-
-    from .cemsa import SCORE_BLOCK_BYTES, multi_head_attention
 
     worst = 0.0
     for i in range(ORACLE_INSTANCES):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symtrans import deformation, ops, training
+from symtrans import cemsa, deformation, ops, training
 from symtrans.model import load_checkpoint
 from symtrans.tensor import _Node
 
@@ -97,6 +97,14 @@ def threaded_sample(worker, monkeypatch):
     monkeypatch.setattr(deformation, "SAMPLE_SLAB_VOXELS", 1)
     monkeypatch.setattr(deformation, "SAMPLE_THREAD_VOXELS", 0)
     monkeypatch.setattr(ops, "BACKWARD_THREAD_VALUES", 0)
+
+
+@pytest.fixture
+def threaded_attention(worker, monkeypatch):
+    """multi_head_attention normalises every score block on the worker while
+    the calling thread runs the next block's scores and the last block's
+    product with V, whatever the call's size."""
+    monkeypatch.setattr(cemsa, "ATTENTION_THREAD_SCORES", 0)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symtrans import deformation, losses, model
+from symtrans import cemsa, deformation, losses, model, tensor
 from symtrans.losses import LossConfig
 from symtrans.model import ModelConfig, init_model_params, model_count_flops
 from symtrans.tensor import Tensor
@@ -129,3 +129,50 @@ def test_traced_diffeomorphic_step_with_trilinear_on_the_worker(tracing, threade
     traced = (counts.get("ops.conv3d.dw.macs", 0) + counts["ops.conv3d.other.macs"]
               + counts["tensor.matmul.macs"])
     assert traced == counts["model.forward.macs"] == model_count_flops(cfg)
+
+
+def test_traced_attention_counts_its_products_on_the_caller(tracing, threaded_attention,
+                                                            monkeypatch):
+    # several score blocks per head, each normalised on the worker: the
+    # products stay on tensor.matmul on this thread, so the tracer counts
+    # every forward MAC, and the rule of the one node is timed as
+    # tensor.other, where a make_op call moved into a helper would also land
+    n, dm, heads = 300, 8, 2
+    monkeypatch.setattr(cemsa, "SCORE_BLOCK_BYTES", 128 * n * 4)
+    ran_on = []
+    normalise = cemsa._normalise
+
+    def spy(*args):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        return normalise(*args)
+
+    monkeypatch.setattr(cemsa, "_normalise", spy)
+    arrays = np.random.default_rng(2).normal(size=(3, n, dm)).astype(np.float32)
+
+    def attend():
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out = cemsa.multi_head_attention(q, k, v, heads)
+        return out, (q, k, v)
+
+    with monkeypatch.context() as inline:
+        inline.setattr(cemsa, "ATTENTION_THREAD_SCORES", n * n + 1)
+        expected, _ = attend()
+    assert all(ran_on)
+    ran_on.clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.op = 0
+    try:
+        out, leaves = attend()
+        forward_ran_on = list(ran_on)
+        tensor.sum_all(out).backward()
+    finally:
+        tracer.uninstall()
+    assert len(forward_ran_on) == 2 * 3 and not any(forward_ran_on)
+    assert out.data.tobytes() == expected.data.tobytes()
+    assert tracer.counts[0]["tensor.matmul.macs"] == 2 * n * n * dm
+    assert tracer.counts[0]["tensor.tape.nodes"] == 2  # attention, then sum_all
+    # the sum_all's rule, then attention's, inside the backward's span
+    backward = next(i for i, span in enumerate(tracer.spans) if span[0] == "tensor.backward.s")
+    assert [span[0] for span in tracer.spans if span[3] == backward] == ["tensor.other.bwd_s"] * 2
+    assert all(leaf.grad is not None for leaf in leaves)

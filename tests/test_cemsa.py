@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symtrans import cemsa
+from symtrans import cemsa, ops
 from symtrans import tensor as T
 from symtrans.cemsa import (
     SCORE_BLOCK_BYTES,
@@ -23,7 +23,7 @@ from symtrans.ops import LinearParams, linear
 from symtrans.oracles import attention_reference, conv3d_reference
 from symtrans.tensor import Tensor
 
-from conftest import graph_nodes
+from conftest import graph_nodes, held_arrays
 
 
 def toy_cfg(shape=(3, 3, 3), dim=8, heads=2, s=3):
@@ -70,6 +70,12 @@ def test_clamp_kernel():
 def test_config_divisibility_checks():
     with pytest.raises(ValueError, match="heads"):
         CemsaConfig(dim=9, heads=2, dw_kernel=3, spatial_shape=(2, 2, 2))
+
+
+@pytest.mark.parametrize("heads", [0, -1])
+def test_config_refuses_fewer_than_one_head(heads):
+    with pytest.raises(ValueError, match=f"dim 8 not divisible by heads {heads}"):
+        CemsaConfig(dim=8, heads=heads, dw_kernel=3, spatial_shape=(2, 2, 2))
 
 
 def test_qkv_identity_configuration():
@@ -205,12 +211,93 @@ def test_attention_rows_are_probability_vectors():
 
 
 def test_attention_at_32_cubed_tokens_is_one_block_per_head():
-    # 512 float32 tokens fit one score block: per head, three column narrows,
-    # one transpose, two matmuls, the scale and the softmax; then one concat
+    # 512 float32 tokens fit one score block per head, and the whole call is
+    # one node whose rule recomputes the probabilities: it holds q, k and v,
+    # and no n x n array
     rng = np.random.default_rng(16)
-    q, k, v = (Tensor(rng.normal(size=(512, 8)), requires_grad=True) for _ in range(3))
+    q, k, v = (Tensor(rng.normal(size=(512, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
     out = multi_head_attention(q, k, v, heads=2)
-    assert len(graph_nodes(out)) == 2 * 8 + 1
+    nodes = graph_nodes(out)
+    assert len(nodes) == 1
+    held = held_arrays(nodes[0].rule)
+    assert {id(x.data) for x in (q, k, v)} <= held.keys()
+    assert max(a.size for a in held.values()) == 512 * 8
+
+
+def taped_attention(q, k, v, heads):
+    """multi_head_attention as it was composed from tape ops: per head three
+    column narrows and a transpose, per row block a row narrow, the scaled
+    scores, their softmax and the product with V, then a concat of the
+    blocks and one of the heads."""
+    n, dm = q.shape
+    dk = dm // heads
+    scale = 1.0 / np.sqrt(dk)
+    rows = max(1, cemsa.SCORE_BLOCK_BYTES // (k.shape[0] * q.data.itemsize))
+    outputs = []
+    for h in range(heads):
+        qh = T.narrow(q, 1, h * dk, dk)
+        kh = T.narrow(k, 1, h * dk, dk)
+        vh = T.narrow(v, 1, h * dk, dk)
+        kt = T.transpose2d(kh)
+        blocks = []
+        for start in range(0, n, rows):
+            qb = qh if rows >= n else T.narrow(qh, 0, start, min(rows, n - start))
+            scores = T.scalar_mul(T.matmul(qb, kt), scale)
+            blocks.append(T.matmul(T.softmax_lastdim(scores), vh))
+        outputs.append(blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0))
+    return outputs[0] if heads == 1 else T.concat(outputs, axis=1)
+
+
+@pytest.fixture(params=["threaded", "inline"])
+def attention_thread(request, monkeypatch):
+    """The worker normalises every score block, or there is no worker."""
+    if request.param == "threaded":
+        request.getfixturevalue("threaded_attention")
+    else:
+        monkeypatch.setattr(ops, "_WORKER", None)
+    return request.param
+
+
+@pytest.mark.parametrize("several_blocks", [False, True], ids=["one_block", "ragged_blocks"])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_attention_matches_the_taped_composition_byte_for_byte(
+        heads, several_blocks, attention_thread, monkeypatch):
+    n, dm = 200, 16
+    if several_blocks:  # blocks of 64 query rows, the last one of 8
+        monkeypatch.setattr(cemsa, "SCORE_BLOCK_BYTES", 64 * n * 4)
+    rng = np.random.default_rng(heads)
+    arrays = rng.normal(size=(3, n, dm)).astype(np.float32)
+    weight = Tensor(rng.normal(size=(n, dm)).astype(np.float32))
+
+    def run(attend):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = attend(q, k, v, heads)
+        T.sum_all(T.mul(out, weight)).backward()
+        return out.data, q.grad, k.grad, v.grad
+
+    fused, taped = run(multi_head_attention), run(taped_attention)
+    # a head's dK and dV are summed over its blocks in the taped walk's
+    # order, so the gradients hold their bytes at several blocks too
+    for name, a, b in zip(("out", "dq", "dk", "dv"), fused, taped):
+        assert a.dtype == np.float32 and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("shapes, heads, problem", [
+    (((5, 4), (5, 4), (5, 4)), 0, "0 heads do not split 4 channels"),
+    (((5, 4), (5, 4), (5, 4)), -2, "-2 heads do not split 4 channels"),
+    (((5, 4), (5, 4), (5, 4)), 3, "3 heads do not split 4 channels"),
+    (((5, 4), (5, 6), (5, 4)), 2, "k and v must have q's 4 channels"),
+    (((5, 4), (5, 4), (5, 6)), 2, "k and v must have q's 4 channels"),
+    (((5, 4), (6, 4), (5, 4)), 2, "k and v must have one token count"),
+], ids=["0_heads", "negative_heads", "heads_not_dividing", "k_width", "v_width",
+        "token_counts"])
+def test_attention_refuses_inconsistent_operands(shapes, heads, problem):
+    q, k, v = (Tensor(np.ones(shape, np.float32)) for shape in shapes)
+    named = (f"q {shapes[0]}, k {shapes[1]}, v {shapes[2]}: {problem}"
+             .replace("(", r"\(").replace(")", r"\)"))
+    with pytest.raises(ValueError, match=named):
+        multi_head_attention(q, k, v, heads)
 
 
 def test_attention_in_row_blocks_matches_the_oracle(monkeypatch):
