@@ -4,6 +4,7 @@
 import numpy as np
 
 from symtrans import tensor as T
+from symtrans.cemsa import multi_head_attention
 from symtrans.tensor import Tensor
 
 # Tensors wrap numpy arrays; requires_grad marks graph leaves.
@@ -43,7 +44,9 @@ try:
 except TypeError as e:
     print("\nmixed precision is rejected:", e)
 
-# Softmax rows are probability vectors, stabilized by max subtraction.
-logits = Tensor(rng.normal(size=(2, 5), scale=40).astype(np.float32))
-probs = T.softmax_lastdim(logits)
-print("\nsoftmax row sums:", probs.data.sum(axis=1))
+# Attention's softmax rows are probability vectors, stabilized by max
+# subtraction: with every value 1, each output is a row sum, so 1.
+q, k = (Tensor(rng.normal(size=(6, 4), scale=40).astype(np.float32)) for _ in range(2))
+ones = Tensor(np.ones((6, 4), dtype=np.float32))
+out = multi_head_attention(q, k, ones, heads=2)
+print("\nattention outputs with V all ones:", out.data.min(), "to", out.data.max())

@@ -240,8 +240,8 @@ def _scores(product, qb, kt, scale):
 
 
 def _normalise(s, row_max):
-    """Softmax of each row of the scores ``s``, in place. Raw numpy: it runs
-    on ops' worker."""
+    """Softmax of each row of the scores ``s``, in place: the package's one
+    softmax. Raw numpy: it runs on ops' worker."""
     np.subtract(s, row_max, out=s)
     np.exp(s, out=s)
     np.divide(s, s.sum(axis=-1, keepdims=True), out=s)

@@ -154,6 +154,11 @@ def trilinear_sample(field: Tensor, offsets: Tensor) -> Tensor:
         raise ValueError(
             f"trilinear_sample: spatial mismatch {field.shape} vs {offsets.shape}"
         )
+    if 0 in field.shape:
+        raise ValueError(
+            f"trilinear_sample: field {field.shape}, offsets {offsets.shape}: "
+            f"no extent may be empty"
+        )
     if not np.isfinite(offsets.data).all():
         raise ValueError("trilinear_sample: offsets contain non-finite values")
     c = field.shape[0]

@@ -41,6 +41,9 @@ def write_svol(path, data: np.ndarray, kind: int):
         data = data[None]
     if data.ndim != 4:
         raise SvolError(f"SVOL payload must be (C, D, H, W), got {data.shape}")
+    if 0 in data.shape:
+        raise SvolError(f"{path}: SVOL payload {data.shape} has an empty channel "
+                        f"axis or extent")
     c, d, h, w = data.shape
     with atomic_write(path) as f:
         f.write(MAGIC + struct.pack("<IBI3I", VERSION, kind, c, d, h, w))
@@ -56,7 +59,11 @@ def read_svol(path):
         (kind,) = r.unpack("B", "kind")
         if kind not in KIND_NAMES:
             raise r.fail(f"unknown SVOL kind {kind}")
-        data = r.float32(r.unpack("4I", "channels and extents"), "payload")
+        shape = r.unpack("4I", "channels and extents")
+        if 0 in shape:
+            raise r.fail(f"channels and extents {shape}: a volume needs at least "
+                         f"one channel and one voxel on each axis")
+        data = r.float32(shape, "payload")
         r.end("the payload")
     return data, kind
 

@@ -80,12 +80,15 @@ class Tensor:
 
         The walk runs over the graph's nodes, which hold rules, not values:
         what a rule reads is what its closure saved, arrays and flags only.
-        Nodes are visited in exact reverse execution order (reverse
-        topological order); gradients flowing into a node reached through
-        several paths accumulate additively, in the order the rules produce
-        them: the first is adopted when the rule made it for this node alone
-        (see :func:`make_op`) and copied otherwise, the rest are added in
-        place.
+        Nodes are visited in reverse topological order: the reverse of a
+        depth-first post-order from the loss that expands a node's parents
+        last first. That is not reverse execution order: for ``a = op1(x)``,
+        ``b = op2(x)``, ``c = op3(a, b)`` the rules run op3, op1, op2. The
+        order fixes the order in which gradients accumulate, and so their
+        bytes. Gradients flowing into a node reached through several paths
+        accumulate additively, in the order the rules produce them: the
+        first is adopted when the rule made it for this node alone (see
+        :func:`make_op`) and copied otherwise, the rest are added in place.
 
         The walk consumes the graph: once a node's rule has run, the node
         drops its gradient, its parents and its rule, and with the rule the
@@ -343,21 +346,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return make_op((a, b), out, rule)
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    xd = x.data
-    # exp and normalize in place: the shifted copy is the only temporary
-    s = xd - xd.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
-
-    def rule(g):
-        dot = np.sum(g * s, axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return make_op((x,), s.astype(x.dtype, copy=False), rule)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -87,12 +87,6 @@ def gradcheck_suite():
         lambda lv: T.sum_all(T.mul(T.matmul(lv["a"], lv["b"]),
                                    T.matmul(lv["a"], lv["b"]))),
         {"a": a0, "b": b0})
-    mix = rng.normal(size=(3, 6))
-    checks += _op_gradcheck(
-        "softmax_lastdim",
-        lambda lv: T.sum_all(T.mul(T.softmax_lastdim(lv["x"]),
-                                   Tensor(mix.astype(lv["x"].dtype)))),
-        {"x": rng.normal(size=(3, 6))})
     checks += _op_gradcheck(
         "layer_norm",
         lambda lv: T.mean_all(T.mul(T.layer_norm(lv["x"], lv["g"], lv["b"]),

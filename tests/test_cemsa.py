@@ -199,15 +199,17 @@ def test_attention_vs_direct_formula_oracle():
     assert np.max(np.abs(out.data - ref)) < 1e-6
 
 
-def test_attention_rows_are_probability_vectors():
-    # exercised through the public op by capturing softmax via a 1-head case
+def test_attention_rows_are_probability_vectors(threaded_attention, monkeypatch):
+    # with every value 1 each output is its probability row's sum; scores
+    # this large overflow exp unless each row is shifted by its max first
     rng = np.random.default_rng(8)
-    q = Tensor(rng.normal(size=(6, 4)))
-    k = Tensor(rng.normal(size=(6, 4)))
-    scores = T.scalar_mul(T.matmul(q, T.transpose2d(k)), 0.5)
-    attn = T.softmax_lastdim(scores)
-    assert np.all(attn.data >= 0)
-    np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-6)
+    q, k = (Tensor(rng.normal(size=(6, 4), scale=40).astype(np.float32)) for _ in range(2))
+    ones = Tensor(np.ones((6, 4), np.float32))
+    threaded = multi_head_attention(q, k, ones, heads=2)
+    monkeypatch.setattr(ops, "_WORKER", None)
+    inline = multi_head_attention(q, k, ones, heads=2)
+    for out in (threaded, inline):
+        np.testing.assert_allclose(out.data, 1.0, rtol=0, atol=4 * np.finfo(np.float32).eps)
 
 
 def test_attention_at_32_cubed_tokens_is_one_block_per_head():
@@ -223,6 +225,22 @@ def test_attention_at_32_cubed_tokens_is_one_block_per_head():
     held = held_arrays(nodes[0].rule)
     assert {id(x.data) for x in (q, k, v)} <= held.keys()
     assert max(a.size for a in held.values()) == 512 * 8
+
+
+def taped_softmax(x):
+    """Softmax over the last axis as one tape op, shifted by the row max:
+    the fused op's per-block arithmetic, with its own backward rule."""
+    xd = x.data
+    # exp and normalize in place: the shifted copy is the only temporary
+    s = xd - xd.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+
+    def rule(g):
+        dot = np.sum(g * s, axis=-1, keepdims=True)
+        return (s * (g - dot),)
+
+    return T.make_op((x,), s.astype(x.dtype, copy=False), rule)
 
 
 def taped_attention(q, k, v, heads):
@@ -244,7 +262,7 @@ def taped_attention(q, k, v, heads):
         for start in range(0, n, rows):
             qb = qh if rows >= n else T.narrow(qh, 0, start, min(rows, n - start))
             scores = T.scalar_mul(T.matmul(qb, kt), scale)
-            blocks.append(T.matmul(T.softmax_lastdim(scores), vh))
+            blocks.append(T.matmul(taped_softmax(scores), vh))
         outputs.append(blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0))
     return outputs[0] if heads == 1 else T.concat(outputs, axis=1)
 

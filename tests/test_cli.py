@@ -1,5 +1,6 @@
 import json
 import platform
+import re
 import struct
 import threading
 import zlib
@@ -16,6 +17,7 @@ from symtrans.svol import (
     KIND_DISPLACEMENT,
     KIND_IMAGE,
     KIND_LABELS,
+    KIND_VELOCITY,
     SvolError,
     read_svol,
     write_svol,
@@ -94,6 +96,24 @@ def test_svol_non_finite_payload_refused_at_read(tmp_path, capsys):
     code, _, err = run(["eval", "--field", str(bad)], capsys)
     assert code == 2
     assert str(bad) in err and "non-finite" in err
+
+
+def test_svol_empty_extent_refused(tmp_path, capsys):
+    # hand-built with a valid trailer, since write_svol refuses to write them
+    for shape in ((3, 4, 0, 4), (0, 4, 4, 4)):
+        header = b"SVOL" + struct.pack("<IBI3I", 2, KIND_VELOCITY, *shape)
+        field = tmp_path / "v.svol"
+        field.write_bytes(header + struct.pack("<I", zlib.crc32(header)))
+        named = f"{field}: channels and extents {shape}"
+        with pytest.raises(SvolError, match=re.escape(named)):
+            read_svol(field)
+        code, _, err = run(["eval", "--field", str(field)], capsys)
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        out = tmp_path / "out.svol"
+        with pytest.raises(SvolError, match=re.escape(f"{out}: SVOL payload {shape}")):
+            write_svol(out, np.zeros(shape, np.float32), KIND_VELOCITY)
+        assert not out.exists()
 
 
 # --- gen-data ------------------------------------------------------------------

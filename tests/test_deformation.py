@@ -1,3 +1,4 @@
+import re
 import threading
 import time
 
@@ -79,6 +80,21 @@ def test_warp_nonfinite_field_rejected():
     u[0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         warp(Tensor(np.zeros((1, 4, 4, 4))), Tensor(u))
+
+
+@pytest.mark.parametrize("field_shape", [(3, 0, 4, 4), (3, 4, 0, 4), (3, 4, 4, 0),
+                                         (0, 4, 4, 4)],
+                         ids=["depth", "height", "width", "channels"])
+def test_trilinear_refuses_an_empty_extent(field_shape):
+    field = Tensor(np.zeros(field_shape, np.float32))
+    offsets = np.zeros((3,) + field_shape[1:], np.float32)
+    named = re.escape(f"trilinear_sample: field {field_shape}, offsets {offsets.shape}: "
+                      f"no extent may be empty")
+    with pytest.raises(ValueError, match=named):
+        trilinear_sample(field, Tensor(offsets))
+    if field_shape[0] == 3:  # as a velocity field's integration reaches it
+        with pytest.raises(ValueError, match=named):
+            integrate(field)
 
 
 def test_compose_identity_element():

@@ -1,5 +1,6 @@
 import errno
 import gc
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from symtrans import ops, training
+from symtrans.cli import main
 from symtrans.deformation import jacobian_determinant
 from symtrans.losses import LossConfig, dice, total_loss, warp_labels
 from symtrans.model import ModelConfig, init_model_params, load_checkpoint, save_checkpoint
@@ -468,6 +470,35 @@ def test_producer_error_surfaces_at_the_iteration_that_uses_the_pair(
         f"checkpoint_{step:06d}.symt" for step in range(3)]
     assert multiprocessing.active_children() == []
     assert capfd.readouterr().err == ""
+
+
+def test_a_rising_moving_average_stops_training(inline_training, monkeypatch, tmp_path,
+                                                capsys):
+    # 50 steps at loss 1 fill the window at a minimum of 1; step 50's loss of
+    # 1000 lifts the average to (49 + 1000) / 50, past twice the minimum
+    def scripted(losses):
+        def step(*args):
+            loss = next(losses)
+            return {"loss": loss, "loss_sim": loss, "loss_reg": 0.0}
+        return step
+
+    stopped = {"moving_average": 20.98, "min": 1.0}
+    monkeypatch.setattr(training, "_step", scripted(iter([1.0] * 50 + [1000.0])))
+    with pytest.raises(TrainingDiverged) as raised:
+        train(tiny_train_cfg(iterations=60))
+    assert raised.value.iteration == 50
+    assert raised.value.components == pytest.approx(stopped)
+
+    monkeypatch.setattr(training, "_step", scripted(iter([1.0] * 50 + [1000.0])))
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({
+        "iterations": 60, "checkpoint_every": 100,
+        "model": {"input_shape": [16, 16, 16], "base_dim": 8,
+                  "encoder_depths": [1, 1, 1], "decoder_depths": [1, 1, 1]},
+        "data": {"extents": [16, 16, 16]}}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+    err = capsys.readouterr().err
+    assert f"error: training diverged at iteration 50: {stopped}" in err
 
 
 def test_producer_stops_when_training_diverges(forked_training, producers, monkeypatch,
