@@ -233,18 +233,24 @@ def _head_columns(x: np.ndarray, heads: int) -> list:
 
 
 def _scores(product, qb, kt, scale):
-    """A block's scaled scores ``product(qb, kt) * scale`` and their row max."""
+    """A block's scaled scores ``product(qb, kt) * scale``."""
     s = product(qb, kt)
     s *= scale
-    return s, s.max(axis=-1, keepdims=True)
+    return s
 
 
-def _normalise(s, row_max):
+def _normalise(s, stats, summed=False):
     """Softmax of each row of the scores ``s``, in place: the package's one
-    softmax. Raw numpy: it runs on ops' worker."""
+    softmax. ``stats`` is (2, rows, 1): each row's max, which the caller has
+    written, and its sum of exponentials, which this writes unless
+    ``summed`` (the rule passes the forward's). Raw numpy: it runs on ops'
+    worker."""
+    row_max, row_sum = stats
     np.subtract(s, row_max, out=s)
     np.exp(s, out=s)
-    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+    if not summed:
+        np.sum(s, axis=-1, keepdims=True, out=row_sum)
+    np.divide(s, row_sum, out=s)
 
 
 def _check_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
@@ -274,8 +280,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     the benchmark's tracer counts forward MACs; the worker runs raw numpy
     only. The arithmetic of each block is the same on either thread.
 
-    The rule saves q, k and v, not the probabilities: it recomputes each
-    block's P as the forward did, then dV = P^T dO, dP = dO V^T,
+    The rule saves q, k and v, not the probabilities, and each row's max and
+    sum of exponentials: it recomputes each block's P from its scores and
+    those two, as the forward did, then dV = P^T dO, dP = dO V^T,
     dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K and dK = dS^T Q,
     summing a head's dK and dV over its blocks in row order.
     """
@@ -289,13 +296,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     blocks = [(h, r0, min(r0 + rows, n)) for h in range(heads) for r0 in range(0, n, rows)]
     qs, ks, vs = (_head_columns(x.data, heads) for x in (q, k, v))
     out = np.empty((n, dm), dtype=dtype)
+    stats = np.empty((heads, 2, n, 1), dtype=dtype)  # per head, row max and row sum
 
     def untaped_matmul(a, b):
         return T.matmul(Tensor(a), Tensor(b)).data
 
     def scores(i):
         h, r0, r1 = blocks[i]
-        return _scores(untaped_matmul, qs[h][r0:r1], ks[h].T, scale)
+        s = _scores(untaped_matmul, qs[h][r0:r1], ks[h].T, scale)
+        np.max(s, axis=-1, keepdims=True, out=stats[h, 0, r0:r1])
+        return s, stats[h, :, r0:r1]
 
     def attend(i, p):
         h, r0, r1 = blocks[i]
@@ -328,7 +338,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             for r0 in range(0, n, rows):
                 qb, gb = qs[h][r0:r0 + rows], g[r0:r0 + rows, cols]
                 p, ds, prod = buffers[:, :qb.shape[0]]
-                _normalise(*_scores(partial(np.matmul, out=p), qb, kt, scale))
+                _normalise(_scores(partial(np.matmul, out=p), qb, kt, scale),
+                           stats[h, :, r0:r0 + rows], True)
                 np.matmul(gb, vs[h].T, out=ds)
                 np.multiply(ds, p, out=prod)
                 np.subtract(ds, prod.sum(axis=-1, keepdims=True), out=ds)

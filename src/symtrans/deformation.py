@@ -37,9 +37,9 @@ from . import ops
 from . import tensor as T
 from .tensor import Tensor, make_op
 
-# Voxels in one depth slab of trilinear_sample's forward, so that a slab's
-# indices, weights and gathered corners stay in cache between the passes
-# over them.
+# Voxels in one depth slab of trilinear_sample's forward (and of
+# jacobian_determinant), so that a slab's indices, weights and gathered
+# corners (its Jacobian) stay in cache between the passes over them.
 SAMPLE_SLAB_VOXELS = 1 << 15
 
 # Voxels from which trilinear_sample's forward samples the first half of the
@@ -251,24 +251,33 @@ def jacobian_determinant(u: np.ndarray):
 
     Central differences on interior voxels, one-sided at the faces; the
     folding tally covers interior voxels only so analytic affine fixtures are
-    exact.
+    exact. Runs in depth slabs of ``SAMPLE_SLAB_VOXELS`` voxels (one depth at
+    least), so the (3, 3) Jacobian is never held for the whole volume.
     """
     u = np.asarray(u)
     if u.ndim != 4 or u.shape[0] != 3:
         raise ValueError(f"jacobian_determinant expects (3, D, H, W), got {u.shape}")
     if min(u.shape[1:]) < 3:
         raise ValueError(f"extents {u.shape[1:]} too small for differences")
-    J = np.empty((3, 3) + u.shape[1:], dtype=np.float64)
-    for i in range(3):
-        grads = np.gradient(u[i].astype(np.float64), axis=(0, 1, 2))
-        for j in range(3):
-            J[i, j] = grads[j]
-        J[i, i] += 1.0
-    det = (
-        J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-        - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
-        + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0])
-    )
+    d, h, w = u.shape[1:]
+    det = np.empty((d, h, w), dtype=np.float64)
+    depth = max(1, SAMPLE_SLAB_VOXELS // (h * w))
+    for z0 in range(0, d, depth):
+        z1 = min(z0 + depth, d)
+        # differences over the slab and a one-voxel halo: the same central or
+        # one-sided difference at every kept depth as over the whole volume
+        lo, hi = max(z0 - 1, 0), min(z1 + 1, d)
+        J = np.empty((3, 3, z1 - z0, h, w), dtype=np.float64)
+        for i in range(3):
+            grads = np.gradient(u[i, lo:hi].astype(np.float64), axis=(0, 1, 2))
+            for j in range(3):
+                J[i, j] = grads[j][z0 - lo:z1 - lo]
+            J[i, i] += 1.0
+        det[z0:z1] = (
+            J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
+            - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
+            + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0])
+        )
     interior = det[1:-1, 1:-1, 1:-1]
     count = int(np.sum(interior <= 0.0))
     stats = FoldingStats(

@@ -106,11 +106,13 @@ def warp_labels(labels: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"warp_labels: {labels.shape} vs field {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("warp_labels: field contains non-finite values")
-    coords = np.indices(labels.shape).astype(np.float64) + u
-    nearest = []
+    # the flat index of each voxel's nearest clamped source, one axis at a time
+    flat = np.zeros(labels.shape, dtype=np.int64)
     for ax, ext in enumerate(labels.shape):
-        nearest.append(np.clip(np.rint(coords[ax]), 0, ext - 1).astype(np.int64))
-    return labels[tuple(nearest)]
+        grid = np.arange(ext, dtype=np.float64).reshape((-1,) + (1,) * (2 - ax))
+        flat *= ext
+        flat += np.clip(np.rint(grid + u[ax]), 0, ext - 1).astype(np.int64)
+    return np.take(labels, flat)
 
 
 def metrics_report(u: np.ndarray, loss_components: dict | None = None,

@@ -3,15 +3,18 @@ layers.
 
 Convolutions are computed by direct loops over kernel offsets, vectorized over
 voxels, so the accumulation order is fixed and results are deterministic.
-``conv3d``'s forward reads each offset's input as contiguous runs (a shift of
-the flat padded grid, or a per-W-tap copy when padding dominates the plane);
-its dx scatters each offset's contraction into one run of the flat padded
-grid, and its dw reads strided windows. ``conv3d`` has one formulation for
-every group count; the only branch left is the depthwise weight gradient,
-which keeps numpy's pairwise voxel sum. Its kernel is a cube of odd extent
-k, padded by k // 2 (same padding), and its group count comes from the
-shapes, so its only geometry setting is the stride. Volumes are
-channel-first (C, D, H, W); tokens are (N, dim).
+``conv3d``'s forward and its dx run one tap walk, which reads each offset's
+window as contiguous runs (a shift of the flat padded grid, or a per-W-tap
+copy when padding dominates the plane). dx walks gy with the transposed
+weights, each tap reading its window mirrored and each input phase at
+stride s filled as one of the walk's output phases; it gathers, and nothing
+is scattered. dw reads strided windows, the depthwise one from per-W-tap
+copies of x. ``conv3d`` has one formulation for every group count; the only
+branch left is the depthwise weight gradient, which keeps numpy's pairwise
+voxel sum. Its kernel is a cube of odd extent k, padded by k // 2 (same
+padding), and its group count comes from the shapes, so its only geometry
+setting is the stride. Volumes are channel-first (C, D, H, W); tokens are
+(N, dim).
 
 The affinity rule: when the process may run on more than one CPU
 (``usable_cpus``, its ``os.sched_getaffinity`` mask; there is no option),
@@ -47,7 +50,7 @@ import numpy as np
 
 from .tensor import Tensor, add_rowvec, make_op, matmul, transpose2d
 
-# Bytes one depth slab of the flat-grid forward's accumulator may hold.
+# Bytes a depth slab of the flat-grid walk's accumulator comes nearest to.
 GRID_SLAB_BYTES = 1 << 18
 
 # Gradient values below which a backward rule (conv3d's dw, trilinear_sample's
@@ -132,113 +135,158 @@ def _validate_conv(x: Tensor, p: Conv3dParams):
     return out_ch, k, groups, tuple(-(-e // p.stride) for e in x.shape[1:])
 
 
-def _forward_w_copies(xg, wg, b, out_spatial):
-    """Stride-1 forward for heavy padding: one contiguous copy per W tap.
-
-    Copy c holds ``xg[..., c:c + Wo]`` as (G, C/G, Dp, Hp*Wo), so the window
-    of tap (a, b, c) is one run of Ho*Wo values per output depth, and the
-    taps accumulate straight into the output.
-    """
-    groups, per_group, dp, hp, _ = xg.shape
-    k = wg.shape[-1]
-    do, ho, wo = out_spatial
-    copies = [np.ascontiguousarray(xg[..., c:c + wo]).reshape(
-        groups, per_group, dp, hp * wo) for c in range(k)]
-    out = np.empty((b.shape[0], do, ho, wo), dtype=xg.dtype)
-    out[:] = b[:, None, None, None]
-    outg = out.reshape((groups, -1, do, ho * wo))
-    for a, bb, c in itertools.product(range(k), repeat=3):
-        window = copies[c][:, :, a:a + do, bb * wo:(bb + ho) * wo]
-        outg += np.einsum("goi,gidr->godr", wg[..., a, bb, c], window)
+def _padded(a, pads):
+    """``a`` zero-padded by (before, after) on each of its last three axes
+    (np.pad, without its per-call overhead)."""
+    (dl, dh), (hl, hh), (wl, wh) = pads
+    if not (dl or dh or hl or hh or wl or wh):
+        return a
+    *lead, d, h, w = a.shape
+    out = np.zeros((*lead, dl + d + dh, hl + h + hh, wl + w + wh), dtype=a.dtype)
+    out[..., dl:dl + d, hl:hl + h, wl:wl + w] = a
     return out
 
 
-def _forward_flat(xp, wg, b, st, out_spatial):
-    """Forward with every tap as one unit-stride shift of the flat padded grid.
+def _walk_w_copies(grids, mats, axes, init, outs):
+    """The tap walk for heavy padding: one contiguous copy per W shift.
 
-    At stride s the padded input is split once into s**3 phase copies; tap
-    (a, b, c) then reads phase (a % s, b % s, c % s) shifted by
-    (a // s, b // s, c // s). The taps accumulate on the phase grid's
-    (Hq, Wq) plane in slabs of output depth of at most GRID_SLAB_BYTES (one
-    depth at least), and each slab is cropped to (Ho, Wo); the positions
-    outside are computed and dropped.
+    ``grids`` (S, S, S, G, C, Dq, Hq, Wq) holds one grid per input phase,
+    ``mats`` (k, k, k, G, O, C) one matrix per kernel index, and ``outs``
+    maps each output phase (qd, qh, qw) to the (G*O, Do, Ho, Wo) array it
+    fills. ``axes[i][q]`` lists, in order, the taps of axis i that reach
+    its output phase q, each as (kernel index, input phase, shift). An
+    output phase gets ``init`` plus, for each tap (a, b, c) of its three
+    lists' product in order, ``mats[a, b, c]`` times the grid of the tap's
+    input phases shifted by its shifts. The layout rule picks this walk at
+    stride 1 only, so it reads the one grid and fills the one output,
+    C-ordered. Copy c holds the grid from W shift c on, ``Wo`` wide, as
+    (G, C, Dq, Hq*Wo), so each window is one run of Ho*Wo values per output
+    depth, and the taps accumulate straight into the output.
     """
-    groups, per_out = wg.shape[:2]
-    k = wg.shape[-1]
-    do, ho, wo = out_spatial
-    if st == 1:
-        phases = xp[None]
-    else:
-        grid = tuple(-(-e // st) for e in xp.shape[1:])
-        phases = np.zeros((st ** 3, xp.shape[0]) + grid, dtype=xp.dtype)
-        for i, (rd, rh, rw) in enumerate(itertools.product(range(st), repeat=3)):
-            part = xp[:, rd::st, rh::st, rw::st]
-            _, pd, ph, pw = part.shape
-            phases[i, :, :pd, :ph, :pw] = part
-    hq, wq = phases.shape[-2:]
+    ((qd, qh, qw), out), = outs.items()
+    _, do, ho, wo = out.shape
+    grid = grids[0, 0, 0]
+    # one contiguous matrix per tap: on these short runs einsum walks a
+    # strided one up to twice as slowly
+    mats = np.ascontiguousarray(mats)
+    copies = {c: np.ascontiguousarray(grid[..., c:c + wo]).reshape(grid.shape[:3] + (-1,))
+              for _, _, c in axes[2][qw]}
+    out[:] = init[:, None, None, None]
+    outg = out.reshape((grid.shape[0], -1, do, ho * wo))
+    for (a, _, d), (b, _, h), (c, _, w) in itertools.product(axes[0][qd], axes[1][qh],
+                                                            axes[2][qw]):
+        window = copies[w][:, :, d:d + do, h * wo:(h + ho) * wo]
+        outg += np.einsum("goi,gidr->godr", mats[a, b, c], window)
+
+
+def _walk_flat(grids, mats, axes, init, outs):
+    """The tap walk with every tap as one unit-stride shift of a flat grid.
+
+    Fills ``outs``, whose arrays may be strided views, as ``_walk_w_copies``
+    does: a tap shifted by (d, h, w) reads its grid flattened from (d, h, w)
+    on. The taps accumulate on the grids' (Hq, Wq) plane, every output
+    phase in one accumulator, in slabs of output depth: as many equal ones
+    as bring a phase's slab nearest GRID_SLAB_BYTES (one depth at least).
+    Each slab is cropped to its phase's (Ho, Wo); the positions outside are
+    computed and dropped.
+    """
+    groups, hq, wq = grids.shape[3], grids.shape[6], grids.shape[7]
     plane = hq * wq
-    flat = phases.reshape((st ** 3, groups, -1, phases.shape[2] * plane))
-    out = np.empty((groups * per_out, do, ho, wo), dtype=xp.dtype)
-    slab = max(1, GRID_SLAB_BYTES // (out.shape[0] * plane * out.itemsize))
+    flat = grids.reshape(grids.shape[:5] + (-1,))
+    channels, do = max(out.shape[:2] for out in outs.values())
+    slabs = round(do * channels * plane * init.itemsize / GRID_SLAB_BYTES)
+    slab = -(-do // min(max(slabs, 1), do))
     for z0 in range(0, do, slab):
         nz = min(slab, do - z0)
-        span = (nz - 1) * plane + (ho - 1) * wq + wo
-        acc = np.empty((groups, per_out, nz * plane), dtype=xp.dtype)
-        acc[:] = b.reshape(groups, per_out, 1)
-        run = acc[..., :span]
-        for a, bb, c in itertools.product(range(k), repeat=3):
-            phase = ((a % st) * st + bb % st) * st + c % st
-            start = (z0 + a // st) * plane + (bb // st) * wq + c // st
-            run += np.einsum("goi,gis->gos", wg[..., a, bb, c],
-                             flat[phase, :, :, start:start + span])
-        out[:, z0:z0 + nz] = acc.reshape(-1, nz, hq, wq)[:, :, :ho, :wo]
-    return out
+        acc = np.empty((len(outs), groups, channels // groups, nz * plane), dtype=init.dtype)
+        acc[:] = init.reshape(groups, -1, 1)
+        for part, ((qd, qh, qw), out) in zip(acc, outs.items()):
+            _, od, oh, ow = out.shape
+            if od <= z0:
+                continue
+            run = part[..., :(min(nz, od - z0) - 1) * plane + (oh - 1) * wq + ow]
+            for (a, ra, d), (b, rb, h), (c, rc, w) in itertools.product(axes[0][qd], axes[1][qh],
+                                                                        axes[2][qw]):
+                start = (z0 + d) * plane + h * wq + w
+                run += np.einsum("goi,gis->gos", mats[a, b, c],
+                                 flat[ra, rb, rc, :, :, start:start + run.shape[-1]])
+            out[:, z0:z0 + nz] = part.reshape(-1, nz, hq, wq)[:, :od - z0, :oh, :ow]
 
 
-def _weight_grad(dwg, gyg, xg, taps):
-    """dw of conv3d: one contraction of gy with each tap's window, over voxels."""
-    depthwise = dwg.shape[1] == dwg.shape[2] == 1
-    for (a, bb, c), sl in taps:
-        if depthwise:
-            # Pairwise summation over the voxels, not einsum's sequential
-            # one: float32 dw moves by up to 2e-5 otherwise, which alone
-            # takes the A3 desk run from DSC 0.839 to 0.793.
-            dwg[:, 0, 0, a, bb, c] = (gyg[:, 0] * xg[sl][:, 0]).sum(axis=(1, 2, 3))
-        else:
-            dwg[..., a, bb, c] = np.einsum("godhw,gidhw->goi", gyg, xg[sl])
-
-
-def _input_grad(gyg, wg, st, grid_shape):
-    """dx of conv3d on the padded grid ``grid_shape``, each tap scattering
-    w^T gy into one unit-stride run of the flat grid.
-
-    gy is laid out on the (Hq, Wq) plane of the grid (of its phase grid at
-    stride s, split as in ``_forward_flat``) with zeros at the positions
-    outside (Ho, Wo). A zero adds nothing to a sum, so every position gets
-    the contributions of the strided windows, in (a, b, c) order.
-    """
-    groups, per_out, do, ho, wo = gyg.shape
-    k = wg.shape[-1]
-    dq, hq, wq = (-(-e // st) for e in grid_shape[1:])
-    plane = hq * wq
-    gyf = np.zeros((groups, per_out, do, hq, wq), dtype=gyg.dtype)
-    gyf[..., :ho, :wo] = gyg
-    span = (do - 1) * plane + (ho - 1) * wq + wo
-    run = gyf.reshape((groups, per_out, -1))[..., :span]
-    dphases = np.zeros((st ** 3, groups, wg.shape[2], dq * plane), dtype=gyg.dtype)
-    for a, bb, c in itertools.product(range(k), repeat=3):
-        phase = ((a % st) * st + bb % st) * st + c % st
-        start = (a // st) * plane + (bb // st) * wq + c // st
-        dphases[phase, ..., start:start + span] += np.einsum(
-            "goi,gos->gis", wg[..., a, bb, c], run)
-    dphases = dphases.reshape((st ** 3, grid_shape[0], dq, hq, wq))
+def _phase_grids(xp, st):
+    """The padded input split into its phases, (st, st, st, C, Dq, Hq, Wq):
+    phase (rd, rh, rw) holds ``xp[:, rd::st, rh::st, rw::st]``, zero-filled
+    to the first phase's extents."""
     if st == 1:
-        return dphases[0]
-    dxp = np.empty(grid_shape, dtype=gyg.dtype)
-    for i, (rd, rh, rw) in enumerate(itertools.product(range(st), repeat=3)):
-        part = dxp[:, rd::st, rh::st, rw::st]
-        part[...] = dphases[i, :, :part.shape[1], :part.shape[2], :part.shape[3]]
-    return dxp
+        return xp[None, None, None]
+    grid = tuple(-(-e // st) for e in xp.shape[1:])
+    phases = np.zeros((st, st, st, xp.shape[0]) + grid, dtype=xp.dtype)
+    for rd, rh, rw in itertools.product(range(st), repeat=3):
+        part = xp[:, rd::st, rh::st, rw::st]
+        _, pd, ph, pw = part.shape
+        phases[rd, rh, rw, :, :pd, :ph, :pw] = part
+    return phases
+
+
+def _weight_grad(dwg, gyg, xg, st):
+    """dw of conv3d: one contraction of gy with each tap's window, over voxels.
+
+    The depthwise one reads its windows from one contiguous copy of x per W
+    tap, as the per-W-tap walk does, and keeps numpy's pairwise voxel sum.
+    """
+    k = dwg.shape[-1]
+    do, ho, wo = gyg.shape[2:]
+    depthwise = dwg.shape[1] == dwg.shape[2] == 1
+    for c in range(k):
+        cols = xg[..., c:c + st * wo:st]
+        if depthwise:
+            cols = np.ascontiguousarray(cols)
+        for a, bb in itertools.product(range(k), repeat=2):
+            window = cols[:, :, a:a + st * do:st, bb:bb + st * ho:st]
+            if depthwise:
+                # Pairwise summation over the voxels, not einsum's sequential
+                # one: float32 dw moves by up to 2e-5 otherwise, which alone
+                # takes the A3 desk run from DSC 0.839 to 0.793.
+                dwg[:, 0, 0, a, bb, c] = (gyg[:, 0] * window[:, 0]).sum(axis=(1, 2, 3))
+            else:
+                dwg[..., a, bb, c] = np.einsum("godhw,gidhw->goi", gyg, window)
+
+
+def _dx_walk(gyg, wg, st, spatial, walk):
+    """dx of conv3d: the forward's tap walk over gy, the input's phases as
+    its output phases.
+
+    gy is padded by pad // st before and by what the last window needs
+    after. Along an axis, input position st * m + r gets w^T gy from each tap
+    a with a = r + pad (mod st), at gy position m + (r + pad - a) // st. So
+    one unit-stride walk over the padded gy, with the taps' transposed
+    weights, fills each input phase r as its own output phase; at stride 1
+    tap a reads the window mirrored at k - 1 - a. The taps run in (a, b, c)
+    order from a zero accumulator, and a zero of the padding adds nothing,
+    so each position sums the same terms in the same order as scattering
+    every tap's w^T gy onto its window. A phase that no tap reaches (k < st)
+    stays zero.
+    """
+    groups, _, *out_spatial = gyg.shape
+    k = wg.shape[-1]
+    pad = k // 2
+    lo = pad // st
+    gyp = _padded(gyg, [(lo, (e - 1 + pad) // st - o + 1)
+                        for e, o in zip(spatial, out_spatial)])[None, None, None]
+    wt = wg.transpose(3, 4, 5, 0, 2, 1)  # each tap's w^T, (G, I, O)
+    dx = (np.empty if st == 1 else np.zeros)((groups * wt.shape[4],) + tuple(spatial),
+                                             dtype=gyg.dtype)
+    # along an axis, tap a reaches the input positions of phase
+    # r = (a - pad) % st, from the padded gy shifted by (r + pad - a) // st
+    taps = {}
+    for a in range(k):
+        r = (a - pad) % st
+        taps.setdefault(r, []).append((a, 0, (r + pad - a) // st + lo))
+    outs = {(rd, rh, rw): dx[:, rd::st, rh::st, rw::st]
+            for rd, rh, rw in itertools.product(sorted(taps), repeat=3)
+            if rd < spatial[0] and rh < spatial[1] and rw < spatial[2]}
+    walk(gyp, wt, (taps,) * 3, np.zeros(dx.shape[0], dtype=dx.dtype), outs)
+    return dx
 
 
 def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
@@ -251,36 +299,42 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     order; the geometry only picks the memory layout the taps read from.
     The input is padded by k // 2, so each output extent is
     ceil(extent / stride).
+
+    The forward and dx run one tap walk, in the layout the forward's
+    geometry picks: per-W-tap copies at stride 1 when the padded (H, W)
+    plane is more than twice the output plane, and flat runs otherwise. At
+    stride s the forward reads tap (a, b, c) from phase (a % s, b % s, c % s)
+    of the padded input, shifted by (a // s, b // s, c // s).
     """
     out_ch, k, groups, (do, ho, wo) = _validate_conv(x, p)
     st, pad = p.stride, k // 2
     w, b = p.weight.data, p.bias.data
+    spatial = x.shape[1:]
     needs_dx = x.requires_grad  # a flag, not a Tensor, for the rule
     wg = w.reshape((groups, out_ch // groups) + w.shape[1:])  # (G, O, I, k, k, k)
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    xp = _padded(x.data, [(pad, pad)] * 3)
     xg = xp.reshape((groups, -1) + xp.shape[1:])
-    if st == 1 and xp.shape[2] * xp.shape[3] > 2 * ho * wo:
-        out = _forward_w_copies(xg, wg, b, (do, ho, wo))
-    else:
-        out = _forward_flat(xp, wg, b, st, (do, ho, wo))
+    walk = (_walk_w_copies if st == 1 and xp.shape[2] * xp.shape[3] > 2 * ho * wo
+            else _walk_flat)
+    grids = _phase_grids(xp, st)
+    # tap a of an axis reads phase a % st of the input, shifted by a // st
+    taps = {0: [(a, a % st, a // st) for a in range(k)]}
+    out = np.empty((out_ch, do, ho, wo), dtype=x.dtype)
+    walk(grids.reshape(grids.shape[:3] + (groups, -1) + grids.shape[4:]),
+         wg.transpose(3, 4, 5, 0, 1, 2), (taps,) * 3, b, {(0, 0, 0): out})
 
     def rule(gy):
         gyg = gy.reshape((groups, -1, do, ho, wo))
-        # taps: the (G, C/G, D, H, W) window each offset (a, b, c) read
-        taps = [((a, bb, c), (slice(None), slice(None), slice(a, a + st * do, st),
-                              slice(bb, bb + st * ho, st), slice(c, c + st * wo, st)))
-                for a, bb, c in itertools.product(range(k), repeat=3)]
 
         def weight_grad():
             dw = np.zeros_like(w)
-            _weight_grad(dw.reshape(wg.shape), gyg, xg, taps)
+            _weight_grad(dw.reshape(wg.shape), gyg, xg, st)
             return dw
 
         def input_grad():
             if not needs_dx:  # e.g. the stem's conv of the input pair
                 return None
-            dxp = _input_grad(gyg, wg, st, xp.shape)
-            return dxp[:, pad:-pad, pad:-pad, pad:-pad] if pad else dxp
+            return _dx_walk(gyg, wg, st, spatial, walk)
 
         db = gy.sum(axis=(1, 2, 3))
         # dw goes to the worker while this thread computes dx and walks on.

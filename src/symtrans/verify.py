@@ -101,8 +101,8 @@ def gradcheck_suite():
                                    Tensor(scale.astype(lv["x"].dtype)))),
         {"x": rng.normal(size=24)})
 
-    def conv_energy(lv):  # the group count comes from the weight's shape
-        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"]))
+    def conv_energy(lv, stride=1):  # the group count comes from the weight's shape
+        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"], stride))
         return T.mean_all(T.mul(out, out))
 
     for groups, tag in ((1, "dense"), (2, "grouped"), (4, "depthwise")):
@@ -167,6 +167,23 @@ def gradcheck_suite():
     checks.append(_composite_cemsa_block_check())
     checks.append(_total_loss_check())
     checks.extend(_composite_model_check())
+
+    # the two geometries oracle.conv3d_large_kernel checks forward only: dx
+    # reads mirrored windows (a per-W-tap walk for the depthwise k=7) and
+    # fills each input phase at stride 2 as its own output phase. Their own
+    # generator keeps every check above on its inputs.
+    large_rng = np.random.default_rng(21)
+    for tag, (cin, cout, groups, k, stride, extents) in (
+            ("depthwise_k7", (3, 3, 3, 7, 1, (6, 7, 9))),
+            ("grouped_k5_stride2", (4, 6, 2, 5, 2, (7, 6, 8)))):
+        leaves = {
+            "x": large_rng.normal(size=(cin,) + extents),
+            "w": large_rng.normal(size=(cout, cin // groups, k, k, k)) / k,
+            "b": large_rng.normal(size=cout) * 0.3,
+        }
+        checks += _op_gradcheck(f"conv3d_large_{tag}",
+                                lambda lv, stride=stride: conv_energy(lv, stride),
+                                leaves, coords=5)
     return checks
 
 

@@ -537,6 +537,26 @@ def test_jacobian_of_composition_of_small_fields_positive():
     assert np.all(det[2:-2, 2:-2, 2:-2] > 0)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (5, 7, 9), (9, 4, 6)])
+def test_jacobian_bytes_do_not_depend_on_the_slab(shape, monkeypatch):
+    # one depth per slab against the whole volume at once: the halo gives
+    # every kept depth the same central or one-sided difference
+    rng = np.random.default_rng(15)
+    u = (rng.normal(size=(3,) + shape) * 1.5).astype(np.float32)
+    grads = [np.gradient(u[i].astype(np.float64), axis=(0, 1, 2)) for i in range(3)]
+    J = np.array(grads)
+    for i in range(3):
+        J[i, i] += 1.0
+    expect = (J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
+              - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
+              + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0]))
+    for slab_voxels in (1, shape[1] * shape[2] * 2, 1 << 30):
+        monkeypatch.setattr(deformation, "SAMPLE_SLAB_VOXELS", slab_voxels)
+        det, stats = jacobian_determinant(u)
+        assert det.tobytes() == expect.tobytes()
+        assert stats.count == int(np.sum(expect[1:-1, 1:-1, 1:-1] <= 0.0))
+
+
 def test_jacobian_degenerate_extents_rejected():
     with pytest.raises(ValueError, match="extents"):
         jacobian_determinant(np.zeros((3, 2, 5, 5)))

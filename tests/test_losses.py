@@ -235,6 +235,20 @@ def test_warp_labels_set_containment():
     assert warped.dtype == labs.dtype
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (5, 7, 9), (9, 4, 6)])
+def test_warp_labels_matches_the_index_grid_formula(shape):
+    # nearest source of p + u(p), clamped per axis, through full index grids
+    rng = np.random.default_rng(10)
+    labs = rng.integers(0, 7, size=shape).astype(np.int16)
+    u = (rng.normal(size=(3,) + shape) * 3).astype(np.float32)
+    coords = np.indices(shape).astype(np.float64) + u
+    nearest = tuple(np.clip(np.rint(coords[ax]), 0, ext - 1).astype(np.int64)
+                    for ax, ext in enumerate(shape))
+    expect = labs[nearest]
+    got = warp_labels(labs, u)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
 def test_metrics_report_bundle():
     labs = _ball_labels((8, 8, 8), [(4, 4, 4)], 2)
     rep = metrics_report(np.zeros((3, 8, 8, 8)), {"loss": 0.5},

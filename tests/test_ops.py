@@ -99,9 +99,9 @@ def windowed_einsum_conv3d(x, w, b, stride, padding, groups):
 
 
 # (in, out, groups, k, stride, extents, layout), each padded by k // 2. The
-# forward copies the input once per W tap at stride 1 when the padded (H, W)
-# plane is more than twice the output plane, and otherwise shifts over the
-# flat padded grid.
+# tap walk, forward and dx alike, copies its grid once per W tap at stride 1
+# when the padded (H, W) plane is more than twice the output plane, and
+# otherwise shifts over the flat padded grid.
 FORWARD_GEOMETRIES = [
     (8, 8, 8, 15, 1, (16, 16, 16), "w_copies"),  # the 64^3 stage-1 trunk
     (3, 4, 1, 3, 1, (9, 10, 11), "flat"),
@@ -116,7 +116,26 @@ FORWARD_GEOMETRIES = [
     (4, 2, 2, 7, 2, (11, 9, 13), "flat"),
     (3, 3, 3, 15, 2, (9, 12, 10), "flat"),
     (4, 8, 1, 3, 2, (13, 11, 9), "flat"),
+    (4, 2, 2, 1, 2, (5, 6, 7), "flat"),  # no tap reaches the odd input phases
+    (3, 6, 3, 3, 2, (1, 2, 5), "flat"),  # an extent with one phase only
 ]
+
+
+def spy_on_walks(monkeypatch):
+    """The names of the tap walks conv3d calls, in call order."""
+    seen = []
+
+    def spy(name):
+        inner = getattr(ops, name)
+
+        def counted(*args):
+            seen.append(name)
+            return inner(*args)
+        return counted
+
+    for name in ("_walk_w_copies", "_walk_flat"):
+        monkeypatch.setattr(ops, name, spy(name))
+    return seen
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -128,21 +147,10 @@ def test_conv3d_forward_bytes_equal_windowed_einsum(geometry, dtype, monkeypatch
     x = rng.normal(size=(cin,) + extents).astype(dtype)
     w = rng.normal(size=(cout, cin // groups, k, k, k)).astype(dtype)
     b = rng.normal(size=cout).astype(dtype)
-    seen = []
-
-    def spy(name):
-        inner = getattr(ops, name)
-
-        def counted(*args):
-            seen.append(name)
-            return inner(*args)
-        return counted
-
-    monkeypatch.setattr(ops, "_forward_w_copies", spy("_forward_w_copies"))
-    monkeypatch.setattr(ops, "_forward_flat", spy("_forward_flat"))
+    seen = spy_on_walks(monkeypatch)
     out = conv3d(T.Tensor(x, dtype=dtype),
                  Conv3dParams(T.Tensor(w, dtype=dtype), T.Tensor(b, dtype=dtype), stride))
-    assert seen == [f"_forward_{layout}"]
+    assert seen == [f"_walk_{layout}"]
     expect = windowed_einsum_conv3d(x, w, b, stride, k // 2, groups)
     assert out.data.dtype == expect.dtype and out.data.shape == expect.shape
     assert out.data.flags.c_contiguous
@@ -216,7 +224,7 @@ def spy_on_thread(monkeypatch, name, ran_on):
                          ids=lambda g: f"k{g[3]}s{g[4]}g{g[2]}-{g[6]}")
 def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
                                                            threaded_backward, monkeypatch):
-    cin, cout, groups, k, stride, extents, _ = geometry
+    cin, cout, groups, k, stride, extents, layout = geometry
     rng = np.random.default_rng(k * 100 + stride * 10 + groups + 1)
     x = rng.normal(size=(cin,) + extents).astype(dtype)
     w = rng.normal(size=(cout, cin // groups, k, k, k)).astype(dtype)
@@ -225,10 +233,13 @@ def test_conv3d_backward_bytes_do_not_depend_on_the_worker(geometry, dtype,
     gy = rng.normal(size=(cout,) + extents_out).astype(dtype)
     ran_on = []
     spy_on_thread(monkeypatch, "_weight_grad", ran_on)
+    walks = spy_on_walks(monkeypatch)
     threaded = conv3d_rule_grads(x, w, b, gy, stride)
     monkeypatch.setattr(ops, "_WORKER", None)
     inline = conv3d_rule_grads(x, w, b, gy, stride)
     assert ran_on == [False, True]
+    # dx runs the forward's walk, once, in the forward's layout
+    assert walks == [f"_walk_{layout}"] * 4
     expect = windowed_einsum_conv3d_grads(x, w, gy, stride, k // 2, groups)
     for got_threaded, got_inline, want in zip(threaded, inline, expect):
         assert got_threaded.dtype == got_inline.dtype == want.dtype
@@ -252,7 +263,7 @@ def test_conv3d_backward_skips_dx_of_a_constant_input(threaded_backward, monkeyp
     # the stem's first conv reads concat(moving, fixed), which needs no
     # gradient; with no dx to overlap, its dw stays on the calling thread
     dx_ran, dw_ran_here = [], []
-    spy_on_thread(monkeypatch, "_input_grad", dx_ran)
+    spy_on_thread(monkeypatch, "_dx_walk", dx_ran)
     spy_on_thread(monkeypatch, "_weight_grad", dw_ran_here)
     rng = np.random.default_rng(45)
     weight = T.Tensor(rng.normal(size=(4, 2, 3, 3, 3)).astype(np.float32), requires_grad=True)
@@ -331,7 +342,7 @@ def test_conv3d_backward_joins_the_worker_before_reraising(threaded_backward, mo
         raise FloatingPointError("dx failed")
 
     monkeypatch.setattr(ops, "_weight_grad", slow)
-    monkeypatch.setattr(ops, "_input_grad", failing)
+    monkeypatch.setattr(ops, "_dx_walk", failing)
     loss = conv_loss(np.random.default_rng(43))
     with pytest.raises(FloatingPointError, match="dx failed"):
         loss.backward()
