@@ -230,6 +230,9 @@ def cmd_register(args) -> int:
 
 def cmd_eval(args) -> int:
     u, kind = read_field(args.field)
+    if min(u.shape[1:]) < 3:
+        raise CliError(f"{args.field}: extents {u.shape[1:]} too small for differences",
+                       EXIT_USAGE)
     labels = _read_label_pair(args, u.shape[1:], "field")
     if kind == KIND_VELOCITY:
         u = integrate(Tensor(u)).data
@@ -241,10 +244,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import SUITES, run_suites
+    from .verify import SUITES, run_checks
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks = run_suites(names)
+    checks = run_checks([check for name in names for check in SUITES[name]])
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name} - {detail}")

@@ -3,7 +3,7 @@
 Layout: magic ``SVOL``, version u32 (=2), kind u8, channels u32, extents
 u32 x 3 (D, H, W), then channels*D*H*W float32 little-endian scalars in
 C order with channel slowest, then the CRC32 trailer of ``binio``. Labels are
-stored as reals holding integers.
+stored in one channel as reals holding non-negative whole numbers.
 """
 
 from __future__ import annotations
@@ -69,10 +69,19 @@ def read_svol(path):
 
 
 def read_labels(path) -> np.ndarray:
+    """A labels volume as a (D, H, W) int64 map: one channel of
+    non-negative whole numbers."""
     data, kind = read_svol(path)
     if kind != KIND_LABELS:
         raise SvolError(f"{path}: expected labels, found {KIND_NAMES[kind]!r}")
-    return np.rint(data[0]).astype(np.int64)
+    if data.shape[0] != 1:
+        raise SvolError(f"{path}: labels volumes need 1 channel, found {data.shape[0]}")
+    labels = data[0]
+    bad = (labels != np.rint(labels)) | (labels < 0)
+    if bad.any():
+        raise SvolError(f"{path}: labels must be non-negative whole numbers, "
+                        f"found {labels[bad][0]:g}")
+    return labels.astype(np.int64)
 
 
 def read_field(path):

@@ -36,10 +36,10 @@ def criterion(tag, passed, detail):
 # --- A1: gradient integrity ----------------------------------------------------
 
 def test_a1_gradient_integrity():
-    from symtrans.verify import run_suites
+    from symtrans.verify import SUITES, run_checks
 
     t0 = time.time()
-    checks = run_suites(["gradcheck"])
+    checks = run_checks(SUITES["gradcheck"])
     elapsed = time.time() - t0
     failed = [c for c in checks if not c[1]]
     criterion(
@@ -53,9 +53,9 @@ def test_a1_gradient_integrity():
 # --- A2: oracle equivalence ----------------------------------------------------
 
 def test_a2_oracle_equivalence():
-    from symtrans.verify import oracle_suite
+    from symtrans.verify import SUITES, run_checks
 
-    checks = oracle_suite()
+    checks = run_checks(SUITES["oracles"])
     failed = [c for c in checks if not c[1]]
     criterion(
         "A2", not failed,

@@ -1,17 +1,20 @@
+import argparse
+import ast
 import json
 import platform
 import re
 import struct
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from symtrans import deformation, ops, training
+from symtrans import cli, deformation, ops, training, verify
 from symtrans import tensor as T
-from symtrans.cli import main
+from symtrans.cli import build_parser, main
 from symtrans.model import load_checkpoint
 from symtrans.svol import (
     KIND_DISPLACEMENT,
@@ -435,6 +438,20 @@ def test_register_label_extents_mismatch_exit_2(trained, tmp_path, capsys,
     assert "(16, 16, 16)" in err and "Traceback" not in err
 
 
+def test_register_negative_labels_exit_2_names_the_file(trained, tmp_path, capsys,
+                                                       monkeypatch):
+    _, _, out = trained
+    argv, labels = register_argv(tmp_path, out)
+    bad = tmp_path / "negative.svol"
+    write_svol(bad, np.full((16, 16, 16), -3.0, np.float32), KIND_LABELS)
+    monkeypatch.setattr("symtrans.cli.register", refuse_forward)
+    code, _, err = run(argv + ["--moving-labels", labels, "--fixed-labels", str(bad)],
+                       capsys)
+    assert code == 2
+    assert f"{bad}: labels must be non-negative whole numbers" in err and "found -3" in err
+    assert "Traceback" not in err
+
+
 def test_register_out_of_memory_exit_3(trained, tmp_path, capsys, monkeypatch):
     _, _, out = trained
     argv, _ = register_argv(tmp_path, out)
@@ -658,6 +675,45 @@ def test_eval_affine_expansion_det(tmp_path, capsys):
     assert metrics["det_interior_mean"] == pytest.approx(3.375, abs=1e-5)
 
 
+def blob_labels():
+    labels = np.zeros((1, 8, 8, 8), np.float32)
+    labels[0, 2:5, 2:5, 2:5] = 1
+    return labels
+
+
+def with_voxel(labels, value):
+    labels[0, 3, 3, 3] = value
+    return labels
+
+
+@pytest.mark.parametrize("labels, refusal", [
+    (with_voxel(blob_labels(), 1.4), "labels must be non-negative whole numbers, found 1.4"),
+    (np.concatenate([blob_labels(), np.full((1, 8, 8, 8), 7.0, np.float32)]),
+     "labels volumes need 1 channel, found 2"),
+    (np.full((1, 8, 8, 8), -3.0, np.float32), "found -3"),
+], ids=["fraction", "two_channels", "negative"])
+def test_eval_malformed_labels_exit_2_names_the_file(tmp_path, capsys, labels, refusal):
+    field = tmp_path / "id.svol"
+    write_svol(field, np.zeros((3, 8, 8, 8), np.float32), KIND_DISPLACEMENT)
+    good = tmp_path / "good.svol"
+    write_svol(good, blob_labels(), KIND_LABELS)
+    bad = tmp_path / "bad.svol"
+    write_svol(bad, labels, KIND_LABELS)
+    code, stdout, err = run(["eval", "--field", str(field), "--moving-labels", str(bad),
+                             "--fixed-labels", str(good)], capsys)
+    assert code == 2 and stdout == ""
+    assert f"{bad}: " in err and refusal in err and "Traceback" not in err
+
+
+def test_eval_field_too_thin_for_differences_exit_2_names_it(tmp_path, capsys):
+    field = tmp_path / "thin.svol"
+    write_svol(field, np.zeros((3, 2, 16, 16), np.float32), KIND_DISPLACEMENT)
+    code, stdout, err = run(["eval", "--field", str(field)], capsys)
+    assert code == 2 and stdout == ""
+    assert f"{field}: extents (2, 16, 16) too small for differences" in err
+    assert "Traceback" not in err
+
+
 def test_eval_malformed_field_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.svol"
     bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK")
@@ -698,6 +754,18 @@ def test_verify_diffeo_suite_via_cli(capsys):
     assert "PASS diffeo.zero_velocity" in stdout
     summary = json.loads(stdout.strip().splitlines()[-1])
     assert summary["failed"] == 0
+
+
+def test_verify_suite_choices_are_the_suites():
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    (suite,) = [action for action in commands.choices["verify"]._actions
+                if action.dest == "suite"]
+    assert list(suite.choices) == [*verify.SUITES, "all"]
+    # the suites import their checks' modules and scipy.ndimage only when run
+    top_level = [node.module for node in ast.parse(Path(cli.__file__).read_text()).body
+                 if isinstance(node, ast.ImportFrom)]
+    assert "verify" not in top_level
 
 
 def train_config(tmp, trained, **overrides):
