@@ -22,7 +22,8 @@ print("dloss/dy  =", y.grad)   # 2 (x y + x) x
 print("expected x grad:", 2 * (x.data * y.data + x.data) * (y.data + 1))
 
 # Every op ships a backward rule; grad_check compares them against central
-# finite differences evaluated in float64. scale-aware eps, seeded sampling.
+# finite differences evaluated in float64 (scale-aware step, seeded sampling)
+# and returns the worst relative error over the probed coordinates.
 rng = np.random.default_rng(0)
 w0 = rng.normal(size=(4, 6))
 x0 = rng.normal(size=(5, 6))
@@ -33,8 +34,8 @@ def build(leaves):
     return T.mean_all(T.mul(T.gelu(h), h))
 
 
-report = T.grad_check(build, {"x": x0, "w": w0}, wide=True, coords_per_leaf=10)
-print("\ngrad_check over a matmul+gelu graph:", report)
+err = T.grad_check(build, {"x": x0, "w": w0}, wide=True, coords_per_leaf=10)
+print(f"\ngrad_check over a matmul+gelu graph: max rel err {err:.3e}")
 
 # Two precisions are supported as a tensor attribute: float32 for training,
 # float64 for oracles and gradient checks. Mixing them is an error.

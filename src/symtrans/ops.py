@@ -147,19 +147,20 @@ def _padded(a, pads):
     return out
 
 
-def _walk_w_copies(grids, mats, axes, init, outs):
+def _walk_w_copies(grids, mats, taps, init, outs):
     """The tap walk for heavy padding: one contiguous copy per W shift.
 
     ``grids`` (S, S, S, G, C, Dq, Hq, Wq) holds one grid per input phase,
     ``mats`` (k, k, k, G, O, C) one matrix per kernel index, and ``outs``
     maps each output phase (qd, qh, qw) to the (G*O, Do, Ho, Wo) array it
-    fills. ``axes[i][q]`` lists, in order, the taps of axis i that reach
-    its output phase q, each as (kernel index, input phase, shift). An
-    output phase gets ``init`` plus, for each tap (a, b, c) of its three
-    lists' product in order, ``mats[a, b, c]`` times the grid of the tap's
-    input phases shifted by its shifts. The layout rule picks this walk at
-    stride 1 only, so it reads the one grid and fills the one output,
-    C-ordered. Copy c holds the grid from W shift c on, ``Wo`` wide, as
+    fills. ``taps[q]`` lists, in order, the taps of an axis that reach its
+    output phase q, each as (kernel index, input phase, shift); the kernel is
+    a cube, so every axis has the one table. Output phase (qd, qh, qw) gets
+    ``init`` plus, for each tap (a, b, c) of the product of ``taps[qd]``,
+    ``taps[qh]`` and ``taps[qw]`` in order, ``mats[a, b, c]`` times the grid
+    of the tap's input phases shifted by its shifts. The layout rule picks
+    this walk at stride 1 only, so it reads the one grid and fills the one
+    output, C-ordered. Copy c holds the grid from W shift c on, ``Wo`` wide, as
     (G, C, Dq, Hq*Wo), so each window is one run of Ho*Wo values per output
     depth, and the taps accumulate straight into the output.
     """
@@ -170,16 +171,15 @@ def _walk_w_copies(grids, mats, axes, init, outs):
     # strided one up to twice as slowly
     mats = np.ascontiguousarray(mats)
     copies = {c: np.ascontiguousarray(grid[..., c:c + wo]).reshape(grid.shape[:3] + (-1,))
-              for _, _, c in axes[2][qw]}
+              for _, _, c in taps[qw]}
     out[:] = init[:, None, None, None]
     outg = out.reshape((grid.shape[0], -1, do, ho * wo))
-    for (a, _, d), (b, _, h), (c, _, w) in itertools.product(axes[0][qd], axes[1][qh],
-                                                            axes[2][qw]):
+    for (a, _, d), (b, _, h), (c, _, w) in itertools.product(taps[qd], taps[qh], taps[qw]):
         window = copies[w][:, :, d:d + do, h * wo:(h + ho) * wo]
         outg += np.einsum("goi,gidr->godr", mats[a, b, c], window)
 
 
-def _walk_flat(grids, mats, axes, init, outs):
+def _walk_flat(grids, mats, taps, init, outs):
     """The tap walk with every tap as one unit-stride shift of a flat grid.
 
     Fills ``outs``, whose arrays may be strided views, as ``_walk_w_copies``
@@ -205,8 +205,8 @@ def _walk_flat(grids, mats, axes, init, outs):
             if od <= z0:
                 continue
             run = part[..., :(min(nz, od - z0) - 1) * plane + (oh - 1) * wq + ow]
-            for (a, ra, d), (b, rb, h), (c, rc, w) in itertools.product(axes[0][qd], axes[1][qh],
-                                                                        axes[2][qw]):
+            for (a, ra, d), (b, rb, h), (c, rc, w) in itertools.product(taps[qd], taps[qh],
+                                                                        taps[qw]):
                 start = (z0 + d) * plane + h * wq + w
                 run += np.einsum("goi,gis->gos", mats[a, b, c],
                                  flat[ra, rb, rc, :, :, start:start + run.shape[-1]])
@@ -285,7 +285,7 @@ def _dx_walk(gyg, wg, st, spatial, walk):
     outs = {(rd, rh, rw): dx[:, rd::st, rh::st, rw::st]
             for rd, rh, rw in itertools.product(sorted(taps), repeat=3)
             if rd < spatial[0] and rh < spatial[1] and rw < spatial[2]}
-    walk(gyp, wt, (taps,) * 3, np.zeros(dx.shape[0], dtype=dx.dtype), outs)
+    walk(gyp, wt, taps, np.zeros(dx.shape[0], dtype=dx.dtype), outs)
     return dx
 
 
@@ -321,7 +321,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     taps = {0: [(a, a % st, a // st) for a in range(k)]}
     out = np.empty((out_ch, do, ho, wo), dtype=x.dtype)
     walk(grids.reshape(grids.shape[:3] + (groups, -1) + grids.shape[4:]),
-         wg.transpose(3, 4, 5, 0, 1, 2), (taps,) * 3, b, {(0, 0, 0): out})
+         wg.transpose(3, 4, 5, 0, 1, 2), taps, b, {(0, 0, 0): out})
 
     def rule(gy):
         gyg = gy.reshape((groups, -1, do, ho, wo))

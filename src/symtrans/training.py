@@ -479,14 +479,13 @@ def write_curve(path, curve):
 
 
 def register(moving: np.ndarray, fixed: np.ndarray, params, cfg: ModelConfig,
-             mode: str | None = None, moving_labels=None, fixed_labels=None):
+             mode: str, moving_labels=None, fixed_labels=None):
     """Single forward-only registration pass: field, warped volume, metrics.
 
     No tape is recorded, whether or not ``params`` require gradients, so the
     intermediate arrays are freed as soon as the next op has read them. The
     loss components are training's objective, at ``LossConfig()``, on this pair.
     """
-    mode = mode or cfg.mode
     moving_t, fixed_t = Tensor(moving), Tensor(fixed)
     with T.no_grad():
         raw = forward(moving_t, fixed_t, params, cfg)

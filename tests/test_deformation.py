@@ -56,20 +56,6 @@ def test_half_voxel_shift_on_linear_ramp():
                                img[0, :, :, :-1] + 0.5, atol=1e-9)
 
 
-def test_warp_gradcheck_both_inputs():
-    rng = np.random.default_rng(2)
-    img = gaussian_filter(rng.normal(size=(1, 6, 6, 6)), sigma=(0, 1.5, 1.5, 1.5))
-    u0 = smooth_field((6, 6, 6), rng, amplitude=0.4) + 0.3
-
-    def build(lv):
-        out = warp(lv["img"], lv["u"])
-        return T.mean_all(T.mul(out, out))
-
-    rep = T.grad_check(build, {"img": img, "u": u0}, wide=True,
-                       coords_per_leaf=8, rng=np.random.default_rng(3))
-    assert rep.max_err() < 1e-4, rep
-
-
 def test_warp_shape_mismatch():
     with pytest.raises(ValueError, match="spatial"):
         warp(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((3, 4, 4, 5))))
@@ -156,9 +142,9 @@ def test_extent_one_axis_and_every_face_vs_oracle_and_gradcheck():
         out = trilinear_sample(lv["field"], lv["off"])
         return T.mean_all(T.mul(out, out))
 
-    rep = T.grad_check(build, {"field": field, "off": off}, wide=True,
+    err = T.grad_check(build, {"field": field, "off": off}, wide=True,
                        coords_per_leaf=off.size, rng=np.random.default_rng(16))
-    assert rep.max_err() < 1e-6, rep
+    assert err < 1e-6, err
 
 
 def test_rule_returns_none_for_a_parent_without_gradient():
@@ -427,46 +413,6 @@ def test_trilinear_refuses_mixed_precisions():
         warp(image, field)
 
 
-def test_compose_gradcheck():
-    rng = np.random.default_rng(7)
-    a = smooth_field((5, 5, 5), rng, amplitude=0.4) + 0.25
-    b = smooth_field((5, 5, 5), rng, amplitude=0.4) + 0.25
-
-    def build(lv):
-        out = compose(lv["a"], lv["b"])
-        return T.mean_all(T.mul(out, out))
-
-    rep = T.grad_check(build, {"a": a, "b": b}, wide=True,
-                       coords_per_leaf=8, rng=np.random.default_rng(8))
-    assert rep.max_err() < 1e-4, rep
-
-
-def test_integrate_zero_velocity():
-    out = integrate(Tensor(np.zeros((3, 4, 4, 4), np.float32)))
-    np.testing.assert_array_equal(out.data, 0.0)
-
-
-def test_integrate_constant_velocity_is_translation():
-    shape = (8, 8, 8)
-    v = np.zeros((3,) + shape)
-    v[1] = 0.8
-    u = integrate(Tensor(v)).data
-    interior = u[:, 2:-2, 2:-2, 2:-2]
-    assert np.max(np.abs(interior[1] - 0.8)) < 1e-4
-    assert np.max(np.abs(interior[0])) < 1e-4
-    assert np.max(np.abs(interior[2])) < 1e-4
-
-
-def test_integrate_inverse_consistency():
-    rng = np.random.default_rng(9)
-    v = smooth_field((12, 12, 12), rng, amplitude=2.0, sigma=3.0)
-    fwd = integrate(Tensor(v))
-    bwd = integrate(Tensor(-v))
-    round_trip = compose(fwd, bwd).data
-    interior = round_trip[:, 2:-2, 2:-2, 2:-2]
-    assert np.max(np.abs(interior)) < 0.1
-
-
 def test_integrate_first_order_consistency():
     rng = np.random.default_rng(10)
     v = smooth_field((10, 10, 10), rng, amplitude=1.5, sigma=2.5)
@@ -477,27 +423,6 @@ def test_integrate_first_order_consistency():
         errs.append(np.max(np.abs(u[interior] - alpha * v[interior])) / alpha)
     assert errs[-1] < errs[0]
     assert errs[-1] < 0.02
-
-
-def test_integrate_smooth_field_is_fold_free():
-    rng = np.random.default_rng(11)
-    v = smooth_field((12, 12, 12), rng, amplitude=2.0, sigma=3.0)
-    u = integrate(Tensor(v)).data
-    _, stats = jacobian_determinant(u)
-    assert stats.count == 0
-
-
-def test_integrate_gradcheck():
-    rng = np.random.default_rng(12)
-    v0 = smooth_field((5, 5, 5), rng, amplitude=0.5) + 0.2
-
-    def build(lv):
-        u = integrate(lv["v"], steps=3)
-        return T.mean_all(T.mul(u, u))
-
-    rep = T.grad_check(build, {"v": v0}, wide=True, coords_per_leaf=8,
-                       rng=np.random.default_rng(13))
-    assert rep.max_err() < 1e-4, rep
 
 
 def test_jacobian_identity():

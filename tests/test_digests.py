@@ -148,7 +148,7 @@ def test_register_64_digests(path, request):
     cfg = desk_model("diffeomorphic", extent=64)
     _, params = init_model_params(cfg, np.random.default_rng(3))
     moving, fixed, *_ = generate_pair(SyntheticSpec(extents=cfg.input_shape), pair_rng(3, 0))
-    field, warped, _ = register(moving, fixed, params, cfg)
+    field, warped, _ = register(moving, fixed, params, cfg, cfg.mode)
     check_digests(f"64^3 register ({path})",
                   {"field": sha16(field.tobytes()), "warped": sha16(warped.tobytes())},
                   REGISTER_DIGESTS)

@@ -538,22 +538,6 @@ def test_linear_vs_matmul_oracle():
     np.testing.assert_allclose(out.data, x @ w.T + b, atol=1e-12)
 
 
-@pytest.mark.parametrize("groups", [1, 2, 4])
-def test_conv3d_gradcheck(groups):
-    rng = np.random.default_rng(13 + groups)
-    x0 = rng.normal(size=(4, 4, 4, 4))
-    w0 = rng.normal(size=(4, 4 // groups, 3, 3, 3)) * 0.3
-    b0 = rng.normal(size=4) * 0.3
-
-    def build(lv):
-        out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"]))
-        return T.mean_all(T.mul(out, out))
-
-    rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
-                       coords_per_leaf=6, rng=np.random.default_rng(0))
-    assert rep.max_err() < 1e-6, rep
-
-
 def test_conv3d_stride2_gradcheck():
     rng = np.random.default_rng(20)
     x0 = rng.normal(size=(2, 6, 6, 6))
@@ -564,9 +548,9 @@ def test_conv3d_stride2_gradcheck():
         out = conv3d(lv["x"], Conv3dParams(lv["w"], lv["b"], stride=2))
         return T.mean_all(T.mul(out, out))
 
-    rep = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
+    err = T.grad_check(build, {"x": x0, "w": w0, "b": b0}, wide=True,
                        coords_per_leaf=6, rng=np.random.default_rng(1))
-    assert rep.max_err() < 1e-6, rep
+    assert err < 1e-6, err
 
 
 def test_backward_consumes_the_graph_and_frees_what_conv3d_saved():

@@ -3,7 +3,7 @@ by its own name, so it reports the same numbers whatever runs before it."""
 
 import pytest
 
-from symtrans.verify import SUITES, run_checks
+from symtrans.verify import OP_TOL_STD, OP_TOL_WIDE, SUITES, run_checks
 
 CHECKS = {check.name: check for suite in SUITES.values() for check in suite}
 
@@ -11,6 +11,12 @@ CHECKS = {check.name: check for suite in SUITES.values() for check in suite}
 def test_check_names_are_unique():
     names = [check.name for suite in SUITES.values() for check in suite]
     assert len(names) == len(set(names)) == len(CHECKS)
+
+
+def test_every_gradcheck_holds_the_one_tolerance_pair():
+    tols = {"std": OP_TOL_STD, "wide": OP_TOL_WIDE}
+    assert {check.name: check.tol for check in SUITES["gradcheck"]} == {
+        check.name: tols[check.name.rsplit(".", 1)[1]] for check in SUITES["gradcheck"]}
 
 
 def recorded(check, states):
